@@ -33,7 +33,7 @@ from .patterns import (
     render_csv,
     render_pgm,
 )
-from .pipeline import build_dataset, corpus_stats, worker_count
+from .pipeline import build_dataset, corpus_stats
 from .sequence import PageDescPrefix, Task
 
 KIND_CHOICES = [k.value for k in PatternKind]
@@ -218,7 +218,7 @@ def build(corpus, task, out_dir, threshold, variant, lenient):
         payload = {
             "version": __version__,
             "config": {"task": task, "threshold": threshold, "variant": variant,
-                       "lenient": lenient, "threads": worker_count()},
+                       "lenient": lenient},
             "input": {"path": os.fspath(corpus), "sha256": _file_digest(corpus)},
             "accounting": report.to_dict(),
         }

@@ -1,25 +1,34 @@
 """Block-sparse forward attention for the structured patterns.
 
-The kernels never materialize the full l x l score grid for a sparse pattern.
-Queries are processed in fixed-height row bands; each band scores only the
-key columns its pattern can reach (a contiguous window span, plus the prefix
-columns or the side-key bank where the pattern has them). The full pattern is
-the deliberate exception: it has no sparsity to exploit, so it allocates the
-whole grid in one block, and its instrumented buffer size is the baseline the
-sparse patterns are measured against.
+Every pattern compiles to a list of bands, and one executor runs them all. A
+band is a run of query rows [b0, b1) that scores one contiguous key span
+[lo, hi), optionally masked to the radius-r window |i - j| <= r, plus an
+optional global bank of (keys, values) that every row of the band sees
+unmasked. The patterns reduce to:
 
-Within a band, out-of-set positions are assigned -inf before the row max, so
-their weights are exactly 0.0 and a key outside a query's allowed set cannot
-change that query's output even at the bit level.
+- full: one band, every row against every key. It has no sparsity to exploit,
+  so it allocates the whole l x l grid in one block, and its instrumented
+  buffer size is the baseline the sparse patterns are measured against.
+- local: ROW_BLOCK-row bands, each spanning its clipped window.
+- prefix-global: ROW_BLOCK-row bands over the k prefix rows, each spanning
+  every key; then window bands over the remaining rows, clipped below at k,
+  with the first k keys and values as their bank.
+- tglobal: the local bands, with the block-averaged side keys as their bank.
 
-Execution is sequential over bands with a fixed reduction order per row, so
-outputs are deterministic and independent of any thread-count setting.
+Within a band, out-of-window positions are assigned -inf before the row max,
+so their weights are exactly 0.0 and a key outside a query's allowed set
+cannot change that query's output even at the bit level. Scores that are not
+finite after scaling are refused with ValueError, as the dense oracle does.
+
+Bands run sequentially with a fixed reduction order per row, so outputs are
+deterministic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,13 +45,23 @@ class KernelStats:
 
     peak_score_elements: int = 0
     score_blocks: int = 0
-    _sizes: list = field(default_factory=list, repr=False)
 
     def record(self, n_elements: int) -> None:
         self.score_blocks += 1
-        self._sizes.append(n_elements)
         if n_elements > self.peak_score_elements:
             self.peak_score_elements = n_elements
+
+
+class _Band(NamedTuple):
+    """Rows [b0, b1) against keys [lo, hi), masked to |i - j| <= r unless r is
+    None, plus every row of `bank`, a (keys, values) pair seen unmasked."""
+
+    b0: int
+    b1: int
+    lo: int
+    hi: int
+    r: int | None = None
+    bank: tuple | None = None
 
 
 def _validate_qkv(q, k, v, l: int):
@@ -60,21 +79,45 @@ def _validate_qkv(q, k, v, l: int):
     return q, k, v
 
 
-def _band_weights(scores: np.ndarray, allowed) -> np.ndarray:
-    """Stable softmax over each row of a score band. `allowed` is a bool grid
-    of the same shape, or None for an all-allowed band. Every band row is
-    guaranteed at least one allowed key (self or a global), so the row max is
-    always finite."""
-    if allowed is not None:
-        scores[~allowed] = -np.inf
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    weights = np.exp(shifted)
-    return weights / weights.sum(axis=1, keepdims=True)
+def _row_blocks(start: int, stop: int):
+    for b0 in range(start, stop, ROW_BLOCK):
+        yield b0, min(b0 + ROW_BLOCK, stop)
 
 
-def _bands(l: int):
-    for b0 in range(0, l, ROW_BLOCK):
-        yield b0, min(b0 + ROW_BLOCK, l)
+def _window_bands(start: int, l: int, r: int, bank=None) -> list:
+    """Bands over rows [start, l), each spanning its window clipped to [start, l)."""
+    return [_Band(b0, b1, max(start, b0 - r), min(l, b1 + r), r, bank) for b0, b1 in _row_blocks(start, l)]
+
+
+def _attend(q, k, v, bands, scale_by_sqrt_d: bool, stats: KernelStats | None) -> np.ndarray:
+    """Run every band: score its span then its bank in one block, mask the
+    span to its window, softmax each row, and accumulate the span's part of
+    the output before the bank's."""
+    scale = math.sqrt(q.shape[1]) if scale_by_sqrt_d else 1.0
+    out = np.empty((q.shape[0], v.shape[1]), dtype=np.float64)
+    for b0, b1, lo, hi, r, bank in bands:
+        width = hi - lo
+        n_bank = 0 if bank is None else bank[0].shape[0]
+        scores = np.empty((b1 - b0, width + n_bank), dtype=np.float64)
+        if stats is not None:
+            stats.record(scores.size)
+        scores[:, :width] = q[b0:b1] @ k[lo:hi].T
+        if n_bank:
+            scores[:, width:] = q[b0:b1] @ bank[0].T
+        scores /= scale
+        if not np.isfinite(scores).all():
+            raise ValueError(f"attention scores of rows {b0}..{b1 - 1} overflowed to non-finite values")
+        if r is not None:
+            offsets = np.arange(b0, b1)[:, None] - np.arange(lo, hi)[None, :]
+            scores[:, :width][np.abs(offsets) > r] = -np.inf
+        # every row keeps at least itself or one bank key, so its max is finite
+        scores -= scores.max(axis=1, keepdims=True)
+        np.exp(scores, out=scores)
+        scores /= scores.sum(axis=1, keepdims=True)
+        out[b0:b1] = scores[:, :width] @ v[lo:hi]
+        if n_bank:
+            out[b0:b1] += scores[:, width:] @ bank[1]
+    return out
 
 
 def sparse_attention(
@@ -95,50 +138,15 @@ def sparse_attention(
         raise PatternError("tglobal patterns need tglobal_attention (side keys required)")
     l = pattern.l
     q, k, v = _validate_qkv(q, k, v, l)
-    scale = math.sqrt(q.shape[1]) if scale_by_sqrt_d else 1.0
-    out = np.empty((l, v.shape[1]), dtype=np.float64)
-
     if pattern.kind is PatternKind.FULL:
-        scores = (q @ k.T) / scale
-        if stats is not None:
-            stats.record(scores.size)
-        out[:] = _band_weights(scores, None) @ v
-        return out
-
-    r = pattern.r
-    n_prefix = pattern.k if pattern.kind is PatternKind.PREFIX_GLOBAL else 0
-
-    # prefix rows: global queries, banded against every key
-    for b0, b1 in _bands(n_prefix):
-        scores = (q[b0:b1] @ k.T) / scale
-        if stats is not None:
-            stats.record(scores.size)
-        out[b0:b1] = _band_weights(scores, None) @ v
-
-    # windowed rows: bands against the prefix columns plus the window span
-    for b0, b1 in _bands(l - n_prefix):
-        b0, b1 = b0 + n_prefix, b1 + n_prefix
-        win_lo = max(n_prefix, b0 - r)  # columns below n_prefix come from the prefix side
-        win_hi = min(l - 1, b1 - 1 + r)
-        width = win_hi - win_lo + 1
-        scores = np.empty((b1 - b0, n_prefix + width), dtype=np.float64)
-        if stats is not None:
-            stats.record(scores.size)
-        if n_prefix:
-            scores[:, :n_prefix] = q[b0:b1] @ k[:n_prefix].T
-        scores[:, n_prefix:] = q[b0:b1] @ k[win_lo : win_hi + 1].T
-        scores /= scale
-        rows = np.arange(b0, b1)[:, None]
-        cols = np.arange(win_lo, win_hi + 1)[None, :]
-        allowed = np.empty((b1 - b0, n_prefix + width), dtype=bool)
-        allowed[:, :n_prefix] = True
-        allowed[:, n_prefix:] = np.abs(rows - cols) <= r
-        weights = _band_weights(scores, allowed)
-        block = weights[:, n_prefix:] @ v[win_lo : win_hi + 1]
-        if n_prefix:
-            block += weights[:, :n_prefix] @ v[:n_prefix]
-        out[b0:b1] = block
-    return out
+        bands = [_Band(0, l, 0, l)]
+    elif pattern.kind is PatternKind.LOCAL:
+        bands = _window_bands(0, l, pattern.r)
+    else:
+        n_prefix = pattern.k
+        bands = [_Band(b0, b1, 0, l) for b0, b1 in _row_blocks(0, n_prefix)]
+        bands += _window_bands(n_prefix, l, pattern.r, (k[:n_prefix], v[:n_prefix]))
+    return _attend(q, k, v, bands, scale_by_sqrt_d, stats)
 
 
 def block_average(token_embeddings, block: int) -> np.ndarray:
@@ -175,7 +183,7 @@ def tglobal_attention(
     """
     if pattern.kind is not PatternKind.TGLOBAL:
         raise PatternError(f"expected a tglobal pattern, got {pattern.kind.value}")
-    l, r = pattern.l, pattern.r
+    l = pattern.l
     q, k, v = _validate_qkv(q, k, v, l)
     emb = as_matrix(token_embeddings, "token_embeddings")
     if emb.shape[0] != l:
@@ -188,28 +196,5 @@ def tglobal_attention(
         raise ShapeError(f"value_proj must be {(emb.shape[1], v.shape[1])}, got {vp.shape}")
 
     averaged = block_average(emb, pattern.block)
-    side_k = averaged @ kp
-    side_v = averaged @ vp
-    side = side_k.shape[0]
-    scale = math.sqrt(q.shape[1]) if scale_by_sqrt_d else 1.0
-    out = np.empty((l, v.shape[1]), dtype=np.float64)
-
-    for b0, b1 in _bands(l):
-        win_lo = max(0, b0 - r)
-        win_hi = min(l - 1, b1 - 1 + r)
-        width = win_hi - win_lo + 1
-        scores = np.empty((b1 - b0, width + side), dtype=np.float64)
-        if stats is not None:
-            stats.record(scores.size)
-        scores[:, :width] = q[b0:b1] @ k[win_lo : win_hi + 1].T
-        scores[:, width:] = q[b0:b1] @ side_k.T
-        scores /= scale
-        rows = np.arange(b0, b1)[:, None]
-        cols = np.arange(win_lo, win_hi + 1)[None, :]
-        allowed = np.empty((b1 - b0, width + side), dtype=bool)
-        allowed[:, :width] = np.abs(rows - cols) <= r
-        allowed[:, width:] = True
-        weights = _band_weights(scores, allowed)
-        out[b0:b1] = weights[:, :width] @ v[win_lo : win_hi + 1]
-        out[b0:b1] += weights[:, width:] @ side_v
-    return out
+    bank = (averaged @ kp, averaged @ vp)
+    return _attend(q, k, v, _window_bands(0, l, pattern.r, bank), scale_by_sqrt_d, stats)

@@ -19,12 +19,15 @@ It is a documented, replaceable seam, not a linguistic claim.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
 
 SPLITS = ("train", "val", "test")
+TRAIN_CUT = 0.90
+VAL_CUT = 0.95
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 _SENTENCE_END_RE = re.compile(r"[.!?](?=\s|$)")
@@ -138,6 +141,20 @@ class Page:
                 yield sec, img
 
 
+def assign_split(url: str) -> str:
+    """Deterministic page-level split from a stable 64-bit hash of the URL:
+    [0, 0.90) train, [0.90, 0.95) val, rest test."""
+    if not url:
+        raise ValueError("url must be nonempty")
+    digest = hashlib.sha256(url.encode("utf-8")).digest()
+    x = int.from_bytes(digest[:8], "big") / 2**64
+    if x < TRAIN_CUT:
+        return "train"
+    if x < VAL_CUT:
+        return "val"
+    return "test"
+
+
 def classify_section(section: Section, has_children: bool) -> SectionClass:
     has_text = bool(section.body_text)
     has_images = bool(section.images)
@@ -183,9 +200,14 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; bool is an int subclass, but true/false are not indices."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(obj: dict, key: str, kind, where: str):
     value = obj.get(key)
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise CorpusError(f"{where}: field {key!r} must be {kind.__name__}, got {type(value).__name__}")
     return value
 
@@ -221,7 +243,7 @@ def parse_section(obj: dict, where: str, earlier: list) -> Section:
         raise CorpusError(f"{where}: section entry must be an object")
     index = _require(obj, "section_index", int, where)
     parent = obj.get("section_parent_index")
-    if parent is not None and not isinstance(parent, int):
+    if parent is not None and not _is_int(parent):
         raise CorpusError(f"{where}: section_parent_index must be an int or null")
     images_raw = obj.get("images", [])
     if not isinstance(images_raw, list):
@@ -234,7 +256,7 @@ def parse_section(obj: dict, where: str, earlier: list) -> Section:
             depth = earlier[parent].depth + 1
         else:
             depth = 0  # bad parent reference; Page reports it properly
-    elif not isinstance(depth, int):
+    elif not _is_int(depth):
         raise CorpusError(f"{where}: section_depth must be an int")
     return Section(
         index=index,
@@ -263,8 +285,6 @@ def parse_page(obj: dict) -> Page:
         sections.append(parse_section(raw, f"{where} section {n}", sections))
     split = obj.get("split")
     if split is None:
-        from .pipeline import assign_split
-
         split = assign_split(url)
     return Page(
         url=url,
@@ -286,19 +306,22 @@ class MalformedRecord:
 def iter_corpus(path, strict: bool = True):
     """Stream a JSONL corpus. Yields Page objects; with strict=False,
     undecodable or invalid lines come through as MalformedRecord instead of
-    raising, and duplicate page URLs are treated as invalid."""
+    raising, and duplicate page URLs are treated as invalid. Lines end at
+    b"\n" and are decoded one at a time, so a line that is not UTF-8, nests
+    too deeply for the decoder, or otherwise fails to decode is one bad line;
+    the lines after it still parse."""
     seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for n, line in enumerate(fh, start=1):
-            if not line.strip():
+    with open(path, "rb") as fh:
+        for n, raw in enumerate(fh, start=1):
+            if not raw.strip():
                 continue
             try:
-                obj = json.loads(line)
-                page = parse_page(obj)
+                # UnicodeDecodeError and JSONDecodeError are ValueErrors too
+                page = parse_page(json.loads(raw.decode("utf-8")))
                 if page.url in seen:
                     raise CorpusError(f"duplicate page_url {page.url!r}")
                 seen.add(page.url)
-            except (json.JSONDecodeError, CorpusError) as exc:
+            except (ValueError, RecursionError) as exc:
                 if strict:
                     raise CorpusError(f"line {n}: {exc}") from exc
                 yield MalformedRecord(n, str(exc))

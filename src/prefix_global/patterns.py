@@ -10,9 +10,9 @@ Four patterns over a length-l token sequence:
 - prefix-global: the first k tokens attend to and are attended by everything;
   the remaining tokens attend to the prefix plus their local window.
 
-Masks are kept as per-query sorted index arrays (column index >= l means side
-key l - ... no: side key t sits at column l + t). Every query always attends
-to itself (r >= 0 keeps i in its own window), so no row is ever empty.
+Masks are kept as per-query sorted index arrays. Columns 0..l-1 are token
+keys; side key t sits at column l + t. Every query always attends to itself
+(r >= 0 keeps i in its own window), so no row is ever empty.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Corpus-to-dataset pipeline: eligibility filters, split assignment,
+"""Corpus-to-dataset pipeline: eligibility filters, split routing,
 example construction, and corpus statistics.
 
 Every candidate examined is accounted for exactly once per task run: it
@@ -6,22 +6,16 @@ either becomes an example or lands in the rejection map under one primary
 reason code. Candidates are pages (page description), sections (section
 summarization), or images (image captioning); a record that cannot be parsed
 at all is one candidate rejected as parse_error.
-
-Pages may be processed in parallel (PREFIX_GLOBAL_THREADS, default 1).
-Per-page work is independent and results are merged in page order, so output
-bytes are identical at any thread count.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .page import MalformedRecord, Page, SectionClass, is_content_section
+# assign_split is defined in page and re-exported from here
+from .page import MalformedRecord, Page, SectionClass, assign_split, is_content_section
 from .sequence import (
     REASON_LIST_HEAVY,
     REASON_MISSING_DESCRIPTION,
@@ -38,24 +32,6 @@ from .sequence import (
 )
 
 DEFAULT_CONTENT_SECTION_THRESHOLD = 2
-THREADS_ENV_VAR = "PREFIX_GLOBAL_THREADS"
-
-TRAIN_CUT = 0.90
-VAL_CUT = 0.95
-
-
-def assign_split(url: str) -> str:
-    """Deterministic page-level split from a stable 64-bit hash of the URL:
-    [0, 0.90) train, [0.90, 0.95) val, rest test."""
-    if not url:
-        raise ValueError("url must be nonempty")
-    digest = hashlib.sha256(url.encode("utf-8")).digest()
-    x = int.from_bytes(digest[:8], "big") / 2**64
-    if x < TRAIN_CUT:
-        return "train"
-    if x < VAL_CUT:
-        return "val"
-    return "test"
 
 
 def filter_page_description(
@@ -71,18 +47,6 @@ def filter_page_description(
     if len(page.content_sections()) < threshold:
         return False, REASON_TOO_FEW_CONTENT_SECTIONS
     return True, None
-
-
-def filter_section_summarization(page: Page, idx: int) -> tuple[bool, str | None]:
-    """Section eligibility: not the root, no table/list, >= 5 sentences."""
-    reason = check_section_summarization(page, idx)
-    return reason is None, reason
-
-
-def filter_image_caption(img) -> tuple[bool, str | None]:
-    """Image eligibility: quality-set member, jpeg/png, >= 3-word reference."""
-    reason = check_image_caption(img)
-    return reason is None, reason
 
 
 @dataclass
@@ -116,16 +80,9 @@ class RoutedExample(NamedTuple):
     example: TaskExample
 
 
-def worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _page_outcomes(item, task, threshold, variant):
-    """One page's (examples, rejection reasons, candidate count)."""
+    """One item's (examples, rejection reasons, candidate count, parsed),
+    where parsed is False for a MalformedRecord."""
     if isinstance(item, MalformedRecord):
         return [], [REASON_PARSE_ERROR], 1, False
     page = item
@@ -138,8 +95,8 @@ def _page_outcomes(item, task, threshold, variant):
     if task is Task.SECTION_SUMMARIZATION:
         examples, reasons = [], []
         for idx in range(len(page.sections)):
-            ok, reason = filter_section_summarization(page, idx)
-            if ok:
+            reason = check_section_summarization(page, idx)
+            if reason is None:
                 examples.append(RoutedExample(page.split, build_section_summarization_input(page, idx)))
             else:
                 reasons.append(reason)
@@ -149,8 +106,8 @@ def _page_outcomes(item, task, threshold, variant):
     for sec in page.sections:
         for pos, img in enumerate(sec.images):
             n_images += 1
-            ok, reason = filter_image_caption(img)
-            if ok:
+            reason = check_image_caption(img)
+            if reason is None:
                 examples.append(RoutedExample(page.split, build_image_caption_input(page, sec.index, pos)))
             else:
                 reasons.append(reason)
@@ -166,20 +123,13 @@ def build_dataset(
     """Run one task over a stream of Page | MalformedRecord items.
 
     Returns routed examples in canonical order (page order, then section or
-    image order within a page) and an accounting report. Worker threads come
-    from PREFIX_GLOBAL_THREADS; results are merged in input order either way.
+    image order within a page) and an accounting report. The source is
+    iterated once.
     """
     report = FilterReport(task=task)
-    items = list(source)
-    workers = worker_count()
-    job = lambda item: _page_outcomes(item, task, threshold, variant)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(job, items))
-    else:
-        outcomes = [job(item) for item in items]
     routed = []
-    for examples, reasons, candidates, parsed in outcomes:
+    for item in source:
+        examples, reasons, candidates, parsed = _page_outcomes(item, task, threshold, variant)
         report.pages_in += 1 if parsed else 0
         report.candidates += candidates
         for reason in reasons:

@@ -223,6 +223,20 @@ def test_build_lenient_accounts_malformed(runner, tmp_path):
     assert report["accounting"]["candidates"] == 21
 
 
+def test_build_lenient_survives_undecodable_lines(runner, tmp_path):
+    bad = tmp_path / "bad.jsonl"
+    with open(CORPUS, "rb") as fh:
+        body = fh.read()
+    bad.write_bytes(b'{"page_url": "\xff"}\n' + b"[" * 100_000 + b"\n" + body)
+    out = tmp_path / "out"
+    res = invoke(runner, "build", str(bad), "--task", "page_description",
+                 "--out-dir", str(out), "--lenient")
+    assert res.exit_code == 0, res.output
+    report = json.loads((out / "report.json").read_text())
+    assert report["accounting"]["rejections"]["parse_error"] == 2
+    assert report["accounting"]["candidates"] == 22
+
+
 def test_build_missing_corpus_is_usage_error(runner, tmp_path):
     res = invoke(runner, "build", str(tmp_path / "nope.jsonl"),
                  "--task", "page_description", "--out-dir", str(tmp_path / "o"))

@@ -1,10 +1,13 @@
 """Kernel equivalence against dense-masked oracles, locality at the bit level,
-and the score-buffer contract."""
+the score-buffer contract, refusal of overflowing scores, and property tests
+of the band geometry."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from prefix_global import kernel
+from prefix_global import cost, kernel
 from prefix_global.kernel import (
     KernelStats,
     block_average,
@@ -318,3 +321,112 @@ class TestValidation:
         q[0, 0] = np.nan
         with pytest.raises(ValueError):
             sparse_attention(q, np.ones((4, 2)), np.ones((4, 2)), full(4))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["full", "local", "tglobal", "prefix-global"])
+    def test_overflowing_scores_refused_like_dense(self, kind):
+        # finite inputs whose products overflow: q.k is about 1e320 > float64 max
+        g = rng(40)
+        l = 300
+        q, k, v = make_qkv(g, l, 8)
+        q, k = q * 1e160, k * 1e160
+        if kind == "tglobal":
+            pattern = tglobal(l, r=5, block=16)
+            emb = g.normal(size=(l, 8))
+            with pytest.raises(ValueError, match="non-finite"):
+                tglobal_attention(q, k, v, pattern, emb, np.eye(8), np.eye(8))
+            with pytest.raises(ValueError):
+                tglobal_dense_oracle(q, k, v, pattern, emb, np.eye(8), np.eye(8))
+            return
+        pattern = {"full": full(l), "local": local(l, r=5), "prefix-global": prefix_global(l, k=20, r=5)}[kind]
+        with pytest.raises(ValueError, match="non-finite"):
+            sparse_attention(q, k, v, pattern)
+        with pytest.raises(ValueError):
+            dense_oracle(q, k, v, pattern)
+
+
+class SummingStats(KernelStats):
+    """KernelStats that also sums the elements of every score block."""
+
+    def __init__(self):
+        super().__init__()
+        self.elements = 0
+
+    def record(self, n_elements):
+        super().record(n_elements)
+        self.elements += n_elements
+
+
+def geometry_pairs(pattern):
+    """Query-key pairs the band geometry scores: 128-row bands; a window band
+    over rows [b0, b1) scores columns [b0 - r, b1 + r) clipped to the rows'
+    own region, plus every bank column (k prefix keys or the side keys)."""
+    l, B = pattern.l, kernel.ROW_BLOCK
+
+    def window_bands(start, bank):
+        return sum(
+            (min(b0 + B, l) - b0) * (min(l, b0 + B + pattern.r) - max(start, b0 - pattern.r) + bank)
+            for b0 in range(start, l, B)
+        )
+
+    if pattern.kind.value == "full":
+        return l * l
+    if pattern.kind.value == "local":
+        return window_bands(0, 0)
+    if pattern.kind.value == "tglobal":
+        return window_bands(0, pattern.side_keys)
+    return pattern.k * l + window_bands(pattern.k, pattern.k)
+
+
+@st.composite
+def geometries(draw):
+    kind = draw(st.sampled_from(["full", "local", "tglobal", "prefix-global"]))
+    l = draw(st.integers(1, 400))
+    r = draw(st.one_of(st.integers(0, 16), st.integers(0, 2 * l)))
+    k = draw(st.one_of(st.just(0), st.just(l), st.integers(0, l)))
+    block = draw(st.integers(1, 48))
+    d, d_v = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    return kind, l, r, k, block, d, d_v
+
+
+class TestBandGeometry:
+    """Random (kind, l, r, k, block, d, d_v), with the edges pinned as
+    explicit examples: k in {0, l}, k > 128, r >= l, l = 1, d_v != d, and
+    l not a multiple of the 128-row band."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(geometries(), st.integers(0, 2**32 - 1))
+    @example(("prefix-global", 300, 7, 0, 1, 4, 4), 0)
+    @example(("prefix-global", 300, 7, 300, 1, 4, 4), 1)
+    @example(("prefix-global", 389, 11, 200, 1, 5, 3), 2)
+    @example(("prefix-global", 257, 300, 130, 1, 3, 6), 3)
+    @example(("local", 383, 400, 0, 1, 2, 7), 4)
+    @example(("tglobal", 301, 520, 0, 13, 4, 2), 5)
+    @example(("tglobal", 1, 0, 0, 1, 1, 3), 6)
+    @example(("local", 1, 0, 0, 1, 3, 1), 7)
+    @example(("prefix-global", 1, 0, 1, 1, 2, 2), 8)
+    @example(("full", 129, 0, 0, 1, 3, 5), 9)
+    def test_kernel_matches_dense_and_geometry(self, geometry, seed):
+        kind, l, r, k_len, block, d, d_v = geometry
+        pattern = {
+            "full": lambda: full(l),
+            "local": lambda: local(l, r=r),
+            "tglobal": lambda: tglobal(l, r=r, block=block),
+            "prefix-global": lambda: prefix_global(l, k=k_len, r=r),
+        }[kind]()
+        g = rng(seed)
+        q, k, v = make_qkv(g, l, d, d_v=d_v)
+        stats = SummingStats()
+        if kind == "tglobal":
+            emb = g.normal(size=(l, 5))
+            kp, vp = g.normal(size=(5, d)), g.normal(size=(5, d_v))
+            got = tglobal_attention(q, k, v, pattern, emb, kp, vp, stats=stats)
+            want = tglobal_dense_oracle(q, k, v, pattern, emb, kp, vp)
+        else:
+            got = sparse_attention(q, k, v, pattern, stats=stats)
+            want = dense_oracle(q, k, v, pattern)
+        assert got.shape == (l, d_v)
+        assert np.abs(got - want).max() < 1e-9
+        assert stats.elements == geometry_pairs(pattern)
+        assert cost.mask_nnz(pattern) == build_mask(pattern).nnz()

@@ -310,6 +310,18 @@ class TestParsePage:
         with pytest.raises(CorpusError):
             parse_page([1, 2])
 
+    # bool subclasses int, so JSON true/false once passed as indices 1/0
+    @pytest.mark.parametrize("field, value", [
+        ("section_index", True),
+        ("section_parent_index", False),
+        ("section_depth", True),
+    ])
+    def test_bool_rejected_where_int_required(self, field, value):
+        record = page_record()
+        record["sections"][1][field] = value
+        with pytest.raises(CorpusError, match=field):
+            parse_page(record)
+
 
 class TestCorpusIO:
     def write(self, tmp_path, lines):
@@ -344,6 +356,33 @@ class TestCorpusIO:
         assert isinstance(items[1], MalformedRecord)
         assert items[1].line_number == 2
         assert isinstance(items[2], MalformedRecord)
+
+    # each line decodes to something json.loads or UTF-8 cannot handle: bytes
+    # that are not UTF-8, nesting past the recursion limit, and an integer
+    # past Python's digit limit for int()
+    BAD_LINES = {
+        "not-utf8": b'{"page_url": "https://e.org/wiki/\xff\xfe"}',
+        "deep-nesting": b"[" * 100_000 + b"]" * 100_000,
+        "huge-int": b'{"page_url": "https://e.org/x", "page_title": ' + b"9" * 5000 + b"}",
+    }
+
+    def write_around(self, tmp_path, bad: bytes):
+        path = tmp_path / "corpus.jsonl"
+        good = [json.dumps(page_record(url=f"https://e.org/wiki/P{i}")).encode() for i in (1, 3)]
+        path.write_bytes(b"\n".join([good[0], bad, good[1]]) + b"\n")
+        return path
+
+    @pytest.mark.parametrize("bad", BAD_LINES.values(), ids=BAD_LINES.keys())
+    def test_undecodable_line_is_one_malformed_record(self, tmp_path, bad):
+        items = list(iter_corpus(self.write_around(tmp_path, bad), strict=False))
+        assert [type(i) for i in items] == [Page, MalformedRecord, Page]
+        assert items[1].line_number == 2
+        assert items[2].url == "https://e.org/wiki/P3"
+
+    @pytest.mark.parametrize("bad", BAD_LINES.values(), ids=BAD_LINES.keys())
+    def test_undecodable_line_strict_raises_corpus_error(self, tmp_path, bad):
+        with pytest.raises(CorpusError, match="^line 2: "):
+            read_corpus(self.write_around(tmp_path, bad))
 
     def test_duplicate_urls_rejected(self, tmp_path):
         path = self.write(tmp_path, [json.dumps(page_record()), json.dumps(page_record())])

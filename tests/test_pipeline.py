@@ -1,5 +1,5 @@
 """Pipeline tests: split assignment, filter accounting on the bundled
-corpus, thread-count determinism, and corpus statistics.
+corpus, rerun determinism, and corpus statistics.
 
 The expected counts below were tallied by hand from the 20 bundled pages
 before being asserted here; they are golden values, not snapshots of
@@ -15,12 +15,10 @@ from prefix_global.demo import demo_corpus_path, demo_records, render_demo_corpu
 from prefix_global.page import iter_corpus
 from prefix_global.pipeline import (
     DEFAULT_CONTENT_SECTION_THRESHOLD,
-    THREADS_ENV_VAR,
     assign_split,
     build_dataset,
     corpus_stats,
     nearest_rank,
-    worker_count,
 )
 from prefix_global.sequence import Task
 
@@ -174,24 +172,6 @@ def test_rerun_identical(task):
     a = serialize(build_dataset(corpus_items(), task)[0])
     b = serialize(build_dataset(corpus_items(), task)[0])
     assert a == b
-
-
-@pytest.mark.parametrize("threads", ["2", "4", "7"])
-def test_thread_count_does_not_change_output(threads, monkeypatch):
-    baseline = serialize(build_dataset(corpus_items(), Task.SECTION_SUMMARIZATION)[0])
-    monkeypatch.setenv(THREADS_ENV_VAR, threads)
-    assert worker_count() == int(threads)
-    parallel = serialize(build_dataset(corpus_items(), Task.SECTION_SUMMARIZATION)[0])
-    assert parallel == baseline
-
-
-def test_worker_count_defaults_and_garbage(monkeypatch):
-    monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv(THREADS_ENV_VAR, "not-a-number")
-    assert worker_count() == 1
-    monkeypatch.setenv(THREADS_ENV_VAR, "0")
-    assert worker_count() == 1
 
 
 def test_bundled_file_matches_generator():
