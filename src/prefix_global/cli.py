@@ -201,9 +201,9 @@ def build(corpus, task, out_dir, threshold, variant, lenient):
     """Build one task dataset from a JSONL corpus: train/val/test example
     files plus an accounting report."""
     try:
-        items = list(iter_corpus(corpus, strict=not lenient))
-        routed, report = build_dataset(items, Task(task), threshold=threshold,
-                                       variant=PageDescPrefix(variant))
+        # a strict-mode CorpusError surfaces here, before any split file is opened
+        routed, report = build_dataset(iter_corpus(corpus, strict=not lenient), Task(task),
+                                       threshold=threshold, variant=PageDescPrefix(variant))
         out = pathlib.Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         handles = {}
@@ -234,16 +234,25 @@ def build(corpus, task, out_dir, threshold, variant, lenient):
 @click.option("--lenient", is_flag=True, help="Skip malformed records instead of failing.")
 def stats(corpus, lenient):
     """Corpus statistics: section taxonomy counts and size distributions."""
+    malformed = 0
+
+    def pages():
+        nonlocal malformed
+        for item in iter_corpus(corpus, strict=not lenient):
+            if isinstance(item, MalformedRecord):
+                malformed += 1
+            else:
+                yield item
+
     try:
-        items = list(iter_corpus(corpus, strict=not lenient))
+        summary = corpus_stats(pages())
     except (CorpusError, OSError) as exc:
         raise click.ClickException(str(exc)) from exc
-    pages = [item for item in items if not isinstance(item, MalformedRecord)]
     _emit({
         "version": __version__,
         "input": {"path": os.fspath(corpus), "sha256": _file_digest(corpus)},
-        "malformed_records": len(items) - len(pages),
-        "stats": corpus_stats(pages),
+        "malformed_records": malformed,
+        "stats": summary,
     })
 
 

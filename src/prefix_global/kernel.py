@@ -18,7 +18,8 @@ unmasked. The patterns reduce to:
 Within a band, out-of-window positions are assigned -inf before the row max,
 so their weights are exactly 0.0 and a key outside a query's allowed set
 cannot change that query's output even at the bit level. Scores that are not
-finite after scaling are refused with ValueError, as the dense oracle does.
+finite after scaling are refused with ValueError, without a RuntimeWarning,
+as the dense oracle does.
 
 Bands run sequentially with a fixed reduction order per row, so outputs are
 deterministic.
@@ -95,28 +96,30 @@ def _attend(q, k, v, bands, scale_by_sqrt_d: bool, stats: KernelStats | None) ->
     the output before the bank's."""
     scale = math.sqrt(q.shape[1]) if scale_by_sqrt_d else 1.0
     out = np.empty((q.shape[0], v.shape[1]), dtype=np.float64)
-    for b0, b1, lo, hi, r, bank in bands:
-        width = hi - lo
-        n_bank = 0 if bank is None else bank[0].shape[0]
-        scores = np.empty((b1 - b0, width + n_bank), dtype=np.float64)
-        if stats is not None:
-            stats.record(scores.size)
-        scores[:, :width] = q[b0:b1] @ k[lo:hi].T
-        if n_bank:
-            scores[:, width:] = q[b0:b1] @ bank[0].T
-        scores /= scale
-        if not np.isfinite(scores).all():
-            raise ValueError(f"attention scores of rows {b0}..{b1 - 1} overflowed to non-finite values")
-        if r is not None:
-            offsets = np.arange(b0, b1)[:, None] - np.arange(lo, hi)[None, :]
-            scores[:, :width][np.abs(offsets) > r] = -np.inf
-        # every row keeps at least itself or one bank key, so its max is finite
-        scores -= scores.max(axis=1, keepdims=True)
-        np.exp(scores, out=scores)
-        scores /= scores.sum(axis=1, keepdims=True)
-        out[b0:b1] = scores[:, :width] @ v[lo:hi]
-        if n_bank:
-            out[b0:b1] += scores[:, width:] @ bank[1]
+    # overflow is refused with ValueError below, so numpy need not warn first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b0, b1, lo, hi, r, bank in bands:
+            width = hi - lo
+            n_bank = 0 if bank is None else bank[0].shape[0]
+            scores = np.empty((b1 - b0, width + n_bank), dtype=np.float64)
+            if stats is not None:
+                stats.record(scores.size)
+            scores[:, :width] = q[b0:b1] @ k[lo:hi].T
+            if n_bank:
+                scores[:, width:] = q[b0:b1] @ bank[0].T
+            scores /= scale
+            if not np.isfinite(scores).all():
+                raise ValueError(f"attention scores of rows {b0}..{b1 - 1} overflowed to non-finite values")
+            if r is not None:
+                offsets = np.arange(b0, b1)[:, None] - np.arange(lo, hi)[None, :]
+                scores[:, :width][np.abs(offsets) > r] = -np.inf
+            # every row keeps at least itself or one bank key, so its max is finite
+            scores -= scores.max(axis=1, keepdims=True)
+            np.exp(scores, out=scores)
+            scores /= scores.sum(axis=1, keepdims=True)
+            out[b0:b1] = scores[:, :width] @ v[lo:hi]
+            if n_bank:
+                out[b0:b1] += scores[:, width:] @ bank[1]
     return out
 
 

@@ -49,9 +49,11 @@ def matmul(a, b) -> np.ndarray:
     b = as_matrix(b, "b")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"inner dimensions differ: {a.shape} @ {b.shape}")
-    out = a @ b
-    if not np.isfinite(out).all():
-        raise ValueError("matmul overflowed to non-finite values")
+    # overflow is refused with ValueError, so numpy need not warn first
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = a @ b
+        if not np.isfinite(out).all():
+            raise ValueError("matmul overflowed to non-finite values")
     return out
 
 

@@ -7,10 +7,12 @@ the same snake_case names: section_index, section_title, section_text,
 section_parent_index, section_depth, section_contains_table_or_list, and an
 images list whose entries carry section_image_url, section_image_mime_type,
 section_image_alt_text_desc, section_image_raw_ref_desc,
-section_image_raw_attr_desc, section_image_in_WIT, embedding_id. Unknown keys
-are ignored everywhere. first/rest sentence fields, if present in a record,
-are ignored too: both are always re-derived with the splitter below so the
-stored pair can never disagree with the stored text.
+section_image_raw_attr_desc, section_image_in_WIT, embedding_id. The two
+flags, section_contains_table_or_list and section_image_in_WIT, are JSON
+booleans; absent or null is false. Unknown keys are ignored everywhere.
+first/rest sentence fields, if present in a record, are ignored too: both
+are always re-derived with the splitter below so the stored pair can never
+disagree with the stored text.
 
 The sentence splitter is deliberately naive: the first ., ! or ? followed by
 whitespace (or end of text) ends the first sentence. No abbreviation guard.
@@ -104,6 +106,10 @@ class Page:
     raw_description: str = ""
     sections: tuple = ()
     split: str = "train"
+    # what later stages derive from this page and keep for as long as the
+    # page lives (the sequence builders keep its token runs here); it takes
+    # no part in construction, repr or comparison
+    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.url:
@@ -221,6 +227,17 @@ def _optional_str(obj: dict, key: str, where: str) -> str:
     return value
 
 
+def _optional_bool(obj: dict, key: str, where: str) -> bool:
+    """A JSON true/false; absent or null is false. Strings such as "false"
+    and numbers such as 1 are refused rather than read by truthiness."""
+    value = obj.get(key)
+    if value is None:
+        return False
+    if not isinstance(value, bool):
+        raise CorpusError(f"{where}: field {key!r} must be true, false or null, got {type(value).__name__}")
+    return value
+
+
 def parse_image(obj: dict, where: str) -> ImageRef:
     if not isinstance(obj, dict):
         raise CorpusError(f"{where}: image entry must be an object")
@@ -230,7 +247,7 @@ def parse_image(obj: dict, where: str) -> ImageRef:
         alt_text=_optional_str(obj, "section_image_alt_text_desc", where),
         reference_desc=_optional_str(obj, "section_image_raw_ref_desc", where),
         attribution_desc=_optional_str(obj, "section_image_raw_attr_desc", where),
-        in_quality_set=bool(obj.get("section_image_in_WIT", False)),
+        in_quality_set=_optional_bool(obj, "section_image_in_WIT", where),
         embedding_id=_optional_str(obj, "embedding_id", where),
     )
 
@@ -265,7 +282,7 @@ def parse_section(obj: dict, where: str, earlier: list) -> Section:
         parent_index=parent,
         depth=depth,
         images=tuple(parse_image(i, f"{where} image {n}") for n, i in enumerate(images_raw)),
-        has_table_or_list=bool(obj.get("section_contains_table_or_list", False)),
+        has_table_or_list=_optional_bool(obj, "section_contains_table_or_list", where),
     )
 
 

@@ -15,13 +15,22 @@ the reference descriptions of a section's images. Only content sections
 Targets are never rendered into slots: the page description field, a target
 section's first sentence, and a target image's reference and attribution
 descriptions are all withheld from the input side of their own example.
+
+Examples are assembled from token runs, not from fresh slots. A run is the
+slots of one piece of text (a section's marker, title, body, first sentence,
+rest, or one image's caption; the page URL or title), tokenized, built and
+validated once per page and kept on the page, so every example of that page
+shares them. Each run's JSON is encoded once too, and an example's JSON line
+is those encodings joined.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from itertools import chain
+from json.encoder import encode_basestring as _json_str  # a str as a JSON string, as json.dumps writes it
 
 from .page import Page, Section, count_sentences, tokenize
 
@@ -102,9 +111,18 @@ class TokenSlot:
             return {"kind": "text", "token": self.text_token, "origin": self.origin.value}
         return {"kind": "image", "image": self.image, "origin": self.origin.value}
 
+    def to_json(self) -> str:
+        """to_dict() as compact JSON, byte for byte what json.dumps gives with
+        ensure_ascii=False, at a fraction of the cost of a json.dumps call."""
+        origin = _json_str(self.origin.value)
+        if self.kind == "text":
+            return f'{{"kind":"text","token":{_json_str(self.text_token)},"origin":{origin}}}'
+        return f'{{"kind":"image","image":{_json_str(self.image)},"origin":{origin}}}'
+
 
 def text_slots(text: str, origin: Origin) -> list:
-    return [TokenSlot("text", origin, text_token=t) for t in tokenize(text)]
+    # positional text_token: a keyword argument costs a quarter more per slot
+    return [TokenSlot("text", origin, t) for t in tokenize(text)]
 
 
 def image_slot(embedding_id: str, origin: Origin) -> TokenSlot:
@@ -115,26 +133,112 @@ def marker_slot(index: int) -> TokenSlot:
     return TokenSlot("text", Origin.SECTION_INDEX, text_token=f"[S{index}]")
 
 
-def caption_slots(section: Section, skip_image_pos: int | None = None) -> list:
-    out = []
-    for pos, img in enumerate(section.images):
-        if pos == skip_image_pos or not img.reference_desc:
-            continue
-        out.extend(text_slots(img.reference_desc, Origin.CAPTION))
-    return out
+def _json_members(slots) -> str:
+    """The slots as the members of a compact JSON array, without brackets."""
+    return ",".join([s.to_json() for s in slots])
+
+
+class TokenRun(tuple):
+    """A tuple of slots that always appear together and in this order, such
+    as one section's title or one image's caption. The builders make each run
+    once per page and share it between that page's examples, so its slots are
+    built and validated once and `json` encodes them once."""
+
+    @cached_property
+    def json(self) -> str:
+        return _json_members(self)
+
+
+def _text_run(text: str, origin: Origin) -> TokenRun:
+    return TokenRun(text_slots(text, origin))
+
+
+def _image_run(images, origin: Origin) -> TokenRun:
+    return TokenRun(image_slot(img.embedding_id, origin) for img in images)
+
+
+class SectionRuns:
+    """One section's runs, each tokenized on first use."""
+
+    def __init__(self, section: Section):
+        self.section = section
+
+    @cached_property
+    def marker(self) -> TokenRun:
+        return TokenRun((marker_slot(self.section.index),))
+
+    @cached_property
+    def title(self) -> TokenRun:
+        return _text_run(self.section.title, Origin.SECTION_TITLE)
+
+    @cached_property
+    def body(self) -> TokenRun:
+        return _text_run(self.section.body_text, Origin.SECTION_BODY)
+
+    @cached_property
+    def first_sentence(self) -> TokenRun:
+        return _text_run(self.section.first_sentence, Origin.SECTION_FIRST_SENTENCE)
+
+    @cached_property
+    def rest(self) -> TokenRun:
+        return _text_run(self.section.rest_sentences, Origin.SECTION_BODY)
+
+    @cached_property
+    def captions(self) -> tuple:
+        """One run per image, in image order; an image without a reference
+        description has an empty run."""
+        return tuple(_text_run(img.reference_desc, Origin.CAPTION) for img in self.section.images)
+
+    @cached_property
+    def layout(self) -> tuple:
+        """marker -> title -> body -> captions, the canonical section layout."""
+        return (self.marker, self.title, self.body) + self.captions
+
+
+class PageRuns:
+    """A page's URL and title runs and a SectionRuns per section."""
+
+    def __init__(self, page: Page):
+        self.url = _text_run(page.url, Origin.PAGE_URL)
+        self.title = _text_run(page.title, Origin.PAGE_TITLE)
+        self.sections = tuple(SectionRuns(sec) for sec in page.sections)
+        self.content = [self.sections[sec.index] for sec in page.content_sections()]
+
+    def local_context(self, skip: int) -> list:
+        """Page URL, page title, then every content section but `skip`."""
+        out = [self.url, self.title]
+        for sec in self.content:
+            if sec.section.index != skip:
+                out.extend(sec.layout)
+        return out
+
+
+def page_runs(page: Page) -> PageRuns:
+    """The page's runs, made on the first call and kept on the page, so they
+    live exactly as long as the page does."""
+    runs = page.derived.get("runs")
+    if runs is None:
+        runs = page.derived["runs"] = PageRuns(page)
+    return runs
 
 
 @dataclass(frozen=True)
 class TaskExample:
+    """One example. `runs` holds `slots` in the nonempty runs they were
+    assembled from; an example constructed directly has one run of all of
+    its slots."""
+
     task: Task
     slots: tuple
     prefix_len: int
     target_text: str
     source_page_url: str
+    runs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 <= self.prefix_len <= min(PREFIX_BUDGET, len(self.slots)):
             raise ValueError(f"prefix_len {self.prefix_len} outside [0, min(512, {len(self.slots)})]")
+        object.__setattr__(self, "runs", (TokenRun(self.slots),) if self.slots else ())
 
     @property
     def prefix(self) -> tuple:
@@ -154,29 +258,39 @@ class TaskExample:
         }
 
     def to_json_line(self) -> str:
-        return json.dumps(self.to_dict(), ensure_ascii=False, separators=(",", ":"))
+        """The compact JSON of to_dict(), byte for byte, joined from each
+        run's encoding. Only the run that the prefix cap cuts is encoded
+        here, as two parts."""
+        prefix, context, start = [], [], 0
+        for run in self.runs:
+            end = start + len(run)
+            if end <= self.prefix_len:
+                prefix.append(run.json)
+            elif start >= self.prefix_len:
+                context.append(run.json)
+            else:
+                cut = self.prefix_len - start
+                prefix.append(_json_members(run[:cut]))
+                context.append(_json_members(run[cut:]))
+            start = end
+        return (
+            f'{{"task":{_json_str(self.task.value)},"page_url":{_json_str(self.source_page_url)},'
+            f'"prefix":[{",".join(prefix)}],"context":[{",".join(context)}],'
+            f'"target":{_json_str(self.target_text)}}}'
+        )
 
 
-def _assemble(task: Task, page: Page, prefix_material: list, context_material: list, target: str) -> TaskExample:
-    slots = tuple(prefix_material + context_material)
-    return TaskExample(
+def _assemble(task: Task, page: Page, prefix_runs: list, context_runs: list, target: str) -> TaskExample:
+    runs = tuple(run for run in prefix_runs + context_runs if run)
+    example = TaskExample(
         task=task,
-        slots=slots,
-        prefix_len=min(PREFIX_BUDGET, len(prefix_material)),
+        slots=tuple(chain.from_iterable(runs)),
+        prefix_len=min(PREFIX_BUDGET, sum(map(len, prefix_runs))),
         target_text=target,
         source_page_url=page.url,
     )
-
-
-def _section_context(section: Section, include_title: bool = True, body_text: str | None = None) -> list:
-    """marker -> title -> body -> captions, the canonical section layout."""
-    out = [marker_slot(section.index)]
-    if include_title:
-        out.extend(text_slots(section.title, Origin.SECTION_TITLE))
-    body = section.body_text if body_text is None else body_text
-    out.extend(text_slots(body, Origin.SECTION_BODY))
-    out.extend(caption_slots(section))
-    return out
+    object.__setattr__(example, "runs", runs)  # the shared runs the slots came from
+    return example
 
 
 def build_page_description_input(
@@ -190,29 +304,23 @@ def build_page_description_input(
     description is the target and never enters the slots."""
     if not page.raw_description:
         raise IneligibleExampleError(REASON_MISSING_DESCRIPTION)
-    content = page.content_sections()
-    images = [img for sec in content for img in sec.images][:max_images]
-    head = [image_slot(i.embedding_id, Origin.CONTEXT_IMAGE) for i in images]
-    head += text_slots(page.url, Origin.PAGE_URL)
-    head += text_slots(page.title, Origin.PAGE_TITLE)
+    runs = page_runs(page)
+    images = [img for sec in runs.content for img in sec.section.images][:max_images]
+    head = [_image_run(images, Origin.CONTEXT_IMAGE), runs.url, runs.title]
 
     if variant is PageDescPrefix.IN_ORDER:
-        stream = list(head)
-        for sec in content:
-            stream.extend(_section_context(sec))
+        stream = head + [run for sec in runs.content for run in sec.layout]
         return _assemble(Task.PAGE_DESCRIPTION, page, stream, [], page.raw_description)
 
-    prefix = list(head)
+    prefix = head
     context = []
-    for sec in content:
-        prefix.extend(text_slots(sec.title, Origin.SECTION_TITLE))
+    for sec in runs.content:
+        prefix.append(sec.title)
         if variant is PageDescPrefix.TITLES_AND_FIRST_SENTENCES:
-            prefix.extend(text_slots(sec.first_sentence, Origin.SECTION_FIRST_SENTENCE))
-            context.append(marker_slot(sec.index))
-            context.extend(text_slots(sec.rest_sentences, Origin.SECTION_BODY))
-            context.extend(caption_slots(sec))
+            prefix.append(sec.first_sentence)
+            context += (sec.marker, sec.rest) + sec.captions
         else:  # TITLES_ONLY: whole body stays local
-            context.extend(_section_context(sec, include_title=False))
+            context += (sec.marker, sec.body) + sec.captions
     return _assemble(Task.PAGE_DESCRIPTION, page, prefix, context, page.raw_description)
 
 
@@ -241,18 +349,12 @@ def build_section_summarization_input(
     if reason is not None:
         raise IneligibleExampleError(reason)
     target = page.sections[target_index]
-    prefix = [image_slot(i.embedding_id, Origin.CONTEXT_IMAGE) for i in target.images[:max_images]]
-    prefix.append(marker_slot(target.index))
-    prefix.extend(text_slots(target.title, Origin.SECTION_TITLE))
-    prefix.extend(text_slots(target.rest_sentences, Origin.SECTION_BODY))
-    prefix.extend(caption_slots(target))
-    context = text_slots(page.url, Origin.PAGE_URL)
-    context += text_slots(page.title, Origin.PAGE_TITLE)
-    for sec in page.content_sections():
-        if sec.index == target.index:
-            continue
-        context.extend(_section_context(sec))
-    return _assemble(Task.SECTION_SUMMARIZATION, page, prefix, context, target.first_sentence)
+    runs = page_runs(page)
+    own = runs.sections[target_index]
+    prefix = [_image_run(target.images[:max_images], Origin.CONTEXT_IMAGE), own.marker, own.title, own.rest]
+    prefix += own.captions
+    return _assemble(Task.SECTION_SUMMARIZATION, page, prefix, runs.local_context(target_index),
+                     target.first_sentence)
 
 
 def check_image_caption(img) -> str | None:
@@ -280,18 +382,12 @@ def build_image_caption_input(page: Page, section_index: int, image_pos: int) ->
     reason = check_image_caption(img)
     if reason is not None:
         raise IneligibleExampleError(reason)
-    prefix = [image_slot(img.embedding_id, Origin.TARGET_IMAGE)]
-    prefix.append(marker_slot(section.index))
-    prefix.extend(text_slots(section.title, Origin.SECTION_TITLE))
-    prefix.extend(text_slots(section.body_text, Origin.SECTION_BODY))
-    prefix.extend(caption_slots(section, skip_image_pos=image_pos))
-    context = text_slots(page.url, Origin.PAGE_URL)
-    context += text_slots(page.title, Origin.PAGE_TITLE)
-    for sec in page.content_sections():
-        if sec.index == section_index:
-            continue
-        context.extend(_section_context(sec))
-    return _assemble(Task.IMAGE_CAPTIONING, page, prefix, context, img.reference_desc)
+    runs = page_runs(page)
+    own = runs.sections[section_index]
+    prefix = [_image_run([img], Origin.TARGET_IMAGE), own.marker, own.title, own.body]
+    prefix += (run for pos, run in enumerate(own.captions) if pos != image_pos)
+    return _assemble(Task.IMAGE_CAPTIONING, page, prefix, runs.local_context(section_index),
+                     img.reference_desc)
 
 
 def leaks_target(example: TaskExample) -> bool:

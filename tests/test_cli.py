@@ -209,6 +209,20 @@ def test_build_strict_fails_on_malformed(runner, tmp_path):
     assert res.exit_code == 1
 
 
+def test_build_strict_error_after_good_pages_writes_no_split(runner, tmp_path):
+    # the corpus streams into the builder, so good pages come before the bad
+    # line; the error must still land before any split file is written
+    bad = tmp_path / "bad.jsonl"
+    with open(CORPUS, encoding="utf-8") as fh:
+        bad.write_text(fh.read() + "{broken\n", encoding="utf-8")
+    out = tmp_path / "out"
+    res = invoke(runner, "build", str(bad), "--task", "section_summarization",
+                 "--out-dir", str(out))
+    assert res.exit_code == 1
+    assert "line 21" in res.output
+    assert not list(out.glob("*.jsonl")) and not (out / "report.json").exists()
+
+
 def test_build_lenient_accounts_malformed(runner, tmp_path):
     bad = tmp_path / "bad.jsonl"
     with open(CORPUS, encoding="utf-8") as fh:
@@ -276,3 +290,4 @@ def test_stats_lenient_counts_malformed(runner, tmp_path):
     assert json.loads(res.output)["malformed_records"] == 1
     strict = invoke(runner, "stats", str(bad))
     assert strict.exit_code == 1
+    assert "line 21" in strict.output

@@ -1,6 +1,8 @@
 """Cost model: frozen reference cells, closed form vs mask enumeration."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from prefix_global import cost
 from prefix_global.cost import accounted_pairs, compare, mask_nnz, render_table, report
@@ -87,6 +89,16 @@ class TestClosedFormAgainstEnumeration:
         assert mask_nnz(p) == build_mask(p).nnz() == l * l
 
 
+@st.composite
+def geometry(draw):
+    """(l, k, r) of a prefix-global pattern with k >= r, l up to a little
+    past k + r*(r+1)."""
+    r = draw(st.integers(0, 16))
+    k = draw(st.integers(r, r + 64))
+    l = draw(st.integers(max(k, 1), k + r * (r + 1) + 2 * r + 16))
+    return l, k, r
+
+
 class TestConventionVsExact:
     def test_exact_below_convention_at_reference_config(self):
         for l in (1024, 2048, 4096, 8192):
@@ -105,6 +117,20 @@ class TestConventionVsExact:
         assert mask_nnz(below) <= accounted_pairs(below)
         above = prefix_global(boundary + 1, k=k, r=r)
         assert mask_nnz(above) > accounted_pairs(above)
+
+    # the bound documented in cost.py, over random prefix-global geometries
+    # with k >= r and l drawn on both sides of the boundary k + r*(r+1)
+    @settings(max_examples=300, deadline=None)
+    @given(geometry())
+    @example((16768, 512, 127))  # the reference configuration's boundary
+    @example((16769, 512, 127))
+    @example((1, 0, 0))
+    @example((3, 1, 1))
+    @example((4, 1, 1))
+    def test_convention_bound_property(self, geometry):
+        l, k, r = geometry
+        p = prefix_global(l, k=k, r=r)
+        assert (mask_nnz(p) <= accounted_pairs(p)) == (l <= k + r * (r + 1))
 
     def test_local_convention_is_exact(self):
         for l in (1, 9, 64, 300):

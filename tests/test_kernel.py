@@ -2,6 +2,8 @@
 the score-buffer contract, refusal of overflowing scores, and property tests
 of the band geometry."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -322,28 +324,29 @@ class TestValidation:
         with pytest.raises(ValueError):
             sparse_attention(q, np.ones((4, 2)), np.ones((4, 2)), full(4))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("kind", ["full", "local", "tglobal", "prefix-global"])
     def test_overflowing_scores_refused_like_dense(self, kind):
-        # finite inputs whose products overflow: q.k is about 1e320 > float64 max
+        # finite inputs whose products overflow: q.k is about 1e320 > float64 max;
+        # both paths refuse with ValueError and neither warns first
         g = rng(40)
         l = 300
         q, k, v = make_qkv(g, l, 8)
         q, k = q * 1e160, k * 1e160
-        if kind == "tglobal":
-            pattern = tglobal(l, r=5, block=16)
-            emb = g.normal(size=(l, 8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if kind == "tglobal":
+                pattern = tglobal(l, r=5, block=16)
+                emb = g.normal(size=(l, 8))
+                with pytest.raises(ValueError, match="non-finite"):
+                    tglobal_attention(q, k, v, pattern, emb, np.eye(8), np.eye(8))
+                with pytest.raises(ValueError):
+                    tglobal_dense_oracle(q, k, v, pattern, emb, np.eye(8), np.eye(8))
+                return
+            pattern = {"full": full(l), "local": local(l, r=5), "prefix-global": prefix_global(l, k=20, r=5)}[kind]
             with pytest.raises(ValueError, match="non-finite"):
-                tglobal_attention(q, k, v, pattern, emb, np.eye(8), np.eye(8))
+                sparse_attention(q, k, v, pattern)
             with pytest.raises(ValueError):
-                tglobal_dense_oracle(q, k, v, pattern, emb, np.eye(8), np.eye(8))
-            return
-        pattern = {"full": full(l), "local": local(l, r=5), "prefix-global": prefix_global(l, k=20, r=5)}[kind]
-        with pytest.raises(ValueError, match="non-finite"):
-            sparse_attention(q, k, v, pattern)
-        with pytest.raises(ValueError):
-            dense_oracle(q, k, v, pattern)
+                dense_oracle(q, k, v, pattern)
 
 
 class SummingStats(KernelStats):

@@ -267,6 +267,9 @@ def page_record(url="https://e.org/wiki/Mill", **over):
     return record
 
 
+_ABSENT = object()  # a flag left out of the record
+
+
 class TestParsePage:
     def test_round_trip(self):
         page = parse_page(page_record())
@@ -319,6 +322,47 @@ class TestParsePage:
     def test_bool_rejected_where_int_required(self, field, value):
         record = page_record()
         record["sections"][1][field] = value
+        with pytest.raises(CorpusError, match=field):
+            parse_page(record)
+
+
+    # flags are read as JSON booleans, never by truthiness: "false" is a
+    # nonempty string and 1 a nonzero number, so bool() made both true
+    FLAG_FIELDS = ["section_contains_table_or_list", "section_image_in_WIT"]
+
+    @staticmethod
+    def set_flag(record, field, value):
+        target = record["sections"][1]
+        if field == "section_image_in_WIT":
+            target = target["images"][0]
+        if value is _ABSENT:
+            target.pop(field, None)
+        else:
+            target[field] = value
+
+    @pytest.mark.parametrize("field", FLAG_FIELDS)
+    @pytest.mark.parametrize("value, expect", [(True, True), (False, False), (None, False)])
+    def test_flag_accepts_json_booleans_and_null(self, field, value, expect):
+        record = page_record()
+        self.set_flag(record, field, value)
+        page = parse_page(record)
+        got = (page.sections[1].has_table_or_list if field == "section_contains_table_or_list"
+               else page.sections[1].images[0].in_quality_set)
+        assert got is expect
+
+    @pytest.mark.parametrize("field", FLAG_FIELDS)
+    def test_absent_flag_is_false(self, field):
+        record = page_record()
+        self.set_flag(record, field, _ABSENT)
+        page = parse_page(record)
+        assert not page.sections[1].has_table_or_list
+        assert page.sections[1].images[0].in_quality_set is (field != "section_image_in_WIT")
+
+    @pytest.mark.parametrize("field", FLAG_FIELDS)
+    @pytest.mark.parametrize("value", ["false", 1], ids=["string-false", "int-1"])
+    def test_non_boolean_flag_rejected(self, field, value):
+        record = page_record()
+        self.set_flag(record, field, value)
         with pytest.raises(CorpusError, match=field):
             parse_page(record)
 
@@ -383,6 +427,18 @@ class TestCorpusIO:
     def test_undecodable_line_strict_raises_corpus_error(self, tmp_path, bad):
         with pytest.raises(CorpusError, match="^line 2: "):
             read_corpus(self.write_around(tmp_path, bad))
+
+    @pytest.mark.parametrize("field", TestParsePage.FLAG_FIELDS)
+    @pytest.mark.parametrize("value", ["false", 1], ids=["string-false", "int-1"])
+    def test_non_boolean_flag_strict_and_lenient(self, tmp_path, field, value):
+        record = page_record(url="https://e.org/wiki/P2")
+        TestParsePage.set_flag(record, field, value)
+        path = self.write_around(tmp_path, json.dumps(record).encode())
+        with pytest.raises(CorpusError, match=f"^line 2: .*{field}"):
+            read_corpus(path)
+        items = list(iter_corpus(path, strict=False))
+        assert [type(i) for i in items] == [Page, MalformedRecord, Page]
+        assert items[1].line_number == 2 and field in items[1].error
 
     def test_duplicate_urls_rejected(self, tmp_path):
         path = self.write(tmp_path, [json.dumps(page_record()), json.dumps(page_record())])

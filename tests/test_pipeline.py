@@ -6,6 +6,7 @@ before being asserted here; they are golden values, not snapshots of
 program output.
 """
 
+import hashlib
 import json
 import os
 
@@ -20,7 +21,7 @@ from prefix_global.pipeline import (
     corpus_stats,
     nearest_rank,
 )
-from prefix_global.sequence import Task
+from prefix_global.sequence import PageDescPrefix, Task
 
 
 def corpus_items():
@@ -172,6 +173,32 @@ def test_rerun_identical(task):
     a = serialize(build_dataset(corpus_items(), task)[0])
     b = serialize(build_dataset(corpus_items(), task)[0])
     assert a == b
+
+
+# sha256 of serialize(build_dataset(demo corpus)) for every task and
+# page-description variant. A rerun check cannot see a builder rewrite that
+# changes the bytes; these pins can. Recompute them only for a deliberate
+# change of the output format.
+PINNED_DIGESTS = {
+    (Task.PAGE_DESCRIPTION, PageDescPrefix.TITLES_AND_FIRST_SENTENCES):
+        "2093531e847fb90e351fdc4e367774324571929743f8d377a67b678c23159bfa",
+    (Task.PAGE_DESCRIPTION, PageDescPrefix.TITLES_ONLY):
+        "6f7fcb7120101782ebcf454f32878fe03ceb4e708fbab48d8d4d3edea03a51b5",
+    (Task.PAGE_DESCRIPTION, PageDescPrefix.IN_ORDER):
+        "6be3b8582f8c3de359acfd7cff5cc47b254e5f35c06773492af1c39d1b99e09a",
+    (Task.SECTION_SUMMARIZATION, PageDescPrefix.TITLES_AND_FIRST_SENTENCES):
+        "9941eb291e7461137e277f5b9e08f5ca30ee961fc25179bd0a70acb9b4644a4e",
+    (Task.IMAGE_CAPTIONING, PageDescPrefix.TITLES_AND_FIRST_SENTENCES):
+        "f51ede6cc744b694a9adc223659b7b352fe43cd72a5ecb1b773d4f74b13b99ab",
+}
+
+
+@pytest.mark.parametrize("task, variant", list(PINNED_DIGESTS),
+                         ids=lambda x: x.value)
+def test_output_bytes_pinned(task, variant):
+    routed, _ = build_dataset(iter_corpus(demo_corpus_path()), task, variant=variant)
+    blob = serialize(routed).encode("utf-8")
+    assert hashlib.sha256(blob).hexdigest() == PINNED_DIGESTS[task, variant]
 
 
 def test_bundled_file_matches_generator():

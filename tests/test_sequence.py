@@ -1,4 +1,6 @@
-"""Builders: slot layout, budgets, exclusions, no-leakage."""
+"""Builders: slot layout, budgets, exclusions, no-leakage, shared runs."""
+
+import json
 
 import pytest
 
@@ -9,6 +11,7 @@ from prefix_global.sequence import (
     Origin,
     PageDescPrefix,
     Task,
+    TaskExample,
     TokenSlot,
     build_image_caption_input,
     build_page_description_input,
@@ -310,6 +313,83 @@ class TestTaskExample:
             TokenSlot("image", Origin.CONTEXT_IMAGE, text_token="x", image="v")
         with pytest.raises(ValueError):
             TokenSlot("audio", Origin.CAPTION, text_token="x")
+
+
+def compact_json(example):
+    return json.dumps(example.to_dict(), ensure_ascii=False, separators=(",", ":"))
+
+
+class TestTokenRuns:
+    def make_page(self, long_target=False):
+        body = "s1 one. s2 two. s3 three. s4 four. s5 five."
+        if long_target:  # over 512 slots of prefix material
+            body += " " + " ".join(f'w{n} "é" \\ x.' for n in range(120))
+        return Page(
+            url="https://e.org/wiki/Runs",
+            title='Runs "quoted" ünïcode',
+            raw_description="Shared runs.",
+            sections=(
+                Section(index=0, body_text="root text."),
+                Section(index=1, title="One", body_text=body, images=(img(1), img(2, ref=""), img(3))),
+                Section(index=2, title="Two", body_text=body, images=(img(4),)),
+                Section(index=3, title="Three", body_text="a. b. c. d. e. f."),
+            ),
+        )
+
+    def test_examples_of_one_page_share_slots(self):
+        page = self.make_page()
+        a = build_section_summarization_input(page, 1)
+        b = build_section_summarization_input(page, 2)
+        c = build_image_caption_input(page, 1, 0)
+        section3 = [[s for s in ex.context if s.origin is Origin.SECTION_BODY][-6:] for ex in (a, b, c)]
+        assert section3[0] == section3[1] == section3[2]
+        assert all(x is y is z for x, y, z in zip(*section3))
+
+    def test_runs_belong_to_their_page(self):
+        # two equal pages parsed apart share no slot objects: the runs live on
+        # the page, not in a process-wide cache
+        a = build_section_summarization_input(self.make_page(), 1)
+        b = build_section_summarization_input(self.make_page(), 1)
+        assert a == b
+        assert not any(x is y for x, y in zip(a.slots, b.slots))
+
+    def test_runs_hold_the_slots(self):
+        page = self.make_page()
+        for ex in (build_page_description_input(page), build_section_summarization_input(page, 2),
+                   build_image_caption_input(page, 1, 2)):
+            assert all(ex.runs)
+            assert tuple(s for run in ex.runs for s in run) == ex.slots
+
+    def test_json_line_when_the_cap_cuts_a_run(self):
+        page = self.make_page(long_target=True)
+        for ex in (build_section_summarization_input(page, 1), build_image_caption_input(page, 1, 0)):
+            assert ex.prefix_len == PREFIX_BUDGET
+            ends, total = set(), 0
+            for run in ex.runs:
+                total += len(run)
+                ends.add(total)
+            assert PREFIX_BUDGET not in ends  # the cap falls inside a run
+            assert ex.to_json_line() == compact_json(ex)
+
+    @pytest.mark.parametrize("variant", list(PageDescPrefix), ids=lambda v: v.value)
+    def test_json_line_matches_to_dict(self, variant):
+        page = self.make_page(long_target=True)
+        examples = [build_page_description_input(page, variant=variant),
+                    build_section_summarization_input(page, 3), build_image_caption_input(page, 2, 0)]
+        for ex in examples:
+            assert ex.to_json_line() == compact_json(ex)
+
+    def test_directly_built_example_at_every_prefix_len(self):
+        slots = tuple(text_slots('a "b" \\ é', Origin.SECTION_BODY)) + (
+            marker_slot(2),
+            TokenSlot("text", Origin.CAPTION, text_token="\x01\u2028\ud800/"),
+            TokenSlot("image", Origin.TARGET_IMAGE, image='vec "7"\n'),
+        )
+        for k in range(len(slots) + 1):
+            ex = TaskExample(Task.IMAGE_CAPTIONING, slots, k, "t\n", "https://e.org/wiki/Ü")
+            assert ex.to_json_line() == compact_json(ex)
+        empty = TaskExample(Task.PAGE_DESCRIPTION, (), 0, "", "https://e.org/wiki/E")
+        assert empty.to_json_line() == compact_json(empty)
 
 
 class TestLeakScan:
