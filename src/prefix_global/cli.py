@@ -33,7 +33,7 @@ from .patterns import (
     render_csv,
     render_pgm,
 )
-from .pipeline import build_dataset, corpus_stats
+from .pipeline import DEFAULT_CONTENT_SECTION_THRESHOLD, build_dataset, corpus_stats
 from .sequence import PageDescPrefix, Task
 
 KIND_CHOICES = [k.value for k in PatternKind]
@@ -190,7 +190,7 @@ def attend(kind, length, dim, radius, prefix_k, block, seed, scale, check_oracle
 @click.argument("corpus", type=click.Path(exists=True, dir_okay=False))
 @click.option("--task", type=click.Choice([t.value for t in Task]), required=True)
 @click.option("--out-dir", type=click.Path(file_okay=False), required=True)
-@click.option("--threshold", type=int, default=2, show_default=True,
+@click.option("--threshold", type=int, default=DEFAULT_CONTENT_SECTION_THRESHOLD, show_default=True,
               help="Minimum content sections for page description eligibility.")
 @click.option("--variant", type=click.Choice([v.value for v in PageDescPrefix]),
               default=PageDescPrefix.TITLES_AND_FIRST_SENTENCES.value, show_default=True,

@@ -140,12 +140,6 @@ class Page:
     def content_sections(self) -> list:
         return [s for s in self.sections if is_content_section(s)]
 
-    def iter_images(self):
-        """(section, image) pairs in page order."""
-        for sec in self.sections:
-            for img in sec.images:
-                yield sec, img
-
 
 def assign_split(url: str) -> str:
     """Deterministic page-level split from a stable 64-bit hash of the URL:

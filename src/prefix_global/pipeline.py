@@ -1,4 +1,4 @@
-"""Corpus-to-dataset pipeline: eligibility filters, split routing,
+"""Corpus-to-dataset pipeline: eligibility accounting, split routing,
 example construction, and corpus statistics.
 
 Every candidate examined is accounted for exactly once per task run: it
@@ -15,12 +15,9 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 # assign_split is defined in page and re-exported from here
-from .page import MalformedRecord, Page, SectionClass, assign_split, is_content_section
+from .page import MalformedRecord, SectionClass, assign_split
 from .sequence import (
-    REASON_LIST_HEAVY,
-    REASON_MISSING_DESCRIPTION,
     REASON_PARSE_ERROR,
-    REASON_TOO_FEW_CONTENT_SECTIONS,
     PageDescPrefix,
     Task,
     TaskExample,
@@ -28,25 +25,11 @@ from .sequence import (
     build_page_description_input,
     build_section_summarization_input,
     check_image_caption,
+    check_page_description,
     check_section_summarization,
 )
 
 DEFAULT_CONTENT_SECTION_THRESHOLD = 2
-
-
-def filter_page_description(
-    page: Page, threshold: int = DEFAULT_CONTENT_SECTION_THRESHOLD
-) -> tuple[bool, str | None]:
-    """Page eligibility for the description task. Checks run in a fixed
-    order and the first failure is the reason: list_of URL, missing
-    description, then fewer than `threshold` content sections."""
-    if "list_of" in page.url.lower():
-        return False, REASON_LIST_HEAVY
-    if not page.raw_description:
-        return False, REASON_MISSING_DESCRIPTION
-    if len(page.content_sections()) < threshold:
-        return False, REASON_TOO_FEW_CONTENT_SECTIONS
-    return True, None
 
 
 @dataclass
@@ -82,35 +65,31 @@ class RoutedExample(NamedTuple):
 
 def _page_outcomes(item, task, threshold, variant):
     """One item's (examples, rejection reasons, candidate count, parsed),
-    where parsed is False for a MalformedRecord."""
+    where parsed is False for a MalformedRecord. Each candidate's check runs
+    first; its example is built only when the check finds no reason."""
     if isinstance(item, MalformedRecord):
         return [], [REASON_PARSE_ERROR], 1, False
     page = item
-    if task is Task.PAGE_DESCRIPTION:
-        ok, reason = filter_page_description(page, threshold)
-        if not ok:
-            return [], [reason], 1, True
-        example = build_page_description_input(page, variant=variant)
-        return [RoutedExample(page.split, example)], [], 1, True
-    if task is Task.SECTION_SUMMARIZATION:
-        examples, reasons = [], []
-        for idx in range(len(page.sections)):
-            reason = check_section_summarization(page, idx)
-            if reason is None:
-                examples.append(RoutedExample(page.split, build_section_summarization_input(page, idx)))
-            else:
-                reasons.append(reason)
-        return examples, reasons, len(page.sections), True
     examples, reasons = [], []
+
+    def consider(reason, build, *args, **kwargs):
+        if reason is None:
+            examples.append(RoutedExample(page.split, build(page, *args, **kwargs)))
+        else:
+            reasons.append(reason)
+
+    if task is Task.PAGE_DESCRIPTION:
+        consider(check_page_description(page, threshold), build_page_description_input, variant=variant)
+        return examples, reasons, 1, True
+    if task is Task.SECTION_SUMMARIZATION:
+        for idx in range(len(page.sections)):
+            consider(check_section_summarization(page, idx), build_section_summarization_input, idx)
+        return examples, reasons, len(page.sections), True
     n_images = 0
     for sec in page.sections:
         for pos, img in enumerate(sec.images):
             n_images += 1
-            reason = check_image_caption(img)
-            if reason is None:
-                examples.append(RoutedExample(page.split, build_image_caption_input(page, sec.index, pos)))
-            else:
-                reasons.append(reason)
+            consider(check_image_caption(img), build_image_caption_input, sec.index, pos)
     return examples, reasons, n_images, True
 
 

@@ -12,10 +12,12 @@ from prefix_global.sequence import (
     PageDescPrefix,
     Task,
     TaskExample,
+    TokenRun,
     TokenSlot,
     build_image_caption_input,
     build_page_description_input,
     build_section_summarization_input,
+    check_page_description,
     leaks_target,
     marker_slot,
     text_slots,
@@ -63,6 +65,15 @@ class TestPageDescription:
         with pytest.raises(IneligibleExampleError) as exc:
             build_page_description_input(page)
         assert exc.value.reason == "missing_description"
+
+    def test_check_order(self):
+        page = two_section_page()
+        assert check_page_description(page, 2) is None
+        assert check_page_description(page, 3) == "too_few_content_sections"
+        listing = Page(url="https://e.org/wiki/List_of_things", sections=page.sections)
+        assert check_page_description(listing, 3) == "list_heavy"
+        undescribed = Page(url="https://e.org/wiki/Y", sections=page.sections)
+        assert check_page_description(undescribed, 3) == "missing_description"
 
     def test_image_cap_six(self):
         sections = [Section(index=0, body_text="intro here.")]
@@ -313,6 +324,20 @@ class TestTaskExample:
             TokenSlot("image", Origin.CONTEXT_IMAGE, text_token="x", image="v")
         with pytest.raises(ValueError):
             TokenSlot("audio", Origin.CAPTION, text_token="x")
+        with pytest.raises(ValueError):
+            TokenSlot("text", "caption", text_token="x")
+
+    def test_runs_must_be_token_runs(self):
+        slots = tuple(text_slots("a b", Origin.SECTION_BODY))
+        with pytest.raises(TypeError):
+            TaskExample(Task.PAGE_DESCRIPTION, (slots,), 0, "", "https://e.org/wiki/X")
+
+    def test_equality_compares_run_boundaries(self):
+        a, b = text_slots("a b", Origin.SECTION_BODY)
+        one = TaskExample(Task.PAGE_DESCRIPTION, (TokenRun((a, b)),), 0, "", "https://e.org/wiki/X")
+        two = TaskExample(Task.PAGE_DESCRIPTION, (TokenRun((a,)), TokenRun((b,))), 0, "", "https://e.org/wiki/X")
+        assert one.slots == two.slots
+        assert one != two
 
 
 def compact_json(example):
@@ -386,10 +411,28 @@ class TestTokenRuns:
             TokenSlot("image", Origin.TARGET_IMAGE, image='vec "7"\n'),
         )
         for k in range(len(slots) + 1):
-            ex = TaskExample(Task.IMAGE_CAPTIONING, slots, k, "t\n", "https://e.org/wiki/Ü")
+            ex = TaskExample(Task.IMAGE_CAPTIONING, (TokenRun(slots),), k, "t\n", "https://e.org/wiki/Ü")
             assert ex.to_json_line() == compact_json(ex)
         empty = TaskExample(Task.PAGE_DESCRIPTION, (), 0, "", "https://e.org/wiki/E")
         assert empty.to_json_line() == compact_json(empty)
+
+    def test_empty_runs_serialize_as_nothing(self):
+        a, b, c = text_slots("a b c", Origin.SECTION_BODY)
+        runs = (TokenRun(), TokenRun((a, b)), TokenRun(), TokenRun((c,)), TokenRun())
+        for k in range(4):
+            ex = TaskExample(Task.PAGE_DESCRIPTION, runs, k, "t", "https://e.org/wiki/E")
+            assert ex.slots == (a, b, c)
+            assert ex.to_json_line() == compact_json(ex)
+
+    def test_slots_are_derived_not_stored(self):
+        page = self.make_page(long_target=True)
+        for ex in (build_page_description_input(page), build_section_summarization_input(page, 1),
+                   build_image_caption_input(page, 1, 0)):
+            ex.to_json_line()
+            assert "slots" not in vars(ex)
+            assert ex.slots == tuple(s for run in ex.runs for s in run)
+            ex.to_dict()
+            assert "slots" not in vars(ex)
 
 
 class TestLeakScan:
@@ -421,7 +464,7 @@ def _example(slots, target):
 
     return TaskExample(
         task=Task.PAGE_DESCRIPTION,
-        slots=slots,
+        runs=(TokenRun(slots),),
         prefix_len=min(len(slots), PREFIX_BUDGET),
         target_text=target,
         source_page_url="https://e.org/wiki/X",
