@@ -63,36 +63,6 @@ class RoutedExample(NamedTuple):
     example: TaskExample
 
 
-def _page_outcomes(item, task, threshold, variant):
-    """One item's (examples, rejection reasons, candidate count, parsed),
-    where parsed is False for a MalformedRecord. Each candidate's check runs
-    first; its example is built only when the check finds no reason."""
-    if isinstance(item, MalformedRecord):
-        return [], [REASON_PARSE_ERROR], 1, False
-    page = item
-    examples, reasons = [], []
-
-    def consider(reason, build, *args, **kwargs):
-        if reason is None:
-            examples.append(RoutedExample(page.split, build(page, *args, **kwargs)))
-        else:
-            reasons.append(reason)
-
-    if task is Task.PAGE_DESCRIPTION:
-        consider(check_page_description(page, threshold), build_page_description_input, variant=variant)
-        return examples, reasons, 1, True
-    if task is Task.SECTION_SUMMARIZATION:
-        for idx in range(len(page.sections)):
-            consider(check_section_summarization(page, idx), build_section_summarization_input, idx)
-        return examples, reasons, len(page.sections), True
-    n_images = 0
-    for sec in page.sections:
-        for pos, img in enumerate(sec.images):
-            n_images += 1
-            consider(check_image_caption(img), build_image_caption_input, sec.index, pos)
-    return examples, reasons, n_images, True
-
-
 def build_dataset(
     source,
     task: Task,
@@ -103,25 +73,43 @@ def build_dataset(
 
     Returns routed examples in canonical order (page order, then section or
     image order within a page) and an accounting report. The source is
-    iterated once.
+    iterated once. Each candidate's check runs first; its example is built
+    only when the check finds no reason.
     """
     report = FilterReport(task=task)
     routed = []
-    for item in source:
-        examples, reasons, candidates, parsed = _page_outcomes(item, task, threshold, variant)
-        report.pages_in += 1 if parsed else 0
-        report.candidates += candidates
-        for reason in reasons:
-            report.reject(reason)
-        for r in examples:
+
+    def consider(page, reason, build, *args, **kwargs):
+        report.candidates += 1
+        if reason is None:
+            routed.append(RoutedExample(page.split, build(page, *args, **kwargs)))
             report.examples_out += 1
-            report.splits[r.split] += 1
-            routed.append(r)
+            report.splits[page.split] += 1
+        else:
+            report.reject(reason)
+
+    for page in source:
+        if isinstance(page, MalformedRecord):
+            consider(page, REASON_PARSE_ERROR, None)
+            continue
+        report.pages_in += 1
+        if task is Task.PAGE_DESCRIPTION:
+            consider(page, check_page_description(page, threshold), build_page_description_input, variant=variant)
+        elif task is Task.SECTION_SUMMARIZATION:
+            for idx in range(len(page.sections)):
+                consider(page, check_section_summarization(page, idx), build_section_summarization_input, idx)
+        else:
+            for sec in page.sections:
+                for pos, img in enumerate(sec.images):
+                    consider(page, check_image_caption(img), build_image_caption_input, sec.index, pos)
     return routed, report
 
 
 def nearest_rank(values, pct: float):
-    """Nearest-rank percentile: the value at rank ceil(pct/100 * n)."""
+    """Nearest-rank percentile: the value at rank ceil(pct/100 * n), for
+    0 < pct <= 100."""
+    if not 0 < pct <= 100:
+        raise ValueError(f"percentile {pct} outside (0, 100]")
     data = sorted(values)
     if not data:
         return 0

@@ -16,13 +16,12 @@ Targets are never rendered into slots: the page description field, a target
 section's first sentence, and a target image's reference and attribution
 descriptions are all withheld from the input side of their own example.
 
-Examples are assembled from token runs, not from fresh slots. A run is the
-slots of one piece of text (a section's marker, title, body, first sentence,
-rest, or one image's caption; the page URL or title), tokenized, built and
-validated once per page and kept on the page, so every example of that page
-shares them. An example stores only its runs; its slots are derived from them
-when read. Each run's JSON is encoded once too, and an example's JSON
-line is those encodings joined.
+Examples are assembled from token runs. A run is one piece of text (the page
+URL or title; a section's marker, title, body, first sentence or rest; one
+image's caption) or a list of images: one kind, one origin and its values. It
+is validated once, as a whole, and kept on the page, so every example of that
+page shares it. Slots are made only when read, never to build or serialize.
+Each run's JSON is encoded once, and an example's JSON line joins them.
 
 Each task's eligibility rule is a check_* function that returns the reason a
 candidate is refused, or None; an example is built only when it returns None.
@@ -116,50 +115,55 @@ class TokenSlot:
             return {"kind": "text", "token": self.text_token, "origin": self.origin.value}
         return {"kind": "image", "image": self.image, "origin": self.origin.value}
 
-    def to_json(self) -> str:
-        """to_dict() as compact JSON, byte for byte what json.dumps gives with
-        ensure_ascii=False, at a fraction of the cost of a json.dumps call."""
-        origin = _json_str(self.origin.value)
+
+@dataclass(frozen=True)
+class TokenRun:
+    """The text tokens or image embedding ids of one piece of a page, such as
+    a section's title or one image's caption, all of one kind and one origin.
+    The builders make each run once per page and share it between the page's
+    examples; its TokenSlots are made the first time `slots` is read."""
+
+    kind: str  # "text" | "image"
+    origin: Origin
+    values: tuple = ()
+
+    def __post_init__(self):
+        if self.kind not in ("text", "image"):
+            raise ValueError(f"unknown slot kind {self.kind!r}")
+        if not isinstance(self.origin, Origin):
+            raise ValueError(f"run origin must be an Origin, got {self.origin!r}")
+        if not isinstance(self.values, tuple) or not all(isinstance(v, str) for v in self.values):
+            raise ValueError("run values must be a tuple of str")
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    @cached_property
+    def slots(self) -> tuple:
         if self.kind == "text":
-            return f'{{"kind":"text","token":{_json_str(self.text_token)},"origin":{origin}}}'
-        return f'{{"kind":"image","image":{_json_str(self.image)},"origin":{origin}}}'
+            # positional text_token: a keyword argument costs a quarter more per slot
+            return tuple(TokenSlot("text", self.origin, v) for v in self.values)
+        return tuple(TokenSlot("image", self.origin, image=v) for v in self.values)
 
-
-def text_slots(text: str, origin: Origin) -> list:
-    # positional text_token: a keyword argument costs a quarter more per slot
-    return [TokenSlot("text", origin, t) for t in tokenize(text)]
-
-
-def image_slot(embedding_id: str, origin: Origin) -> TokenSlot:
-    return TokenSlot("image", origin, image=embedding_id)
-
-
-def marker_slot(index: int) -> TokenSlot:
-    return TokenSlot("text", Origin.SECTION_INDEX, text_token=f"[S{index}]")
-
-
-def _json_members(slots) -> str:
-    """The slots as the members of a compact JSON array, without brackets."""
-    return ",".join([s.to_json() for s in slots])
-
-
-class TokenRun(tuple):
-    """A tuple of slots that always appear together and in this order, such
-    as one section's title or one image's caption. The builders make each run
-    once per page and share it between that page's examples, so its slots are
-    built and validated once and `json` encodes them once."""
+    def members(self, start: int = 0, stop: int | None = None) -> str:
+        """slots[start:stop] as the members of a compact JSON array: byte for
+        byte what json.dumps gives for their to_dict() with ensure_ascii=False."""
+        field = "token" if self.kind == "text" else "image"
+        head = f'{{"kind":"{self.kind}","{field}":'
+        tail = f',"origin":{_json_str(self.origin.value)}}}'
+        return ",".join([head + _json_str(v) + tail for v in self.values[start:stop]])
 
     @cached_property
     def json(self) -> str:
-        return _json_members(self)
+        return self.members()
 
 
 def _text_run(text: str, origin: Origin) -> TokenRun:
-    return TokenRun(text_slots(text, origin))
+    return TokenRun("text", origin, tuple(tokenize(text)))
 
 
 def _image_run(images, origin: Origin) -> TokenRun:
-    return TokenRun(image_slot(img.embedding_id, origin) for img in images)
+    return TokenRun("image", origin, tuple(img.embedding_id for img in images))
 
 
 class SectionRuns:
@@ -170,7 +174,7 @@ class SectionRuns:
 
     @cached_property
     def marker(self) -> TokenRun:
-        return TokenRun((marker_slot(self.section.index),))
+        return TokenRun("text", Origin.SECTION_INDEX, (f"[S{self.section.index}]",))
 
     @cached_property
     def title(self) -> TokenRun:
@@ -230,11 +234,9 @@ def page_runs(page: Page) -> PageRuns:
 @dataclass(frozen=True)
 class TaskExample:
     """One example, stored as the token runs it was assembled from. `slots`
-    is those runs joined, computed each time it is read and never stored
-    (kept on the example, it measured 3 MB more peak RSS on the page-attend
-    benchmark). Equality compares runs, so it also compares where one run
-    ends and the next begins: the same slots cut into different runs are a
-    different example."""
+    joins the runs' slots on each read and is never stored (stored, it cost
+    3 MB more peak RSS on page-attend). Equality compares runs, boundaries
+    included: the same slots cut into different runs are a different example."""
 
     task: Task
     runs: tuple
@@ -252,7 +254,7 @@ class TaskExample:
 
     @property
     def slots(self) -> tuple:
-        return tuple(chain.from_iterable(self.runs))
+        return tuple(chain.from_iterable(run.slots for run in self.runs))
 
     @property
     def prefix(self) -> tuple:
@@ -286,8 +288,8 @@ class TaskExample:
                 context.append(run.json)
             else:
                 cut = self.prefix_len - start
-                prefix.append(_json_members(run[:cut]))
-                context.append(_json_members(run[cut:]))
+                prefix.append(run.members(0, cut))
+                context.append(run.members(cut))
             start = end
         return (
             f'{{"task":{_json_str(self.task.value)},"page_url":{_json_str(self.source_page_url)},'
@@ -330,13 +332,12 @@ def build_page_description_input(
         raise IneligibleExampleError(REASON_MISSING_DESCRIPTION)
     runs = page_runs(page)
     images = [img for sec in runs.content for img in sec.section.images][:PAGE_DESC_MAX_IMAGES]
-    head = [_image_run(images, Origin.CONTEXT_IMAGE), runs.url, runs.title]
+    prefix = [_image_run(images, Origin.CONTEXT_IMAGE), runs.url, runs.title]
 
     if variant is PageDescPrefix.IN_ORDER:
-        stream = head + [run for sec in runs.content for run in sec.layout]
+        stream = prefix + [run for sec in runs.content for run in sec.layout]
         return _assemble(Task.PAGE_DESCRIPTION, page, stream, [], page.raw_description)
 
-    prefix = head
     context = []
     for sec in runs.content:
         prefix.append(sec.title)
@@ -375,8 +376,7 @@ def build_section_summarization_input(page: Page, target_index: int) -> TaskExam
     runs = page_runs(page)
     own = runs.sections[target_index]
     images = _image_run(target.images[:SECTION_SUMM_MAX_IMAGES], Origin.CONTEXT_IMAGE)
-    prefix = [images, own.marker, own.title, own.rest]
-    prefix += own.captions
+    prefix = [images, own.marker, own.title, own.rest, *own.captions]
     return _assemble(Task.SECTION_SUMMARIZATION, page, prefix, runs.local_context(target_index),
                      target.first_sentence)
 
@@ -420,7 +420,7 @@ def leaks_target(example: TaskExample) -> bool:
     needle = tokenize(example.target_text)
     if not needle:
         return False
-    stream = [s.text_token if s.kind == "text" else None for s in example.slots]
+    stream = [v if run.kind == "text" else None for run in example.runs for v in run.values]
     n = len(needle)
     for start in range(len(stream) - n + 1):
         if stream[start : start + n] == needle:

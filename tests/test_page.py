@@ -1,9 +1,13 @@
 """Page model: taxonomy, splitter, tokenizer, JSONL ingest."""
 
+import copy
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from prefix_global.demo import demo_records
 from prefix_global.page import (
     CorpusError,
     ImageRef,
@@ -448,3 +452,54 @@ class TestCorpusIO:
         assert isinstance(items[0], Page)
         assert isinstance(items[1], MalformedRecord)
         assert "duplicate" in items[1].error
+
+
+# ---------------------------------------------------------------- parser fuzz
+
+PAGE_FIELDS = ("page_url", "page_title", "raw_page_description", "split", "sections")
+SECTION_FIELDS = ("section_index", "section_title", "section_text", "section_parent_index", "section_depth",
+                  "section_contains_table_or_list", "images")
+IMAGE_FIELDS = ("section_image_url", "section_image_mime_type", "section_image_alt_text_desc",
+                "section_image_raw_ref_desc", "section_image_raw_attr_desc", "section_image_in_WIT", "embedding_id")
+FUZZ_VALUES = (None, True, False, 0, -1, 2**70, 1.5, "", "x", "false", [], {}, [1], {"a": 1})
+_DELETE = object()  # the field is removed from the record
+DEMO_RECORDS = demo_records()
+
+
+@st.composite
+def mutated_record(draw):
+    """A demo record with one page-, section- or image-level field set to a
+    value from FUZZ_VALUES or deleted."""
+    record = copy.deepcopy(draw(st.sampled_from(DEMO_RECORDS)))
+    targets = [(record, f) for f in PAGE_FIELDS]
+    for sec in record["sections"]:
+        targets += [(sec, f) for f in SECTION_FIELDS]
+        targets += [(image, f) for image in sec["images"] for f in IMAGE_FIELDS]
+    obj, field = draw(st.sampled_from(targets))
+    value = draw(st.sampled_from((_DELETE,) + FUZZ_VALUES))
+    if value is _DELETE:
+        obj.pop(field, None)
+    else:
+        obj[field] = value
+    return record
+
+
+class TestParserFuzz:
+    # a mutated line between two good ones is a Page or one bad line 2, in
+    # both modes; no other exception escapes and the neighbours still parse
+    @settings(max_examples=300, deadline=None)
+    @given(record=mutated_record())
+    def test_mutated_line_is_a_page_or_one_bad_line(self, tmp_path_factory, record):
+        path = tmp_path_factory.mktemp("fuzz") / "corpus.jsonl"
+        good = [json.dumps(page_record(url=f"https://e.org/wiki/P{i}")) for i in (1, 3)]
+        path.write_text("\n".join([good[0], json.dumps(record), good[1]]) + "\n", encoding="utf-8")
+        try:
+            assert len(read_corpus(path)) == 3
+            parsed = True
+        except CorpusError as exc:
+            assert str(exc).startswith("line 2:")
+            parsed = False
+        items = list(iter_corpus(path, strict=False))
+        assert [type(i) for i in items] == [Page, Page if parsed else MalformedRecord, Page]
+        if not parsed:
+            assert items[1].line_number == 2

@@ -221,6 +221,11 @@ def test_nearest_rank():
     assert nearest_rank([1, 2, 3], 100) == 3
     assert nearest_rank([], 90) == 0
     assert nearest_rank([3, 1, 2], 50) == 2
+    # a percentile outside (0, 100] has no rank: 0 and -5 once gave the
+    # maximum, and 150 an IndexError
+    for pct in (0, -5, 150):
+        with pytest.raises(ValueError):
+            nearest_rank([1, 2, 3], pct)
 
 
 def test_corpus_stats_golden():

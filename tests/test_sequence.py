@@ -4,12 +4,15 @@ import json
 
 import pytest
 
-from prefix_global.page import ImageRef, Mime, Page, Section
+from prefix_global.demo import demo_corpus_path
+from prefix_global.page import ImageRef, Mime, Page, Section, iter_corpus, tokenize
+from prefix_global.pipeline import build_dataset
 from prefix_global.sequence import (
     PREFIX_BUDGET,
     IneligibleExampleError,
     Origin,
     PageDescPrefix,
+    SectionRuns,
     Task,
     TaskExample,
     TokenRun,
@@ -19,8 +22,6 @@ from prefix_global.sequence import (
     build_section_summarization_input,
     check_page_description,
     leaks_target,
-    marker_slot,
-    text_slots,
 )
 
 
@@ -33,6 +34,10 @@ def img(n, mime=Mime.JPEG, ref="a distant stone tower", wit=True, attr="credit l
         in_quality_set=wit,
         embedding_id=f"vec-{n}",
     )
+
+
+def text_run(text, origin=Origin.SECTION_BODY):
+    return TokenRun("text", origin, tuple(tokenize(text)))
 
 
 def toks(example, *origins):
@@ -326,16 +331,24 @@ class TestTaskExample:
             TokenSlot("audio", Origin.CAPTION, text_token="x")
         with pytest.raises(ValueError):
             TokenSlot("text", "caption", text_token="x")
+        # a run is validated once, as a whole
+        with pytest.raises(ValueError):
+            TokenRun("audio", Origin.CAPTION, ("x",))
+        with pytest.raises(ValueError):
+            TokenRun("text", "caption", ("x",))
+        with pytest.raises(ValueError):
+            TokenRun("text", Origin.CAPTION, ["x"])
+        with pytest.raises(ValueError):
+            TokenRun("image", Origin.CONTEXT_IMAGE, ("v", 7))
 
     def test_runs_must_be_token_runs(self):
-        slots = tuple(text_slots("a b", Origin.SECTION_BODY))
+        slots = text_run("a b").slots
         with pytest.raises(TypeError):
             TaskExample(Task.PAGE_DESCRIPTION, (slots,), 0, "", "https://e.org/wiki/X")
 
     def test_equality_compares_run_boundaries(self):
-        a, b = text_slots("a b", Origin.SECTION_BODY)
-        one = TaskExample(Task.PAGE_DESCRIPTION, (TokenRun((a, b)),), 0, "", "https://e.org/wiki/X")
-        two = TaskExample(Task.PAGE_DESCRIPTION, (TokenRun((a,)), TokenRun((b,))), 0, "", "https://e.org/wiki/X")
+        one = TaskExample(Task.PAGE_DESCRIPTION, (text_run("a b"),), 0, "", "https://e.org/wiki/X")
+        two = TaskExample(Task.PAGE_DESCRIPTION, (text_run("a"), text_run("b")), 0, "", "https://e.org/wiki/X")
         assert one.slots == two.slots
         assert one != two
 
@@ -383,7 +396,10 @@ class TestTokenRuns:
         for ex in (build_page_description_input(page), build_section_summarization_input(page, 2),
                    build_image_caption_input(page, 1, 2)):
             assert all(ex.runs)
-            assert tuple(s for run in ex.runs for s in run) == ex.slots
+            assert tuple(s for run in ex.runs for s in run.slots) == ex.slots
+            for run in ex.runs:
+                assert all(s.kind == run.kind and s.origin is run.origin for s in run.slots)
+                assert tuple(s.text_token or s.image for s in run.slots) == run.values
 
     def test_json_line_when_the_cap_cuts_a_run(self):
         page = self.make_page(long_target=True)
@@ -405,23 +421,25 @@ class TestTokenRuns:
             assert ex.to_json_line() == compact_json(ex)
 
     def test_directly_built_example_at_every_prefix_len(self):
-        slots = tuple(text_slots('a "b" \\ é', Origin.SECTION_BODY)) + (
-            marker_slot(2),
-            TokenSlot("text", Origin.CAPTION, text_token="\x01\u2028\ud800/"),
-            TokenSlot("image", Origin.TARGET_IMAGE, image='vec "7"\n'),
+        runs = (
+            text_run('a "b" \\ é'),
+            SectionRuns(Section(index=2)).marker,
+            TokenRun("text", Origin.CAPTION, ("\x01\u2028\ud800/", "x")),
+            TokenRun("image", Origin.TARGET_IMAGE, ('vec "7"\n', "v")),
         )
-        for k in range(len(slots) + 1):
-            ex = TaskExample(Task.IMAGE_CAPTIONING, (TokenRun(slots),), k, "t\n", "https://e.org/wiki/Ü")
+        for k in range(sum(map(len, runs)) + 1):
+            ex = TaskExample(Task.IMAGE_CAPTIONING, runs, k, "t\n", "https://e.org/wiki/Ü")
             assert ex.to_json_line() == compact_json(ex)
         empty = TaskExample(Task.PAGE_DESCRIPTION, (), 0, "", "https://e.org/wiki/E")
         assert empty.to_json_line() == compact_json(empty)
 
     def test_empty_runs_serialize_as_nothing(self):
-        a, b, c = text_slots("a b c", Origin.SECTION_BODY)
-        runs = (TokenRun(), TokenRun((a, b)), TokenRun(), TokenRun((c,)), TokenRun())
+        ab, c = text_run("a b"), text_run("c")
+        empty = TokenRun("text", Origin.SECTION_BODY)
+        runs = (empty, ab, TokenRun("image", Origin.CONTEXT_IMAGE), c, empty)
         for k in range(4):
             ex = TaskExample(Task.PAGE_DESCRIPTION, runs, k, "t", "https://e.org/wiki/E")
-            assert ex.slots == (a, b, c)
+            assert ex.slots == ab.slots + c.slots
             assert ex.to_json_line() == compact_json(ex)
 
     def test_slots_are_derived_not_stored(self):
@@ -430,42 +448,60 @@ class TestTokenRuns:
                    build_image_caption_input(page, 1, 0)):
             ex.to_json_line()
             assert "slots" not in vars(ex)
-            assert ex.slots == tuple(s for run in ex.runs for s in run)
+            assert ex.slots == tuple(s for run in ex.runs for s in run.slots)
             ex.to_dict()
             assert "slots" not in vars(ex)
+
+    @pytest.mark.parametrize("run", [
+        TokenRun("text", Origin.CAPTION, ("a", '"b"', "\\", "é", "\x01\u2028\ud800/")),
+        TokenRun("image", Origin.TARGET_IMAGE, ('vec "7"\n', "v", "ü")),
+    ], ids=["text", "image"])
+    def test_members_is_the_json_of_a_slice(self, run):
+        for a in range(len(run) + 1):
+            for b in range(a, len(run) + 1):
+                expect = json.dumps([s.to_dict() for s in run.slots[a:b]], ensure_ascii=False, separators=(",", ":"))
+                assert f"[{run.members(a, b)}]" == expect
+        assert run.json == run.members() == run.members(0, len(run))
+
+    @pytest.mark.parametrize("task", list(Task), ids=lambda t: t.value)
+    def test_build_and_serialize_make_no_slots(self, task):
+        # a run makes its TokenSlots only when they are read, which the
+        # builders, the pipeline, to_json_line and leaks_target never do
+        routed, _ = build_dataset(iter_corpus(demo_corpus_path()), task)
+        assert routed
+        for _, ex in routed:
+            ex.to_json_line()
+            assert not leaks_target(ex)
+        assert all("slots" not in vars(run) for _, ex in routed for run in ex.runs)
 
 
 class TestLeakScan:
     def test_detects_contiguous_leak(self):
-        slots = tuple(text_slots("the gray tower stands tall.", Origin.SECTION_BODY))
-        ex_like = _example(slots, "gray tower stands")
-        assert leaks_target(ex_like)
+        assert leaks_target(_example([text_run("the gray tower stands tall.")], "gray tower stands"))
 
     def test_order_matters(self):
-        slots = tuple(text_slots("tower gray the", Origin.SECTION_BODY))
-        assert not leaks_target(_example(slots, "the gray tower"))
+        assert not leaks_target(_example([text_run("tower gray the")], "the gray tower"))
 
     def test_image_slot_breaks_contiguity(self):
-        parts = text_slots("the gray", Origin.SECTION_BODY)
-        parts.append(TokenSlot("image", Origin.CONTEXT_IMAGE, image="v"))
-        parts += text_slots("tower", Origin.SECTION_BODY)
-        assert not leaks_target(_example(tuple(parts), "the gray tower"))
+        image = TokenRun("image", Origin.CONTEXT_IMAGE, ("v",))
+        assert not leaks_target(_example([text_run("the gray"), image, text_run("tower")], "the gray tower"))
+        # without the image the same text leaks, across a run boundary
+        assert leaks_target(_example([text_run("the gray"), text_run("tower", Origin.CAPTION)], "the gray tower"))
 
     def test_empty_target_never_leaks(self):
-        assert not leaks_target(_example(tuple(text_slots("x", Origin.SECTION_BODY)), ""))
+        assert not leaks_target(_example([text_run("x")], ""))
 
     def test_marker_collision_impossible(self):
-        assert marker_slot(3).text_token == "[S3]"
-        assert not leaks_target(_example((marker_slot(3),), "S3"))
+        marker = SectionRuns(Section(index=3)).marker
+        assert marker.values == ("[S3]",)
+        assert not leaks_target(_example([marker], "S3"))
 
 
-def _example(slots, target):
-    from prefix_global.sequence import TaskExample
-
+def _example(runs, target):
     return TaskExample(
         task=Task.PAGE_DESCRIPTION,
-        runs=(TokenRun(slots),),
-        prefix_len=min(len(slots), PREFIX_BUDGET),
+        runs=tuple(runs),
+        prefix_len=min(sum(map(len, runs)), PREFIX_BUDGET),
         target_text=target,
         source_page_url="https://e.org/wiki/X",
     )
