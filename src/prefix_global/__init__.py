@@ -54,7 +54,6 @@ from .sequence import (
     PageDescPrefix,
     Task,
     TaskExample,
-    TokenSlot,
     build_image_caption_input,
     build_page_description_input,
     build_section_summarization_input,
@@ -78,7 +77,7 @@ __all__ = [
     "CorpusError", "MalformedRecord", "Page", "Section", "ImageRef", "SectionClass",
     "parse_page", "iter_corpus", "read_corpus",
     # sequences
-    "Task", "Origin", "PageDescPrefix", "TokenSlot", "TaskExample",
+    "Task", "Origin", "PageDescPrefix", "TaskExample",
     "IneligibleExampleError", "build_page_description_input",
     "build_section_summarization_input", "build_image_caption_input", "leaks_target",
     # pipeline

@@ -201,7 +201,8 @@ def tokenize(text: str) -> list[str]:
 
 
 def _is_int(value) -> bool:
-    """A JSON integer; bool is an int subclass, but true/false are not indices."""
+    """An int that is not a bool: bool is an int subclass, but true/false are
+    not indices, lengths or sizes."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 

@@ -23,6 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .numcore import MASKED
+from .page import _is_int
 
 DEFAULT_RADIUS = 127
 DEFAULT_PREFIX = 512
@@ -55,7 +56,7 @@ class AttentionPattern:
     block: int | None = None
 
     def __post_init__(self):
-        if not isinstance(self.l, int) or self.l < 1:
+        if not _is_int(self.l) or self.l < 1:
             raise PatternError(f"l must be a positive int, got {self.l!r}")
         kind = PatternKind(self.kind)
         object.__setattr__(self, "kind", kind)
@@ -65,7 +66,7 @@ class AttentionPattern:
             object.__setattr__(self, "block", None)
             return
         r = DEFAULT_RADIUS if self.r is None else self.r
-        if not isinstance(r, int) or r < 0:
+        if not _is_int(r) or r < 0:
             raise PatternError(f"r must be an int >= 0, got {self.r!r}")
         object.__setattr__(self, "r", r)
         if kind is PatternKind.LOCAL:
@@ -73,13 +74,13 @@ class AttentionPattern:
             object.__setattr__(self, "block", None)
         elif kind is PatternKind.TGLOBAL:
             block = DEFAULT_BLOCK if self.block is None else self.block
-            if not isinstance(block, int) or block < 1:
+            if not _is_int(block) or block < 1:
                 raise PatternError(f"block must be an int >= 1, got {self.block!r}")
             object.__setattr__(self, "k", None)
             object.__setattr__(self, "block", block)
         else:
             k = DEFAULT_PREFIX if self.k is None else self.k
-            if not isinstance(k, int) or not 0 <= k <= self.l:
+            if not _is_int(k) or not 0 <= k <= self.l:
                 raise PatternError(f"k must satisfy 0 <= k <= l={self.l}, got {self.k!r}")
             object.__setattr__(self, "k", k)
             object.__setattr__(self, "block", None)

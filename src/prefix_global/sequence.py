@@ -20,8 +20,8 @@ Examples are assembled from token runs. A run is one piece of text (the page
 URL or title; a section's marker, title, body, first sentence or rest; one
 image's caption) or a list of images: one kind, one origin and its values. It
 is validated once, as a whole, and kept on the page, so every example of that
-page shares it. Slots are made only when read, never to build or serialize.
-Each run's JSON is encoded once, and an example's JSON line joins them.
+page shares it. Each run's JSON is encoded once and an example's JSON line
+joins them; a slot exists only as one JSON object in that line.
 
 Each task's eligibility rule is a check_* function that returns the reason a
 candidate is refused, or None; an example is built only when it returns None.
@@ -29,13 +29,13 @@ candidate is refused, or None; an example is built only when it returns None.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain
 from json.encoder import encode_basestring as _json_str  # a str as a JSON string, as json.dumps writes it
 
-from .page import Page, Section, count_sentences, tokenize
+from .page import Page, Section, _is_int, count_sentences, tokenize
 
 PREFIX_BUDGET = 512
 PAGE_DESC_MAX_IMAGES = 6
@@ -92,36 +92,11 @@ class PageDescPrefix(str, Enum):
 
 
 @dataclass(frozen=True)
-class TokenSlot:
-    kind: str  # "text" | "image"
-    origin: Origin
-    text_token: str | None = None
-    image: str | None = None
-
-    def __post_init__(self):
-        if not isinstance(self.origin, Origin):
-            raise ValueError(f"slot origin must be an Origin, got {self.origin!r}")
-        if self.kind == "text":
-            if not isinstance(self.text_token, str) or self.image is not None:
-                raise ValueError("text slot must carry text_token only")
-        elif self.kind == "image":
-            if not isinstance(self.image, str) or self.text_token is not None:
-                raise ValueError("image slot must carry image only")
-        else:
-            raise ValueError(f"unknown slot kind {self.kind!r}")
-
-    def to_dict(self) -> dict:
-        if self.kind == "text":
-            return {"kind": "text", "token": self.text_token, "origin": self.origin.value}
-        return {"kind": "image", "image": self.image, "origin": self.origin.value}
-
-
-@dataclass(frozen=True)
 class TokenRun:
     """The text tokens or image embedding ids of one piece of a page, such as
     a section's title or one image's caption, all of one kind and one origin.
     The builders make each run once per page and share it between the page's
-    examples; its TokenSlots are made the first time `slots` is read."""
+    examples."""
 
     kind: str  # "text" | "image"
     origin: Origin
@@ -138,16 +113,10 @@ class TokenRun:
     def __len__(self) -> int:
         return len(self.values)
 
-    @cached_property
-    def slots(self) -> tuple:
-        if self.kind == "text":
-            # positional text_token: a keyword argument costs a quarter more per slot
-            return tuple(TokenSlot("text", self.origin, v) for v in self.values)
-        return tuple(TokenSlot("image", self.origin, image=v) for v in self.values)
-
     def members(self, start: int = 0, stop: int | None = None) -> str:
-        """slots[start:stop] as the members of a compact JSON array: byte for
-        byte what json.dumps gives for their to_dict() with ensure_ascii=False."""
+        """Slots start..stop as the members of a compact JSON array, each
+        {"kind", "token" or "image", "origin"} byte for byte as json.dumps
+        writes it with ensure_ascii=False."""
         field = "token" if self.kind == "text" else "image"
         head = f'{{"kind":"{self.kind}","{field}":'
         tail = f',"origin":{_json_str(self.origin.value)}}}'
@@ -233,10 +202,9 @@ def page_runs(page: Page) -> PageRuns:
 
 @dataclass(frozen=True)
 class TaskExample:
-    """One example, stored as the token runs it was assembled from. `slots`
-    joins the runs' slots on each read and is never stored (stored, it cost
-    3 MB more peak RSS on page-attend). Equality compares runs, boundaries
-    included: the same slots cut into different runs are a different example."""
+    """One example, stored as the token runs it was assembled from. Equality
+    compares runs, boundaries included. `to_dict()` is the parsed JSON line and
+    `slots` its prefix then its context: a slot is the JSON object on disk."""
 
     task: Task
     runs: tuple
@@ -248,35 +216,24 @@ class TaskExample:
         for run in self.runs:
             if not isinstance(run, TokenRun):
                 raise TypeError(f"each run must be a TokenRun, got {type(run).__name__}")
+        if not _is_int(self.prefix_len):
+            raise ValueError(f"prefix_len must be an int, got {self.prefix_len!r}")
         n_slots = sum(map(len, self.runs))
         if not 0 <= self.prefix_len <= min(PREFIX_BUDGET, n_slots):
             raise ValueError(f"prefix_len {self.prefix_len} outside [0, min(512, {n_slots})]")
 
     @property
-    def slots(self) -> tuple:
-        return tuple(chain.from_iterable(run.slots for run in self.runs))
-
-    @property
-    def prefix(self) -> tuple:
-        return self.slots[: self.prefix_len]
-
-    @property
-    def context(self) -> tuple:
-        return self.slots[self.prefix_len :]
+    def slots(self) -> list:
+        line = self.to_dict()
+        return line["prefix"] + line["context"]
 
     def to_dict(self) -> dict:
-        return {
-            "task": self.task.value,
-            "page_url": self.source_page_url,
-            "prefix": [s.to_dict() for s in self.prefix],
-            "context": [s.to_dict() for s in self.context],
-            "target": self.target_text,
-        }
+        return json.loads(self.to_json_line())
 
     def to_json_line(self) -> str:
-        """The compact JSON of to_dict(), byte for byte, joined from each
-        run's encoding. Only the run that the prefix cap cuts is encoded
-        here, as two parts."""
+        """The example as one compact JSON object, joined from each run's
+        encoding. Only the run that the prefix cap cuts is encoded here, as
+        two parts."""
         prefix, context, start = [], [], 0
         for run in self.runs:
             if not run:
@@ -350,7 +307,10 @@ def build_page_description_input(
 
 
 def check_section_summarization(page: Page, target_index: int) -> str | None:
-    """Reason the section cannot be a summarization target, or None."""
+    """Reason the section cannot be a summarization target, or None. An index
+    outside the page's sections raises IndexError."""
+    if not 0 <= target_index < len(page.sections):
+        raise IndexError(f"target_index {target_index} out of range")
     section = page.sections[target_index]
     if target_index == 0:
         return REASON_ROOT
@@ -367,8 +327,6 @@ def build_section_summarization_input(page: Page, target_index: int) -> TaskExam
     removed, and its captions. Local context: page URL, page title, then
     every other content section in page order. Target: the removed first
     sentence."""
-    if not 0 <= target_index < len(page.sections):
-        raise IndexError(f"target_index {target_index} out of range")
     reason = check_section_summarization(page, target_index)
     if reason is not None:
         raise IneligibleExampleError(reason)

@@ -23,7 +23,7 @@ from prefix_global.kernel import KernelStats, sparse_attention, tglobal_attentio
 from prefix_global.page import iter_corpus
 from prefix_global.patterns import build_mask, full, local, prefix_global, tglobal
 from prefix_global.pipeline import assign_split, build_dataset
-from prefix_global.sequence import Origin, Task, leaks_target
+from prefix_global.sequence import Task, leaks_target
 
 
 @contextmanager
@@ -284,8 +284,12 @@ def test_c8_builder_invariants(capfd):
                 ex = r.example
                 assert not leaks_target(ex)
                 assert ex.prefix_len <= 512
-                image_slots = [s for s in ex.slots if s.kind == "image"]
-                prefix_images = [s for s in ex.prefix if s.kind == "image"]
+                line = json.loads(ex.to_json_line())
+                prefix, context = line["prefix"], line["context"]
+                assert len(prefix) == ex.prefix_len
+                slots = prefix + context
+                image_slots = [s for s in slots if s["kind"] == "image"]
+                prefix_images = [s for s in prefix if s["kind"] == "image"]
                 assert len(image_slots) == len(prefix_images)  # images are prefix-only
                 if task is Task.PAGE_DESCRIPTION:
                     assert len(prefix_images) <= 6
@@ -293,14 +297,14 @@ def test_c8_builder_invariants(capfd):
                     assert len(prefix_images) <= 1
                 else:
                     assert len(prefix_images) == 1
-                    assert ex.slots[0].kind == "image"
-                    assert ex.slots[0].origin is Origin.TARGET_IMAGE
-                markers = [int(s.text_token[2:-1]) for s in ex.context
-                           if s.kind == "text" and s.origin is Origin.SECTION_INDEX]
+                    assert slots[0]["kind"] == "image"
+                    assert slots[0]["origin"] == "target_image"
+                markers = [int(s["token"][2:-1]) for s in context
+                           if s["kind"] == "text" and s["origin"] == "section_index"]
                 assert markers == sorted(markers)
                 if ex.prefix_len == 512:
                     overflow_seen = True
-                    assert len(ex.slots) > 512  # overflow demoted, never dropped
+                    assert len(slots) > 512  # overflow demoted, never dropped
         assert overflow_seen  # the corpus contains a page that overflows
 
 

@@ -130,6 +130,21 @@ class TestValidation:
         with pytest.raises(PatternError):
             tglobal(8, r=1, block=0)
 
+    @pytest.mark.parametrize("make", [
+        lambda: full(True),
+        lambda: local(True, r=0),
+        lambda: local(8, r=True),
+        lambda: local(8, r=False),
+        lambda: tglobal(8, r=1, block=True),
+        lambda: prefix_global(8, k=False, r=1),
+        lambda: prefix_global(8, k=True, r=1),
+        lambda: prefix_global(True, k=False, r=True),
+    ], ids=["full_l", "local_l", "local_r_true", "local_r_false", "tglobal_block",
+            "prefix_k_false", "prefix_k_true", "prefix_all"])
+    def test_bool_is_not_an_int(self, make):
+        with pytest.raises(PatternError):
+            make()
+
     def test_irrelevant_params_are_cleared(self):
         p = AttentionPattern(PatternKind.FULL, 8, r=3, k=2, block=4)
         assert (p.r, p.k, p.block) == (None, None, None)

@@ -16,11 +16,11 @@ from prefix_global.sequence import (
     Task,
     TaskExample,
     TokenRun,
-    TokenSlot,
     build_image_caption_input,
     build_page_description_input,
     build_section_summarization_input,
     check_page_description,
+    check_section_summarization,
     leaks_target,
 )
 
@@ -40,8 +40,34 @@ def text_run(text, origin=Origin.SECTION_BODY):
     return TokenRun("text", origin, tuple(tokenize(text)))
 
 
-def toks(example, *origins):
-    return [s.text_token for s in example.slots if s.kind == "text" and (not origins or s.origin in origins)]
+def toks(slots, *origins):
+    origins = {o.value for o in origins}
+    return [s["token"] for s in slots if s["kind"] == "text" and (not origins or s["origin"] in origins)]
+
+
+def prefix_of(example):
+    return example.to_dict()["prefix"]
+
+
+def context_of(example):
+    return example.to_dict()["context"]
+
+
+def reference_slots(run):
+    """The run's slots as dicts, from its kind, origin and values alone."""
+    field = "token" if run.kind == "text" else "image"
+    return [{"kind": run.kind, field: v, "origin": run.origin.value} for v in run.values]
+
+
+def reference_line(example):
+    """The example's JSON line from its runs and prefix_len alone: the
+    independent reference for to_json_line (it never calls to_dict,
+    to_json_line or members)."""
+    slots = [s for run in example.runs for s in reference_slots(run)]
+    k = example.prefix_len
+    line = {"task": example.task.value, "page_url": example.source_page_url,
+            "prefix": slots[:k], "context": slots[k:], "target": example.target_text}
+    return json.dumps(line, ensure_ascii=False, separators=(",", ":"))
 
 
 def two_section_page():
@@ -61,8 +87,8 @@ class TestPageDescription:
         ex = build_page_description_input(two_section_page())
         assert ex.task is Task.PAGE_DESCRIPTION
         url_t = ["https", ":", "/", "/", "e", ".", "org", "/", "wiki", "/", "Model_Page"]
-        assert [s.text_token for s in ex.prefix] == url_t + ["Model", "Page", "A", "a", ".", "B", "b", "."]
-        assert [s.text_token for s in ex.context] == ["[S0]", "rest", "a", ".", "[S1]", "rest", "b", "."]
+        assert [s["token"] for s in prefix_of(ex)] == url_t + ["Model", "Page", "A", "a", ".", "B", "b", "."]
+        assert [s["token"] for s in context_of(ex)] == ["[S0]", "rest", "a", ".", "[S1]", "rest", "b", "."]
         assert ex.target_text == "An overview held out of the inputs."
 
     def test_missing_description_rejected(self):
@@ -85,11 +111,11 @@ class TestPageDescription:
         sections.append(Section(index=1, title="Pics", images=tuple(img(n) for n in range(9))))
         page = Page(url="https://e.org/wiki/Pics", title="Pics", raw_description="Nine image page.", sections=tuple(sections))
         ex = build_page_description_input(page)
-        image_slots = [s for s in ex.prefix if s.kind == "image"]
+        image_slots = [s for s in prefix_of(ex) if s["kind"] == "image"]
         assert len(image_slots) == 6
-        assert [s.image for s in image_slots] == [f"vec-{n}" for n in range(6)]
-        assert all(s.origin is Origin.CONTEXT_IMAGE for s in image_slots)
-        assert not [s for s in ex.context if s.kind == "image"]
+        assert [s["image"] for s in image_slots] == [f"vec-{n}" for n in range(6)]
+        assert all(s["origin"] == "context_image" for s in image_slots)
+        assert not [s for s in context_of(ex) if s["kind"] == "image"]
 
     def test_long_stream_caps_prefix_and_demotes_overflow(self):
         sections = [
@@ -116,7 +142,7 @@ class TestPageDescription:
             ),
         )
         ex = build_page_description_input(page)
-        stream = toks(ex)
+        stream = toks(ex.slots)
         assert "Tabled" not in stream
         assert "Heading" not in stream
         assert "[S1]" not in stream and "[S2]" not in stream
@@ -133,27 +159,20 @@ class TestPageDescription:
             ),
         )
         ex = build_page_description_input(page)
-        assert "gray" not in toks(TaskExampleView(ex.prefix))
-        assert ["gray", "cat", "asleep"] == toks(TaskExampleView(ex.context), Origin.CAPTION)
+        assert "gray" not in toks(prefix_of(ex))
+        assert ["gray", "cat", "asleep"] == toks(context_of(ex), Origin.CAPTION)
 
     def test_titles_only_variant(self):
         ex = build_page_description_input(two_section_page(), variant=PageDescPrefix.TITLES_ONLY)
-        assert [s.text_token for s in ex.prefix][-2:] == ["A", "B"]
-        assert [s.text_token for s in ex.context] == ["[S0]", "a", ".", "rest", "a", ".", "[S1]", "b", ".", "rest", "b", "."]
+        assert [s["token"] for s in prefix_of(ex)][-2:] == ["A", "B"]
+        assert [s["token"] for s in context_of(ex)] == ["[S0]", "a", ".", "rest", "a", ".", "[S1]", "b", ".", "rest", "b", "."]
 
     def test_in_order_variant_is_one_stream(self):
         ex = build_page_description_input(two_section_page(), variant=PageDescPrefix.IN_ORDER)
         assert ex.prefix_len == len(ex.slots)  # under budget: everything global
-        stream = [s.text_token for s in ex.slots]
+        stream = [s["token"] for s in ex.slots]
         assert stream.index("[S0]") < stream.index("A") < stream.index("a")
         assert stream.index("a") < stream.index("[S1]") < stream.index("B")
-
-
-class TaskExampleView:
-    """Tiny shim so toks() can run over a prefix or context tuple."""
-
-    def __init__(self, slots):
-        self.slots = slots
 
 
 class TestSectionSummarization:
@@ -171,7 +190,7 @@ class TestSectionSummarization:
     def test_first_sentence_removed_and_targeted(self):
         ex = build_section_summarization_input(self.make_page(), 1)
         assert ex.target_text == "s1 one."
-        body = toks(TaskExampleView(ex.prefix), Origin.SECTION_BODY)
+        body = toks(prefix_of(ex), Origin.SECTION_BODY)
         assert body[:3] == ["s2", "two", "."]
         assert "s1" not in body
         assert not leaks_target(ex)
@@ -179,20 +198,21 @@ class TestSectionSummarization:
     def test_prefix_order_and_image_cap(self):
         page = self.make_page(images=(img(1), img(2), img(3)))
         ex = build_section_summarization_input(page, 1)
-        assert ex.prefix[0].kind == "image"
-        assert ex.prefix[0].image == "vec-1"
-        assert len([s for s in ex.prefix if s.kind == "image"]) == 1
-        assert ex.prefix[1].text_token == "[S1]"
-        assert ex.prefix[2].text_token == "Target"
-        origins = [s.origin for s in ex.prefix]
-        assert origins.index(Origin.SECTION_BODY) < origins.index(Origin.CAPTION)
+        prefix = prefix_of(ex)
+        assert prefix[0]["kind"] == "image"
+        assert prefix[0]["image"] == "vec-1"
+        assert len([s for s in prefix if s["kind"] == "image"]) == 1
+        assert prefix[1]["token"] == "[S1]"
+        assert prefix[2]["token"] == "Target"
+        origins = [s["origin"] for s in prefix]
+        assert origins.index("section_body") < origins.index("caption")
 
     def test_context_is_url_title_then_other_sections(self):
         ex = build_section_summarization_input(self.make_page(), 1)
-        ctx = [s.origin for s in ex.context]
-        assert ctx[0] is Origin.PAGE_URL
-        assert Origin.PAGE_TITLE in ctx
-        ctx_tokens = [s.text_token for s in ex.context if s.kind == "text"]
+        ctx = [s["origin"] for s in context_of(ex)]
+        assert ctx[0] == "page_url"
+        assert "page_title" in ctx
+        ctx_tokens = [s["token"] for s in context_of(ex) if s["kind"] == "text"]
         assert "[S0]" in ctx_tokens and "[S2]" in ctx_tokens
         assert "[S1]" not in ctx_tokens  # target section never repeats in context
         assert ctx_tokens.index("[S0]") < ctx_tokens.index("[S2]")
@@ -207,7 +227,7 @@ class TestSectionSummarization:
             ),
         )
         ex = build_section_summarization_input(page, 1)
-        assert {s.origin for s in ex.context} == {Origin.PAGE_URL, Origin.PAGE_TITLE}
+        assert {s["origin"] for s in context_of(ex)} == {"page_url", "page_title"}
 
     def test_rejections(self):
         page = self.make_page()
@@ -230,6 +250,16 @@ class TestSectionSummarization:
         assert exc2.value.reason == "table_or_list"
         with pytest.raises(IndexError):
             build_section_summarization_input(page, 9)
+
+    @pytest.mark.parametrize("index", [-1, 3], ids=["negative", "past_end"])
+    def test_index_out_of_range(self, index):
+        # a negative index must not wrap around to the last section
+        page = self.make_page()
+        assert len(page.sections) == 3
+        with pytest.raises(IndexError):
+            check_section_summarization(page, index)
+        with pytest.raises(IndexError):
+            build_section_summarization_input(page, index)
 
 
 class TestImageCaptioning:
@@ -255,20 +285,21 @@ class TestImageCaptioning:
     def test_target_caption_excluded_nontarget_kept(self):
         ex = build_image_caption_input(self.make_page(), 1, 0)
         assert ex.target_text == "lighthouse across the bay"
-        captions = toks(TaskExampleView(ex.prefix), Origin.CAPTION)
+        prefix = prefix_of(ex)
+        captions = toks(prefix, Origin.CAPTION)
         assert captions == ["keeper", "at", "the", "door"]
         assert not leaks_target(ex)
-        assert ex.prefix[0].kind == "image"
-        assert ex.prefix[0].origin is Origin.TARGET_IMAGE
-        assert ex.prefix[0].image == "vec-1"
+        assert prefix[0]["kind"] == "image"
+        assert prefix[0]["origin"] == "target_image"
+        assert prefix[0]["image"] == "vec-1"
 
     def test_attribution_never_in_inputs(self):
         ex = build_image_caption_input(self.make_page(), 1, 1)
-        assert "credit" not in toks(ex)
+        assert "credit" not in toks(ex.slots)
 
     def test_full_body_in_prefix(self):
         ex = build_image_caption_input(self.make_page(), 1, 0)
-        assert toks(TaskExampleView(ex.prefix), Origin.SECTION_BODY) == ["scene", ".", "setting", "."]
+        assert toks(prefix_of(ex), Origin.SECTION_BODY) == ["scene", ".", "setting", "."]
 
     def test_single_image_page_bare_context(self):
         page = Page(
@@ -277,7 +308,7 @@ class TestImageCaptioning:
             sections=(Section(index=0, title="S", body_text="text here.", images=(img(5),)),),
         )
         ex = build_image_caption_input(page, 0, 0)
-        assert {s.origin for s in ex.context} == {Origin.PAGE_URL, Origin.PAGE_TITLE}
+        assert {s["origin"] for s in context_of(ex)} == {"page_url", "page_title"}
 
     def test_rejections(self):
         base = self.make_page()
@@ -316,6 +347,8 @@ class TestTaskExample:
         assert d["task"] == "page_description"
         assert d["prefix"][0] == {"kind": "text", "token": "https", "origin": "page_url"}
         assert d["target"] == ex.target_text
+        assert d == json.loads(ex.to_json_line())
+        assert ex.slots == d["prefix"] + d["context"]
 
     def test_json_line_deterministic(self):
         a = build_page_description_input(two_section_page()).to_json_line()
@@ -323,14 +356,6 @@ class TestTaskExample:
         assert a == b
 
     def test_slot_validation(self):
-        with pytest.raises(ValueError):
-            TokenSlot("text", Origin.CAPTION, text_token=None)
-        with pytest.raises(ValueError):
-            TokenSlot("image", Origin.CONTEXT_IMAGE, text_token="x", image="v")
-        with pytest.raises(ValueError):
-            TokenSlot("audio", Origin.CAPTION, text_token="x")
-        with pytest.raises(ValueError):
-            TokenSlot("text", "caption", text_token="x")
         # a run is validated once, as a whole
         with pytest.raises(ValueError):
             TokenRun("audio", Origin.CAPTION, ("x",))
@@ -340,9 +365,14 @@ class TestTaskExample:
             TokenRun("text", Origin.CAPTION, ["x"])
         with pytest.raises(ValueError):
             TokenRun("image", Origin.CONTEXT_IMAGE, ("v", 7))
+        # prefix_len is an int, and a bool is not read as 0 or 1
+        runs = (text_run("a b"),)
+        for bad in (1.0, 2.5, True):
+            with pytest.raises(ValueError):
+                TaskExample(Task.PAGE_DESCRIPTION, runs, bad, "", "https://e.org/wiki/X")
 
     def test_runs_must_be_token_runs(self):
-        slots = text_run("a b").slots
+        slots = _example([text_run("a b")], "").slots
         with pytest.raises(TypeError):
             TaskExample(Task.PAGE_DESCRIPTION, (slots,), 0, "", "https://e.org/wiki/X")
 
@@ -351,10 +381,6 @@ class TestTaskExample:
         two = TaskExample(Task.PAGE_DESCRIPTION, (text_run("a"), text_run("b")), 0, "", "https://e.org/wiki/X")
         assert one.slots == two.slots
         assert one != two
-
-
-def compact_json(example):
-    return json.dumps(example.to_dict(), ensure_ascii=False, separators=(",", ":"))
 
 
 class TestTokenRuns:
@@ -374,32 +400,35 @@ class TestTokenRuns:
             ),
         )
 
-    def test_examples_of_one_page_share_slots(self):
+    def test_examples_of_one_page_share_runs(self):
         page = self.make_page()
         a = build_section_summarization_input(page, 1)
         b = build_section_summarization_input(page, 2)
         c = build_image_caption_input(page, 1, 0)
-        section3 = [[s for s in ex.context if s.origin is Origin.SECTION_BODY][-6:] for ex in (a, b, c)]
-        assert section3[0] == section3[1] == section3[2]
-        assert all(x is y is z for x, y, z in zip(*section3))
+        section3 = [[run for run in ex.runs if run.origin is Origin.SECTION_BODY][-1] for ex in (a, b, c)]
+        assert section3[0].values == tuple(tokenize("a. b. c. d. e. f."))
+        assert section3[0] is section3[1] is section3[2]
 
     def test_runs_belong_to_their_page(self):
-        # two equal pages parsed apart share no slot objects: the runs live on
+        # two equal pages parsed apart share no run objects: the runs live on
         # the page, not in a process-wide cache
         a = build_section_summarization_input(self.make_page(), 1)
         b = build_section_summarization_input(self.make_page(), 1)
         assert a == b
-        assert not any(x is y for x, y in zip(a.slots, b.slots))
+        assert not any(x is y for x, y in zip(a.runs, b.runs))
 
     def test_runs_hold_the_slots(self):
         page = self.make_page()
         for ex in (build_page_description_input(page), build_section_summarization_input(page, 2),
                    build_image_caption_input(page, 1, 2)):
             assert all(ex.runs)
-            assert tuple(s for run in ex.runs for s in run.slots) == ex.slots
+            slots = iter(ex.slots)
             for run in ex.runs:
-                assert all(s.kind == run.kind and s.origin is run.origin for s in run.slots)
-                assert tuple(s.text_token or s.image for s in run.slots) == run.values
+                for value in run.values:
+                    s = next(slots)
+                    assert s["kind"] == run.kind and s["origin"] == run.origin.value
+                    assert s["token" if run.kind == "text" else "image"] == value
+            assert next(slots, None) is None
 
     def test_json_line_when_the_cap_cuts_a_run(self):
         page = self.make_page(long_target=True)
@@ -410,15 +439,15 @@ class TestTokenRuns:
                 total += len(run)
                 ends.add(total)
             assert PREFIX_BUDGET not in ends  # the cap falls inside a run
-            assert ex.to_json_line() == compact_json(ex)
+            assert ex.to_json_line() == reference_line(ex)
 
     @pytest.mark.parametrize("variant", list(PageDescPrefix), ids=lambda v: v.value)
-    def test_json_line_matches_to_dict(self, variant):
+    def test_json_line_matches_reference(self, variant):
         page = self.make_page(long_target=True)
         examples = [build_page_description_input(page, variant=variant),
                     build_section_summarization_input(page, 3), build_image_caption_input(page, 2, 0)]
         for ex in examples:
-            assert ex.to_json_line() == compact_json(ex)
+            assert ex.to_json_line() == reference_line(ex)
 
     def test_directly_built_example_at_every_prefix_len(self):
         runs = (
@@ -429,9 +458,9 @@ class TestTokenRuns:
         )
         for k in range(sum(map(len, runs)) + 1):
             ex = TaskExample(Task.IMAGE_CAPTIONING, runs, k, "t\n", "https://e.org/wiki/Ü")
-            assert ex.to_json_line() == compact_json(ex)
+            assert ex.to_json_line() == reference_line(ex)
         empty = TaskExample(Task.PAGE_DESCRIPTION, (), 0, "", "https://e.org/wiki/E")
-        assert empty.to_json_line() == compact_json(empty)
+        assert empty.to_json_line() == reference_line(empty)
 
     def test_empty_runs_serialize_as_nothing(self):
         ab, c = text_run("a b"), text_run("c")
@@ -439,8 +468,8 @@ class TestTokenRuns:
         runs = (empty, ab, TokenRun("image", Origin.CONTEXT_IMAGE), c, empty)
         for k in range(4):
             ex = TaskExample(Task.PAGE_DESCRIPTION, runs, k, "t", "https://e.org/wiki/E")
-            assert ex.slots == ab.slots + c.slots
-            assert ex.to_json_line() == compact_json(ex)
+            assert ex.slots == reference_slots(ab) + reference_slots(c)
+            assert ex.to_json_line() == reference_line(ex)
 
     def test_slots_are_derived_not_stored(self):
         page = self.make_page(long_target=True)
@@ -448,7 +477,8 @@ class TestTokenRuns:
                    build_image_caption_input(page, 1, 0)):
             ex.to_json_line()
             assert "slots" not in vars(ex)
-            assert ex.slots == tuple(s for run in ex.runs for s in run.slots)
+            line = json.loads(reference_line(ex))
+            assert ex.slots == line["prefix"] + line["context"]
             ex.to_dict()
             assert "slots" not in vars(ex)
 
@@ -459,20 +489,17 @@ class TestTokenRuns:
     def test_members_is_the_json_of_a_slice(self, run):
         for a in range(len(run) + 1):
             for b in range(a, len(run) + 1):
-                expect = json.dumps([s.to_dict() for s in run.slots[a:b]], ensure_ascii=False, separators=(",", ":"))
+                expect = json.dumps(reference_slots(run)[a:b], ensure_ascii=False, separators=(",", ":"))
                 assert f"[{run.members(a, b)}]" == expect
         assert run.json == run.members() == run.members(0, len(run))
 
     @pytest.mark.parametrize("task", list(Task), ids=lambda t: t.value)
-    def test_build_and_serialize_make_no_slots(self, task):
-        # a run makes its TokenSlots only when they are read, which the
-        # builders, the pipeline, to_json_line and leaks_target never do
+    def test_demo_examples_match_reference(self, task):
         routed, _ = build_dataset(iter_corpus(demo_corpus_path()), task)
         assert routed
         for _, ex in routed:
-            ex.to_json_line()
+            assert ex.to_json_line() == reference_line(ex)
             assert not leaks_target(ex)
-        assert all("slots" not in vars(run) for _, ex in routed for run in ex.runs)
 
 
 class TestLeakScan:
