@@ -49,7 +49,6 @@ from .pipeline import (
     corpus_stats,
 )
 from .sequence import (
-    IneligibleExampleError,
     Origin,
     PageDescPrefix,
     Task,
@@ -77,8 +76,7 @@ __all__ = [
     "CorpusError", "MalformedRecord", "Page", "Section", "ImageRef", "SectionClass",
     "parse_page", "iter_corpus", "read_corpus",
     # sequences
-    "Task", "Origin", "PageDescPrefix", "TaskExample",
-    "IneligibleExampleError", "build_page_description_input",
+    "Task", "Origin", "PageDescPrefix", "TaskExample", "build_page_description_input",
     "build_section_summarization_input", "build_image_caption_input", "leaks_target",
     # pipeline
     "FilterReport", "RoutedExample", "assign_split", "build_dataset", "corpus_stats",

@@ -131,11 +131,11 @@ def flops(lengths, kinds, radius, prefix_k, block, as_json):
 @main.command()
 @click.option("--kind", type=click.Choice(KIND_CHOICES), default=PatternKind.PREFIX_GLOBAL.value, show_default=True)
 @click.option("--length", "-l", type=int, default=1024, show_default=True)
-@click.option("--dim", "-d", type=int, default=16, show_default=True)
+@click.option("--dim", "-d", type=click.IntRange(min=1), default=16, show_default=True)
 @click.option("--radius", "-r", type=int, default=DEFAULT_RADIUS, show_default=True)
 @click.option("--prefix", "-k", "prefix_k", type=int, default=DEFAULT_PREFIX, show_default=True)
 @click.option("--block", type=int, default=DEFAULT_BLOCK, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--scale/--no-scale", "scale", default=True, show_default=True,
               help="Divide scores by sqrt(dim).")
 @click.option("--check-oracle", is_flag=True,

@@ -23,8 +23,8 @@ is validated once, as a whole, and kept on the page, so every example of that
 page shares it. Each run's JSON is encoded once and an example's JSON line
 joins them; a slot exists only as one JSON object in that line.
 
-Each task's eligibility rule is a check_* function that returns the reason a
-candidate is refused, or None; an example is built only when it returns None.
+Each task's one eligibility rule is a check_* function that returns the reason
+a candidate is refused, or None; the builders lay out and check only indices.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ PREFIX_BUDGET = 512
 PAGE_DESC_MAX_IMAGES = 6
 SECTION_SUMM_MAX_IMAGES = 1
 
-# reason codes shared by builder errors and the check_* functions
+# reason codes returned by the check_* functions, plus the pipeline's parse_error
 REASON_LIST_HEAVY = "list_heavy"
 REASON_MISSING_DESCRIPTION = "missing_description"
 REASON_TOO_FEW_CONTENT_SECTIONS = "too_few_content_sections"
@@ -55,14 +55,6 @@ REASON_PARSE_ERROR = "parse_error"
 
 MIN_SECTION_SENTENCES = 5
 MIN_REFERENCE_WORDS = 3
-
-
-class IneligibleExampleError(ValueError):
-    """The requested example fails its task's eligibility rule."""
-
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
 
 
 class Task(str, Enum):
@@ -213,9 +205,10 @@ class TaskExample:
     source_page_url: str
 
     def __post_init__(self):
-        for run in self.runs:
-            if not isinstance(run, TokenRun):
-                raise TypeError(f"each run must be a TokenRun, got {type(run).__name__}")
+        if not (isinstance(self.task, Task) and isinstance(self.runs, tuple)
+                and all(isinstance(run, TokenRun) for run in self.runs)
+                and isinstance(self.target_text, str) and isinstance(self.source_page_url, str)):
+            raise TypeError("an example needs a Task, a tuple of TokenRuns, and a str target_text and source_page_url")
         if not _is_int(self.prefix_len):
             raise ValueError(f"prefix_len must be an int, got {self.prefix_len!r}")
         n_slots = sum(map(len, self.runs))
@@ -265,6 +258,13 @@ def _assemble(task: Task, page: Page, prefix_runs: list, context_runs: list, tar
     )
 
 
+def _section(page: Page, index: int) -> Section:
+    """page.sections[index], but IndexError for a bool or any index outside, negatives too."""
+    if not _is_int(index) or not 0 <= index < len(page.sections):
+        raise IndexError(f"section index {index} out of range")
+    return page.sections[index]
+
+
 def check_page_description(page: Page, threshold: int) -> str | None:
     """Reason the page cannot be a description example, or None. Checks run
     in a fixed order and the first failure is the reason: list_of URL,
@@ -284,9 +284,8 @@ def build_page_description_input(
     """Global prefix: up to PAGE_DESC_MAX_IMAGES page images, URL, title,
     then each content section's title and first sentence. Local context: each
     content section's index marker, remaining body text, and captions. The
-    raw page description is the target and never enters the slots."""
-    if not page.raw_description:
-        raise IneligibleExampleError(REASON_MISSING_DESCRIPTION)
+    raw page description is the target and never enters the slots.
+    Precondition: check_page_description(page, threshold) returned None."""
     runs = page_runs(page)
     images = [img for sec in runs.content for img in sec.section.images][:PAGE_DESC_MAX_IMAGES]
     prefix = [_image_run(images, Origin.CONTEXT_IMAGE), runs.url, runs.title]
@@ -309,9 +308,7 @@ def build_page_description_input(
 def check_section_summarization(page: Page, target_index: int) -> str | None:
     """Reason the section cannot be a summarization target, or None. An index
     outside the page's sections raises IndexError."""
-    if not 0 <= target_index < len(page.sections):
-        raise IndexError(f"target_index {target_index} out of range")
-    section = page.sections[target_index]
+    section = _section(page, target_index)
     if target_index == 0:
         return REASON_ROOT
     if section.has_table_or_list:
@@ -326,11 +323,8 @@ def build_section_summarization_input(page: Page, target_index: int) -> TaskExam
     images, its index marker, title, body text with the first sentence
     removed, and its captions. Local context: page URL, page title, then
     every other content section in page order. Target: the removed first
-    sentence."""
-    reason = check_section_summarization(page, target_index)
-    if reason is not None:
-        raise IneligibleExampleError(reason)
-    target = page.sections[target_index]
+    sentence. Precondition: check_section_summarization returned None."""
+    target = _section(page, target_index)
     runs = page_runs(page)
     own = runs.sections[target_index]
     images = _image_run(target.images[:SECTION_SUMM_MAX_IMAGES], Origin.CONTEXT_IMAGE)
@@ -354,16 +348,12 @@ def build_image_caption_input(page: Page, section_index: int, image_pos: int) ->
     """Global prefix: the target image slot, then its section's index marker,
     title, full body text, and the captions of the section's OTHER images.
     The target's reference and attribution descriptions are both withheld.
-    Local context: page URL, page title, then the other content sections."""
-    if not 0 <= section_index < len(page.sections):
-        raise IndexError(f"section_index {section_index} out of range")
-    section = page.sections[section_index]
-    if not 0 <= image_pos < len(section.images):
+    Local context: page URL, page title, then the other content sections.
+    Precondition: check_image_caption returned None for the image."""
+    section = _section(page, section_index)
+    if not _is_int(image_pos) or not 0 <= image_pos < len(section.images):
         raise IndexError(f"image_pos {image_pos} out of range")
     img = section.images[image_pos]
-    reason = check_image_caption(img)
-    if reason is not None:
-        raise IneligibleExampleError(reason)
     runs = page_runs(page)
     own = runs.sections[section_index]
     prefix = [_image_run([img], Origin.TARGET_IMAGE), own.marker, own.title, own.body]

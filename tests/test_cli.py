@@ -152,6 +152,13 @@ def test_attend_no_scale_changes_output(runner):
     assert b["config"]["scale_by_sqrt_d"] is False
 
 
+@pytest.mark.parametrize("args", [("--dim", "0"), ("--dim", "-1"), ("--seed", "-1")],
+                         ids=["dim_zero", "dim_negative", "seed_negative"])
+def test_attend_rejects_bad_dim_and_seed(runner, args):
+    res = invoke(runner, "attend", "--kind", "full", "-l", "16", *args)
+    assert res.exit_code == 2
+
+
 def test_attend_oracle_cap(runner):
     res = invoke(runner, "attend", "--kind", "full", "-l", "9000", "--check-oracle")
     assert res.exit_code == 2

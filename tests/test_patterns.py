@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from prefix_global import patterns
+from prefix_global.kernel import block_average
 from prefix_global.numcore import MASKED
 from prefix_global.patterns import (
     AttentionPattern,
@@ -144,6 +145,12 @@ class TestValidation:
     def test_bool_is_not_an_int(self, make):
         with pytest.raises(PatternError):
             make()
+
+    @pytest.mark.parametrize("block", [True, False, 2.5, 2.0, "2"])
+    def test_block_average_refuses_a_non_int_block(self, block):
+        # at block=True it averaged with a block of 1; at 2.5 numpy raised a TypeError
+        with pytest.raises(PatternError):
+            block_average(np.ones((4, 2)), block)
 
     def test_irrelevant_params_are_cleared(self):
         p = AttentionPattern(PatternKind.FULL, 8, r=3, k=2, block=4)

@@ -12,6 +12,7 @@ import os
 
 import pytest
 
+from prefix_global import pipeline, sequence
 from prefix_global.demo import demo_corpus_path, demo_records, render_demo_corpus
 from prefix_global.page import iter_corpus
 from prefix_global.pipeline import (
@@ -149,16 +150,49 @@ def test_threshold_monotonicity():
     assert outs[1] == 14  # default threshold
 
 
-def test_parse_error_accounting(tmp_path):
+def corpus_with_a_bad_line(tmp_path):
+    """The demo corpus with one unparseable line, read leniently."""
     path = tmp_path / "corpus.jsonl"
     lines = render_demo_corpus().splitlines()
     lines.insert(3, "{not json")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    routed, report = build_dataset(iter_corpus(path, strict=False), Task.PAGE_DESCRIPTION)
+    return iter_corpus(path, strict=False)
+
+
+def test_parse_error_accounting(tmp_path):
+    routed, report = build_dataset(corpus_with_a_bad_line(tmp_path), Task.PAGE_DESCRIPTION)
     assert report.candidates == 21
     assert report.rejections["parse_error"] == 1
     assert report.examples_out == 14
     assert report.accounted()
+
+
+@pytest.mark.parametrize("task", list(Task), ids=lambda t: t.value)
+def test_one_check_per_candidate_one_build_per_example(monkeypatch, tmp_path, task):
+    # counting wrappers on the pipeline globals, where the benchmark's tracer
+    # wraps them too, and on the check in sequence, where a builder that
+    # checked again would call it
+    check, build = {
+        Task.PAGE_DESCRIPTION: ("check_page_description", "build_page_description_input"),
+        Task.SECTION_SUMMARIZATION: ("check_section_summarization", "build_section_summarization_input"),
+        Task.IMAGE_CAPTIONING: ("check_image_caption", "build_image_caption_input"),
+    }[task]
+    calls = {check: 0, build: 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner, name in ((pipeline, check), (pipeline, build), (sequence, check)):
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    routed, report = build_dataset(corpus_with_a_bad_line(tmp_path), task)
+    assert report.rejections["parse_error"] == 1
+    assert report.examples_out == len(routed) > 0
+    assert report.accounted()
+    assert calls[check] == report.candidates - report.rejections["parse_error"]
+    assert calls[build] == report.examples_out
 
 
 # ------------------------------------------------------------ determinism

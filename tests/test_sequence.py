@@ -9,7 +9,6 @@ from prefix_global.page import ImageRef, Mime, Page, Section, iter_corpus, token
 from prefix_global.pipeline import build_dataset
 from prefix_global.sequence import (
     PREFIX_BUDGET,
-    IneligibleExampleError,
     Origin,
     PageDescPrefix,
     SectionRuns,
@@ -19,6 +18,7 @@ from prefix_global.sequence import (
     build_image_caption_input,
     build_page_description_input,
     build_section_summarization_input,
+    check_image_caption,
     check_page_description,
     check_section_summarization,
     leaks_target,
@@ -93,9 +93,12 @@ class TestPageDescription:
 
     def test_missing_description_rejected(self):
         page = Page(url="https://e.org/wiki/X", sections=(Section(index=0, body_text="t."),))
-        with pytest.raises(IneligibleExampleError) as exc:
-            build_page_description_input(page)
-        assert exc.value.reason == "missing_description"
+        assert check_page_description(page, 1) == "missing_description"
+        described = Page(url=page.url, raw_description="Described.", sections=page.sections)
+        assert check_page_description(described, 1) is None
+        # a described one-section List_of page is still refused, as list_heavy
+        listing = Page(url="https://e.org/wiki/List_of_X", raw_description="Described.", sections=page.sections)
+        assert check_page_description(listing, 1) == "list_heavy"
 
     def test_check_order(self):
         page = two_section_page()
@@ -231,29 +234,30 @@ class TestSectionSummarization:
 
     def test_rejections(self):
         page = self.make_page()
-        with pytest.raises(IneligibleExampleError) as root:
-            build_section_summarization_input(page, 0)
-        assert root.value.reason == "root"
+        assert check_section_summarization(page, 0) == "root"
+        assert check_section_summarization(page, 1) is None
         short = Page(
             url="https://e.org/wiki/S",
             sections=(Section(index=0), Section(index=1, body_text="one. two. three. four.")),
         )
-        with pytest.raises(IneligibleExampleError) as exc:
-            build_section_summarization_input(short, 1)
-        assert exc.value.reason == "too_short"
+        assert check_section_summarization(short, 1) == "too_short"
         tabled = Page(
             url="https://e.org/wiki/T",
             sections=(Section(index=0), Section(index=1, body_text="a. b. c. d. e.", has_table_or_list=True)),
         )
-        with pytest.raises(IneligibleExampleError) as exc2:
-            build_section_summarization_input(tabled, 1)
-        assert exc2.value.reason == "table_or_list"
+        assert check_section_summarization(tabled, 1) == "table_or_list"
+        # a short tabled section is refused for its table first
+        short_tabled = Page(
+            url="https://e.org/wiki/ST",
+            sections=(Section(index=0), Section(index=1, body_text="a. b.", has_table_or_list=True)),
+        )
+        assert check_section_summarization(short_tabled, 1) == "table_or_list"
         with pytest.raises(IndexError):
             build_section_summarization_input(page, 9)
 
-    @pytest.mark.parametrize("index", [-1, 3], ids=["negative", "past_end"])
+    @pytest.mark.parametrize("index", [-1, 3, True], ids=["negative", "past_end", "bool"])
     def test_index_out_of_range(self, index):
-        # a negative index must not wrap around to the last section
+        # a negative index must not wrap around to the last section, nor True read as 1
         page = self.make_page()
         assert len(page.sections) == 3
         with pytest.raises(IndexError):
@@ -312,29 +316,19 @@ class TestImageCaptioning:
 
     def test_rejections(self):
         base = self.make_page()
-        not_wit = Page(
-            url="https://e.org/wiki/NW",
-            sections=(Section(index=0, images=(img(1, wit=False),)),),
-        )
-        with pytest.raises(IneligibleExampleError) as exc:
-            build_image_caption_input(not_wit, 0, 0)
-        assert exc.value.reason == "not_in_quality_set"
-        gif = Page(
-            url="https://e.org/wiki/G",
-            sections=(Section(index=0, images=(img(1, mime=Mime.OTHER),)),),
-        )
-        with pytest.raises(IneligibleExampleError) as exc2:
-            build_image_caption_input(gif, 0, 0)
-        assert exc2.value.reason == "mime"
-        short_ref = Page(
-            url="https://e.org/wiki/SR",
-            sections=(Section(index=0, images=(img(1, ref="red car"),)),),
-        )
-        with pytest.raises(IneligibleExampleError) as exc3:
-            build_image_caption_input(short_ref, 0, 0)
-        assert exc3.value.reason == "short_reference"
+        assert check_image_caption(img(1)) is None
+        assert check_image_caption(img(1, mime=Mime.PNG)) is None
+        assert check_image_caption(img(1, wit=False)) == "not_in_quality_set"
+        assert check_image_caption(img(1, mime=Mime.OTHER)) == "mime"
+        assert check_image_caption(img(1, ref="red car")) == "short_reference"
+        assert check_image_caption(img(1, ref="")) == "short_reference"
+        # the checks run in a fixed order and the first failure is the reason
+        assert check_image_caption(img(1, mime=Mime.OTHER, ref="red car", wit=False)) == "not_in_quality_set"
+        assert check_image_caption(img(1, mime=Mime.OTHER, ref="red car")) == "mime"
         with pytest.raises(IndexError):
             build_image_caption_input(base, 1, 5)
+        with pytest.raises(IndexError):
+            build_image_caption_input(base, 1, True)
         with pytest.raises(IndexError):
             build_image_caption_input(base, 7, 0)
 
@@ -370,6 +364,16 @@ class TestTaskExample:
         for bad in (1.0, 2.5, True):
             with pytest.raises(ValueError):
                 TaskExample(Task.PAGE_DESCRIPTION, runs, bad, "", "https://e.org/wiki/X")
+        # every other field is refused when constructed, not when serialized
+        url = "https://e.org/wiki/X"
+        for task, bad_runs, target, page_url in (
+            ("page_description", runs, "", url),
+            (Task.PAGE_DESCRIPTION, list(runs), "", url),
+            (Task.PAGE_DESCRIPTION, runs, 3, url),
+            (Task.PAGE_DESCRIPTION, runs, "", None),
+        ):
+            with pytest.raises(TypeError):
+                TaskExample(task, bad_runs, 0, target, page_url)
 
     def test_runs_must_be_token_runs(self):
         slots = _example([text_run("a b")], "").slots
