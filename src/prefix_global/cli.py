@@ -112,6 +112,8 @@ def flops(lengths, kinds, radius, prefix_k, block, as_json):
     except ValueError as exc:
         raise click.UsageError(f"bad --lengths: {exc}") from exc
     kind_list = [tok.strip() for tok in kinds.split(",") if tok.strip()]
+    if not ls or not kind_list:
+        raise click.UsageError("--lengths and --kinds each need at least one value")
     for tok in kind_list:
         if tok not in KIND_CHOICES:
             raise click.UsageError(f"unknown kind {tok!r}; choose from {KIND_CHOICES}")

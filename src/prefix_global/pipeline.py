@@ -76,6 +76,7 @@ def build_dataset(
     iterated once. Each candidate's check runs first; its example is built
     only when the check finds no reason.
     """
+    task = Task(task)
     report = FilterReport(task=task)
     routed = []
 

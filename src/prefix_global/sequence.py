@@ -20,8 +20,11 @@ Examples are assembled from token runs. A run is one piece of text (the page
 URL or title; a section's marker, title, body, first sentence or rest; one
 image's caption) or a list of images: one kind, one origin and its values. It
 is validated once, as a whole, and kept on the page, so every example of that
-page shares it. Each run's JSON is encoded once and an example's JSON line
-joins them; a slot exists only as one JSON object in that line.
+page shares it. A section's runs are built together, once, and its body run is
+its first sentence's tokens then the rest's: the split cuts just after a .!?
+that whitespace or the end follows, and no token spans whitespace, so that is
+exactly the tokens of the whole body. Each run's JSON is encoded once and an
+example's JSON line joins them; a slot exists only as one JSON object in it.
 
 Each task's one eligibility rule is a check_* function that returns the reason
 a candidate is refused, or None; the builders lay out and check only indices.
@@ -128,41 +131,21 @@ def _image_run(images, origin: Origin) -> TokenRun:
 
 
 class SectionRuns:
-    """One section's runs, each tokenized on first use."""
+    """One section's runs, built once when the page's runs are. The body is
+    the first sentence's tokens then the rest's, so its text is tokenized
+    once; see the module docstring for why that equals tokenizing it whole."""
 
     def __init__(self, section: Section):
         self.section = section
-
-    @cached_property
-    def marker(self) -> TokenRun:
-        return TokenRun("text", Origin.SECTION_INDEX, (f"[S{self.section.index}]",))
-
-    @cached_property
-    def title(self) -> TokenRun:
-        return _text_run(self.section.title, Origin.SECTION_TITLE)
-
-    @cached_property
-    def body(self) -> TokenRun:
-        return _text_run(self.section.body_text, Origin.SECTION_BODY)
-
-    @cached_property
-    def first_sentence(self) -> TokenRun:
-        return _text_run(self.section.first_sentence, Origin.SECTION_FIRST_SENTENCE)
-
-    @cached_property
-    def rest(self) -> TokenRun:
-        return _text_run(self.section.rest_sentences, Origin.SECTION_BODY)
-
-    @cached_property
-    def captions(self) -> tuple:
-        """One run per image, in image order; an image without a reference
-        description has an empty run."""
-        return tuple(_text_run(img.reference_desc, Origin.CAPTION) for img in self.section.images)
-
-    @cached_property
-    def layout(self) -> tuple:
-        """marker -> title -> body -> captions, the canonical section layout."""
-        return (self.marker, self.title, self.body) + self.captions
+        self.marker = TokenRun("text", Origin.SECTION_INDEX, (f"[S{section.index}]",))
+        self.title = _text_run(section.title, Origin.SECTION_TITLE)
+        self.first_sentence = _text_run(section.first_sentence, Origin.SECTION_FIRST_SENTENCE)
+        self.rest = _text_run(section.rest_sentences, Origin.SECTION_BODY)
+        self.body = TokenRun("text", Origin.SECTION_BODY, self.first_sentence.values + self.rest.values)
+        # one caption run per image, in image order; empty without a reference description
+        self.captions = tuple(_text_run(img.reference_desc, Origin.CAPTION) for img in section.images)
+        # marker -> title -> body -> captions, the canonical section layout
+        self.layout = (self.marker, self.title, self.body) + self.captions
 
 
 class PageRuns:
@@ -286,6 +269,7 @@ def build_page_description_input(
     content section's index marker, remaining body text, and captions. The
     raw page description is the target and never enters the slots.
     Precondition: check_page_description(page, threshold) returned None."""
+    variant = PageDescPrefix(variant)
     runs = page_runs(page)
     images = [img for sec in runs.content for img in sec.section.images][:PAGE_DESC_MAX_IMAGES]
     prefix = [_image_run(images, Origin.CONTEXT_IMAGE), runs.url, runs.title]

@@ -75,6 +75,16 @@ def test_flops_rejects_unknown_kind(runner):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ("--lengths", ""), ("--lengths", " , "), ("--kinds", ","), ("--kinds", ",", "--json"),
+], ids=["no-lengths", "blank-lengths", "no-kinds", "no-kinds-json"])
+def test_flops_rejects_empty_lists(runner, args):
+    # an empty list once printed an empty table, or empty cells, and exited 0
+    res = invoke(runner, "flops", *args)
+    assert res.exit_code == 2
+    assert "at least one value" in res.output
+
+
 # ----------------------------------------------------------------- mask
 
 

@@ -298,6 +298,23 @@ def test_report_serializes():
     assert blob["rejections"] == EXPECTED[Task.PAGE_DESCRIPTION]["rejections"]
 
 
+@pytest.mark.parametrize("task", list(Task), ids=lambda t: t.value)
+def test_task_given_as_its_string(task):
+    # a plain string once matched none of the task branches: it built
+    # image-captioning examples and then broke report.to_dict()
+    routed, report = build_dataset(corpus_items(), task)
+    by_str, str_report = build_dataset(corpus_items(), task.value)
+    assert by_str == routed
+    assert str_report.to_dict() == report.to_dict()
+
+
+def test_unknown_task_or_variant_refused():
+    with pytest.raises(ValueError):
+        build_dataset(corpus_items(), "page-description")
+    with pytest.raises(ValueError):
+        build_dataset(corpus_items(), Task.PAGE_DESCRIPTION, variant="titles")
+
+
 def test_default_threshold_value():
     assert DEFAULT_CONTENT_SECTION_THRESHOLD == 2
     assert os.path.basename(str(demo_corpus_path())) == "demo_corpus.jsonl"

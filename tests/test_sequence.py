@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from prefix_global.demo import demo_corpus_path
 from prefix_global.page import ImageRef, Mime, Page, Section, iter_corpus, tokenize
@@ -169,6 +171,12 @@ class TestPageDescription:
         ex = build_page_description_input(two_section_page(), variant=PageDescPrefix.TITLES_ONLY)
         assert [s["token"] for s in prefix_of(ex)][-2:] == ["A", "B"]
         assert [s["token"] for s in context_of(ex)] == ["[S0]", "a", ".", "rest", "a", ".", "[S1]", "b", ".", "rest", "b", "."]
+
+    @pytest.mark.parametrize("variant", list(PageDescPrefix), ids=lambda v: v.value)
+    def test_variant_given_as_its_string(self, variant):
+        # "in-order" as a string once built the titles-only layout
+        by_str = build_page_description_input(two_section_page(), variant.value)
+        assert by_str == build_page_description_input(two_section_page(), variant)
 
     def test_in_order_variant_is_one_stream(self):
         ex = build_page_description_input(two_section_page(), variant=PageDescPrefix.IN_ORDER)
@@ -504,6 +512,27 @@ class TestTokenRuns:
         for _, ex in routed:
             assert ex.to_json_line() == reference_line(ex)
             assert not leaks_target(ex)
+
+
+# sentence marks, unusual whitespace (\x1c and U+2003 are str.isspace and re's
+# \s alike), other punctuation, digits and accented letters
+BODY_ALPHABET = "aZé9 .!?,;'\"-\t\n\x1c\u2003"
+
+
+@given(st.text(alphabet=BODY_ALPHABET, max_size=40))
+@example("")
+@example("no sentence end here")
+@example("a.b")
+@example("Hi?! there")
+@example("It ends on a mark.")
+@settings(max_examples=300, deadline=None)
+def test_body_run_is_the_whole_body_tokenized(text):
+    # the body run joins the first sentence's tokens and the rest's; the
+    # reference tokenizes the whole body at once
+    section = Section(index=1, body_text=text)
+    body = SectionRuns(section).body
+    assert body.values == tuple(tokenize(section.body_text))
+    assert body.origin is Origin.SECTION_BODY
 
 
 class TestLeakScan:
