@@ -1,28 +1,42 @@
 """Block-sparse forward attention for the structured patterns.
 
 Every pattern compiles to a list of bands, and one executor runs them all. A
-band is a run of query rows [b0, b1) that scores one contiguous key span
-[lo, hi), optionally masked to the radius-r window |i - j| <= r, plus an
-optional global bank of (keys, values) that every row of the band sees
-unmasked. The patterns reduce to:
+band is a run of query rows [b0, b1) that scores its keys in one or more
+contiguous key tiles [lo, hi), optionally masked to the radius-r window
+|i - j| <= r. Its first tile also scores an optional global bank of
+(keys, values) that every row of the band sees unmasked. The patterns reduce
+to:
 
-- full: one band, every row against every key. It has no sparsity to exploit,
-  so it allocates the whole l x l grid in one block, and its instrumented
-  buffer size is the baseline the sparse patterns are measured against.
-- local: ROW_BLOCK-row bands, each spanning its clipped window.
-- prefix-global: ROW_BLOCK-row bands over the k prefix rows, each spanning
-  every key; then window bands over the remaining rows, clipped below at k,
-  with the first k keys and values as their bank.
+- full: one band with one tile, every row against every key. It has no
+  sparsity to exploit, so it allocates the whole l x l grid in one block, and
+  its instrumented buffer size is the baseline the sparse patterns are
+  measured against.
+- local: ROW_BLOCK-row window bands, each one tile spanning its clipped window.
+- prefix-global: ROW_BLOCK-row bands over the k prefix rows, each tiling every
+  key in tiles of ROW_BLOCK + 2r + k keys; then window bands over the
+  remaining rows, clipped below at k, with the first k keys and values as
+  their bank. No score block is wider than a window band, whatever l is.
 - tglobal: the local bands, with the block-averaged side keys as their bank.
 
-Within a band, out-of-window positions are assigned -inf before the row max,
-so their weights are exactly 0.0 and a key outside a query's allowed set
-cannot change that query's output even at the bit level. Scores that are not
-finite after scaling are refused with ValueError, without a RuntimeWarning,
-as the dense oracle does.
+A band is an online softmax over its tiles (Milakov & Gimelshein 2018;
+FlashAttention, Dao et al. 2022): each tile is scored, scaled in place by
+1/sqrt(d), masked, and exponentiated against the running row max; the
+running row sum and output are rescaled by exp(old max - new max) when a tile
+raises the max. The output is divided by the row sums once, at the end of the
+band, which costs rows x d_v divisions instead of rows x width.
 
-Bands run sequentially with a fixed reduction order per row, so outputs are
-deterministic.
+A window's outside-mask depends only on the band geometry, so it is built
+once per (rows, b0 - lo, width, r) within a call: interior bands share one
+and only the edge bands differ. Masked positions are assigned -inf before the
+row max, so their weights are exactly 0.0 and a key outside a query's
+allowed set cannot change that query's output even at the bit level. Scores
+that are not finite after scaling, in any tile, are refused with ValueError,
+without a RuntimeWarning, as the dense oracle does. The scale multiplies the
+scores, not q: (q / sqrt(d)) . k can be finite where q . k overflowed, and the
+kernel would then accept what the dense oracle refuses.
+
+Bands and tiles run sequentially with a fixed reduction order per row, so
+outputs are deterministic.
 """
 
 from __future__ import annotations
@@ -55,13 +69,13 @@ class KernelStats:
 
 
 class _Band(NamedTuple):
-    """Rows [b0, b1) against keys [lo, hi), masked to |i - j| <= r unless r is
-    None, plus every row of `bank`, a (keys, values) pair seen unmasked."""
+    """Rows [b0, b1) against each key tile [lo, hi) of `tiles` in turn, masked
+    to |i - j| <= r unless r is None. The first tile also scores every row of
+    `bank`, a (keys, values) pair seen unmasked."""
 
     b0: int
     b1: int
-    lo: int
-    hi: int
+    tiles: tuple
     r: int | None = None
     bank: tuple | None = None
 
@@ -81,46 +95,62 @@ def _validate_qkv(q, k, v, l: int):
     return q, k, v
 
 
-def _row_blocks(start: int, stop: int):
-    for b0 in range(start, stop, ROW_BLOCK):
-        yield b0, min(b0 + ROW_BLOCK, stop)
+def _blocks(start: int, stop: int, size: int = ROW_BLOCK):
+    for b0 in range(start, stop, size):
+        yield b0, min(b0 + size, stop)
 
 
 def _window_bands(start: int, l: int, r: int, bank=None) -> list:
-    """Bands over rows [start, l), each spanning its window clipped to [start, l)."""
-    return [_Band(b0, b1, max(start, b0 - r), min(l, b1 + r), r, bank) for b0, b1 in _row_blocks(start, l)]
+    """Bands over rows [start, l), each one tile spanning its window clipped to [start, l)."""
+    return [_Band(b0, b1, ((max(start, b0 - r), min(l, b1 + r)),), r, bank) for b0, b1 in _blocks(start, l)]
 
 
 def _attend(q, k, v, bands, scale_by_sqrt_d: bool, stats: KernelStats | None) -> np.ndarray:
-    """Run every band: score its span then its bank in one block, mask the
-    span to its window, softmax each row, and accumulate the span's part of
-    the output before the bank's."""
-    scale = math.sqrt(q.shape[1]) if scale_by_sqrt_d else 1.0
+    """Run every band as an online softmax over its key tiles: score the tile
+    (and the bank, on the first tile) in one block, mask it to the window, and
+    fold its unnormalized weights into a running row max, row sum and output.
+    Each band's output is divided by its row sums once, at the end."""
+    inv_scale = 1.0 / math.sqrt(q.shape[1]) if scale_by_sqrt_d else 1.0
     out = np.empty((q.shape[0], v.shape[1]), dtype=np.float64)
+    masks = {}  # window outside-masks by (rows, b0 - lo, width, r); interior bands share one
     # overflow is refused with ValueError below, so numpy need not warn first
     with np.errstate(over="ignore", invalid="ignore"):
-        for b0, b1, lo, hi, r, bank in bands:
-            width = hi - lo
-            n_bank = 0 if bank is None else bank[0].shape[0]
-            scores = np.empty((b1 - b0, width + n_bank), dtype=np.float64)
-            if stats is not None:
-                stats.record(scores.size)
-            scores[:, :width] = q[b0:b1] @ k[lo:hi].T
-            if n_bank:
-                scores[:, width:] = q[b0:b1] @ bank[0].T
-            scores /= scale
-            if not np.isfinite(scores).all():
-                raise ValueError(f"attention scores of rows {b0}..{b1 - 1} overflowed to non-finite values")
-            if r is not None:
-                offsets = np.arange(b0, b1)[:, None] - np.arange(lo, hi)[None, :]
-                scores[:, :width][np.abs(offsets) > r] = -np.inf
-            # every row keeps at least itself or one bank key, so its max is finite
-            scores -= scores.max(axis=1, keepdims=True)
-            np.exp(scores, out=scores)
-            scores /= scores.sum(axis=1, keepdims=True)
-            out[b0:b1] = scores[:, :width] @ v[lo:hi]
-            if n_bank:
-                out[b0:b1] += scores[:, width:] @ bank[1]
+        for b0, b1, tiles, r, bank in bands:
+            rows = b1 - b0
+            row_sum = acc = 0.0
+            for t, (lo, hi) in enumerate(tiles):
+                width = hi - lo
+                n_bank = 0 if t or bank is None else bank[0].shape[0]
+                scores = np.empty((rows, width + n_bank), dtype=np.float64)
+                if stats is not None:
+                    stats.record(scores.size)
+                np.matmul(q[b0:b1], k[lo:hi].T, out=scores[:, :width])
+                if n_bank:
+                    np.matmul(q[b0:b1], bank[0].T, out=scores[:, width:])
+                scores *= inv_scale
+                if not np.isfinite(scores).all():
+                    raise ValueError(f"attention scores of rows {b0}..{b1 - 1} overflowed to non-finite values")
+                if r is not None:
+                    geometry = (rows, b0 - lo, width, r)
+                    if geometry not in masks:
+                        offsets = np.subtract.outer(np.arange(b0 - lo, b1 - lo), np.arange(width))
+                        masks[geometry] = np.abs(offsets) > r
+                    np.copyto(scores[:, :width], -np.inf, where=masks[geometry])
+                # a window row keeps at least itself and a prefix tile is unmasked, so the max is finite
+                new_max = scores.max(axis=1, keepdims=True)
+                if t:
+                    np.maximum(new_max, row_max, out=new_max)
+                    rescale = np.exp(row_max - new_max)  # <= 1: the weights so far, moved to the new max
+                    row_sum *= rescale
+                    acc *= rescale
+                row_max = new_max
+                scores -= row_max
+                np.exp(scores, out=scores)
+                row_sum += (scores @ np.ones(scores.shape[1]))[:, None]  # faster than .sum(axis=1)
+                acc += scores[:, :width] @ v[lo:hi]
+                if n_bank:
+                    acc += scores[:, width:] @ bank[1]
+            np.divide(acc, row_sum, out=out[b0:b1])
     return out
 
 
@@ -143,12 +173,14 @@ def sparse_attention(
     l = pattern.l
     q, k, v = _validate_qkv(q, k, v, l)
     if pattern.kind is PatternKind.FULL:
-        bands = [_Band(0, l, 0, l)]
+        bands = [_Band(0, l, ((0, l),))]
     elif pattern.kind is PatternKind.LOCAL:
         bands = _window_bands(0, l, pattern.r)
     else:
         n_prefix = pattern.k
-        bands = [_Band(b0, b1, 0, l) for b0, b1 in _row_blocks(0, n_prefix)]
+        # prefix rows see every key, in tiles as wide as the widest window band
+        tiles = tuple(_blocks(0, l, ROW_BLOCK + 2 * pattern.r + n_prefix))
+        bands = [_Band(b0, b1, tiles) for b0, b1 in _blocks(0, n_prefix)]
         bands += _window_bands(n_prefix, l, pattern.r, (k[:n_prefix], v[:n_prefix]))
     return _attend(q, k, v, bands, scale_by_sqrt_d, stats)
 

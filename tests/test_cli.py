@@ -182,8 +182,10 @@ def test_build_writes_splits_and_report(runner, tmp_path):
     res = invoke(runner, "build", CORPUS, "--task", "image_captioning",
                  "--out-dir", str(out))
     assert res.exit_code == 0
-    counts = {s: sum(1 for _ in open(out / f"{s}.jsonl", encoding="utf-8"))
-              for s in ("train", "val", "test")}
+    counts = {}
+    for s in ("train", "val", "test"):
+        with open(out / f"{s}.jsonl", encoding="utf-8") as f:
+            counts[s] = sum(1 for _ in f)
     assert counts == {"train": 21, "val": 1, "test": 1}
     report = json.loads((out / "report.json").read_text())
     assert report["accounting"]["examples_out"] == 23

@@ -262,8 +262,9 @@ class TestBufferContract:
         sparse_attention(q2, k2, v2, full(2048), stats=full_stats)
         assert full_stats.peak_score_elements == 4_194_304
         assert pg_stats.peak_score_elements < full_stats.peak_score_elements
-        # banded prefix rows keep the widest buffer at ROW_BLOCK * l
-        assert pg_stats.peak_score_elements == kernel.ROW_BLOCK * 4096
+        # prefix rows are tiled over keys, so the widest buffer is one window
+        # band, ROW_BLOCK * (ROW_BLOCK + 2r + k), whatever l is
+        assert pg_stats.peak_score_elements == kernel.ROW_BLOCK * (kernel.ROW_BLOCK + 2 * 127 + 512)
 
     def test_local_buffers_bounded_by_band_and_window(self):
         g = rng(32)
@@ -282,6 +283,69 @@ class TestBufferContract:
         stats = KernelStats()
         tglobal_attention(q, k, v, tglobal(l, r=8, block=16), emb, np.eye(4), np.eye(4), stats=stats)
         assert stats.peak_score_elements < l * l
+
+
+class TestOnlineSoftmax:
+    """Prefix rows are scored in key tiles of width ROW_BLOCK + 2r + k and
+    folded into a running max, sum and output. With l=600, k=8, r=2 the
+    tiles are [0, 140), [140, 280), [280, 420), [420, 560), [560, 600)."""
+
+    L, K_LEN, R = 600, 8, 2
+
+    def qkv_with_hot_key(self, hot, gap):
+        # d = 1, so a score is q_i * k_j unscaled; every prefix row has q = 1
+        # and its maximum at key `hot`, about `gap` above every other key
+        g = rng((hot, int(gap)))
+        q = np.where(g.random((self.L, 1)) < 0.5, 1.0, -1.0)
+        q[: self.K_LEN] = 1.0
+        k = g.uniform(-1.0, 1.0, size=(self.L, 1))
+        k[hot] = gap
+        return q, k, g.normal(size=(self.L, 3))
+
+    @pytest.mark.parametrize("gap", [20.0, 800.0])
+    @pytest.mark.parametrize("hot", [590, 3], ids=["max-in-last-tile", "max-in-first-tile"])
+    def test_distant_maximum_matches_dense(self, hot, gap):
+        # gap 800: the other tiles' weights underflow to 0, whether they come
+        # before the maximum's tile (rescaled away) or after it
+        q, k, v = self.qkv_with_hot_key(hot, gap)
+        pattern = prefix_global(self.L, k=self.K_LEN, r=self.R)
+        stats = KernelStats()
+        got = sparse_attention(q, k, v, pattern, stats=stats)
+        want = dense_oracle(q, k, v, pattern)
+        assert np.abs(got - want).max() < 1e-9
+        # the 8 prefix rows are one band of 5 tiles; the other 592 rows, 5 window bands
+        assert stats.score_blocks == 5 + 5
+        if gap == 800.0:
+            np.testing.assert_array_equal(got[: self.K_LEN], np.tile(v[hot], (self.K_LEN, 1)))
+
+    def test_overflow_only_in_last_tile_refused_without_warning(self):
+        g = rng(41)
+        q = np.ones((self.L, 1))
+        q[: self.K_LEN] = 1e10
+        k = g.normal(size=(self.L, 1))
+        k[590] = 1e300  # only a prefix row's q . k overflows, and only in its last tile
+        v = g.normal(size=(self.L, 3))
+        pattern = prefix_global(self.L, k=self.K_LEN, r=self.R)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                sparse_attention(q, k, v, pattern)
+            with pytest.raises(ValueError):
+                dense_oracle(q, k, v, pattern)
+
+
+class TestMaskCache:
+    @pytest.mark.parametrize("l", [100, 300])
+    def test_calls_share_no_state(self, l):
+        # window masks are cached per band geometry within one call; a cache
+        # that outlived a call, or was keyed without r, would mask these
+        # wrongly (at l=100 every pattern is one band of l rows and l keys)
+        q, k, v = make_qkv(rng((50, l)), l, 4)
+        for pattern in (local(l, r=3), local(l, r=5), prefix_global(l, k=20, r=3), prefix_global(l, k=l // 2, r=3)):
+            got = sparse_attention(q, k, v, pattern)
+            assert np.abs(got - dense_oracle(q, k, v, pattern)).max() < 1e-9
+        pattern = prefix_global(l, k=20, r=3)
+        assert sparse_attention(q, k, v, pattern).tobytes() == sparse_attention(q, k, v, pattern).tobytes()
 
 
 class TestValidation:
@@ -395,8 +459,9 @@ def geometries(draw):
 
 class TestBandGeometry:
     """Random (kind, l, r, k, block, d, d_v), with the edges pinned as
-    explicit examples: k in {0, l}, k > 128, r >= l, l = 1, d_v != d, and
-    l not a multiple of the 128-row band."""
+    explicit examples: k in {0, l}, k > 128, r >= l, l = 1, d_v != d,
+    l not a multiple of the 128-row band, and prefix bands of three or more
+    key tiles with a ragged last tile."""
 
     @settings(max_examples=120, deadline=None)
     @given(geometries(), st.integers(0, 2**32 - 1))
@@ -410,6 +475,8 @@ class TestBandGeometry:
     @example(("local", 1, 0, 0, 1, 3, 1), 7)
     @example(("prefix-global", 1, 0, 1, 1, 2, 2), 8)
     @example(("full", 129, 0, 0, 1, 3, 5), 9)
+    @example(("prefix-global", 400, 0, 1, 1, 3, 5), 10)
+    @example(("prefix-global", 700, 1, 129, 1, 4, 2), 11)
     def test_kernel_matches_dense_and_geometry(self, geometry, seed):
         kind, l, r, k_len, block, d, d_v = geometry
         pattern = {
@@ -432,4 +499,8 @@ class TestBandGeometry:
         assert got.shape == (l, d_v)
         assert np.abs(got - want).max() < 1e-9
         assert stats.elements == geometry_pairs(pattern)
+        if kind == "full":
+            assert stats.peak_score_elements == l * l
+        elif kind == "prefix-global":
+            assert stats.peak_score_elements <= kernel.ROW_BLOCK * (kernel.ROW_BLOCK + 2 * r + k_len)
         assert cost.mask_nnz(pattern) == build_mask(pattern).nnz()
