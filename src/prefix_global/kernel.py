@@ -29,11 +29,18 @@ A window's outside-mask depends only on the band geometry, so it is built
 once per (rows, b0 - lo, width, r) within a call: interior bands share one
 and only the edge bands differ. Masked positions are assigned -inf before the
 row max, so their weights are exactly 0.0 and a key outside a query's
-allowed set cannot change that query's output even at the bit level. Scores
-that are not finite after scaling, in any tile, are refused with ValueError,
-without a RuntimeWarning, as the dense oracle does. The scale multiplies the
-scores, not q: (q / sqrt(d)) . k can be finite where q . k overflowed, and the
-kernel would then accept what the dense oracle refuses.
+allowed set cannot change that query's output even at the bit level.
+
+A call is refused with ValueError, without a RuntimeWarning, exactly when a
+scaled score that is not finite falls on a query-key pair the pattern allows,
+as the dense oracle refuses it: a window tile's masked entries are left out
+of the check, and prefix tiles and the bank, which every row of the band
+sees, are checked in full. Where the pattern forbids the pair, the score is
+masked like any other, so whether a call is refused does not depend on which
+keys a band's tiles happen to span. The scale multiplies the scores, not q:
+(q / sqrt(d)) . k can be finite where q . k overflowed, and the kernel would
+then accept what the dense oracle refuses. tglobal's side keys and values
+that are not finite are refused the same way.
 
 Bands and tiles run sequentially with a fixed reduction order per row, so
 outputs are deterministic.
@@ -128,14 +135,20 @@ def _attend(q, k, v, bands, scale_by_sqrt_d: bool, stats: KernelStats | None) ->
                 if n_bank:
                     np.matmul(q[b0:b1], bank[0].T, out=scores[:, width:])
                 scores *= inv_scale
-                if not np.isfinite(scores).all():
-                    raise ValueError(f"attention scores of rows {b0}..{b1 - 1} overflowed to non-finite values")
                 if r is not None:
                     geometry = (rows, b0 - lo, width, r)
                     if geometry not in masks:
                         offsets = np.subtract.outer(np.arange(b0 - lo, b1 - lo), np.arange(width))
                         masks[geometry] = np.abs(offsets) > r
-                    np.copyto(scores[:, :width], -np.inf, where=masks[geometry])
+                    outside = masks[geometry]
+                if not np.isfinite(scores).all():
+                    refused = ~np.isfinite(scores)
+                    if r is not None:  # a pair outside the window is masked below, not refused
+                        refused[:, :width] &= ~outside
+                    if refused.any():
+                        raise ValueError(f"attention scores of rows {b0}..{b1 - 1} overflowed to non-finite values")
+                if r is not None:
+                    np.copyto(scores[:, :width], -np.inf, where=outside)
                 # a window row keeps at least itself and a prefix tile is unmasked, so the max is finite
                 new_max = scores.max(axis=1, keepdims=True)
                 if t:
@@ -231,6 +244,11 @@ def tglobal_attention(
     if vp.shape != (emb.shape[1], v.shape[1]):
         raise ShapeError(f"value_proj must be {(emb.shape[1], v.shape[1])}, got {vp.shape}")
 
-    averaged = block_average(emb, pattern.block)
-    bank = (averaged @ kp, averaged @ vp)
+    # a non-finite side key or value is refused with ValueError, so numpy need not warn first
+    with np.errstate(over="ignore", invalid="ignore"):
+        averaged = block_average(emb, pattern.block)
+        bank = (averaged @ kp, averaged @ vp)
+    for name, side in zip(("keys", "values"), bank):
+        if not np.isfinite(side).all():
+            raise ValueError(f"side {name} overflowed to non-finite values")
     return _attend(q, k, v, _window_bands(0, l, pattern.r, bank), scale_by_sqrt_d, stats)

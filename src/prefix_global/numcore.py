@@ -95,16 +95,27 @@ def dense_attention(q, k, v, additive_mask, scale_by_sqrt_d: bool = True) -> np.
     q: (n_q, d), k: (n_k, d), v: (n_k, d_v), additive_mask: (n_q, n_k).
     Scores are q @ k.T, scaled by 1/sqrt(d) unless disabled. Masked positions
     contribute exactly nothing to the output (their weight is bitwise 0.0).
+    A scaled score that is not finite raises ValueError where the mask allows
+    its position; a masked position is never refused, whatever its score.
     """
     q = as_matrix(q, "q")
     k = as_matrix(k, "k")
     v = as_matrix(v, "v")
+    mask = as_matrix(additive_mask, "additive_mask")
     if q.shape[1] != k.shape[1]:
         raise ShapeError(f"q has d={q.shape[1]} but k has d={k.shape[1]}")
     if k.shape[0] != v.shape[0]:
         raise ShapeError(f"k has {k.shape[0]} rows but v has {v.shape[0]}")
-    scores = matmul(q, k.T)
-    if scale_by_sqrt_d:
-        scores = scores / math.sqrt(q.shape[1])
-    weights = row_softmax(scores, additive_mask)
+    if mask.shape != (q.shape[0], k.shape[0]):
+        raise ShapeError(f"mask shape {mask.shape} != score shape {(q.shape[0], k.shape[0])}")
+    # overflow is refused with ValueError, so numpy need not warn first
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = q @ k.T
+        if scale_by_sqrt_d:
+            scores = scores / math.sqrt(q.shape[1])
+    allowed = mask != MASKED
+    if not np.isfinite(scores[allowed]).all():
+        raise ValueError("attention scores overflowed to non-finite values")
+    # row_softmax zeroes a masked position whatever it holds, but it needs a finite one
+    weights = row_softmax(np.where(allowed, scores, 0.0), mask)
     return matmul(weights, v)

@@ -1,11 +1,10 @@
 """Task input builders: webpage structure to one ordered slot sequence.
 
-Each builder lays out a page as token slots (single text tokens or single
-image slots) and designates the first prefix_len of them as the global
-prefix; everything after is local context. The prefix budget is 512 slots,
-an image costs exactly 1 slot, and truncation is slot-granular. Material
-that overflows the budget is not dropped: it stays in the sequence as local
-context, only the global designation is capped.
+Each builder lays out a page as prefix material then local context, in token
+slots (single text tokens or single image slots). The global prefix is capped
+at 512 slots once, when the example is assembled; an image costs exactly 1
+slot and the cap is slot-granular. Prefix material over the cap is not
+dropped: it starts the local context.
 
 Section material always renders in a fixed order: index marker, title, body
 text, captions. The marker is a single dedicated token "[S<i>]". Captions are
@@ -23,8 +22,11 @@ is validated once, as a whole, and kept on the page, so every example of that
 page shares it. A section's runs are built together, once, and its body run is
 its first sentence's tokens then the rest's: the split cuts just after a .!?
 that whitespace or the end follows, and no token spans whitespace, so that is
-exactly the tokens of the whole body. Each run's JSON is encoded once and an
-example's JSON line joins them; a slot exists only as one JSON object in it.
+exactly the tokens of the whole body. An example is its prefix runs and its
+context runs: the run the cap falls in is split into two runs of its kind and
+origin, and every other run stays the page's shared object. Each run's JSON
+is encoded once and an example's JSON line joins them; a slot exists only as
+one JSON object in it.
 
 Each task's one eligibility rule is a check_* function that returns the reason
 a candidate is refused, or None; the builders lay out and check only indices.
@@ -91,7 +93,8 @@ class TokenRun:
     """The text tokens or image embedding ids of one piece of a page, such as
     a section's title or one image's caption, all of one kind and one origin.
     The builders make each run once per page and share it between the page's
-    examples."""
+    examples; only a run that the prefix cap cuts is replaced, in its
+    example, by its two parts."""
 
     kind: str  # "text" | "image"
     origin: Origin
@@ -108,18 +111,15 @@ class TokenRun:
     def __len__(self) -> int:
         return len(self.values)
 
-    def members(self, start: int = 0, stop: int | None = None) -> str:
-        """Slots start..stop as the members of a compact JSON array, each
+    @cached_property
+    def json(self) -> str:
+        """The run's slots, comma-separated as in a compact JSON array, each
         {"kind", "token" or "image", "origin"} byte for byte as json.dumps
         writes it with ensure_ascii=False."""
         field = "token" if self.kind == "text" else "image"
         head = f'{{"kind":"{self.kind}","{field}":'
         tail = f',"origin":{_json_str(self.origin.value)}}}'
-        return ",".join([head + _json_str(v) + tail for v in self.values[start:stop]])
-
-    @cached_property
-    def json(self) -> str:
-        return self.members()
+        return ",".join([head + _json_str(v) + tail for v in self.values])
 
 
 def _text_run(text: str, origin: Origin) -> TokenRun:
@@ -177,26 +177,30 @@ def page_runs(page: Page) -> PageRuns:
 
 @dataclass(frozen=True)
 class TaskExample:
-    """One example, stored as the token runs it was assembled from. Equality
-    compares runs, boundaries included. `to_dict()` is the parsed JSON line and
-    `slots` its prefix then its context: a slot is the JSON object on disk."""
+    """One example, stored as its prefix runs and its context runs: the
+    `prefix` and `context` arrays of its JSON line. Equality compares the
+    prefix and context runs, boundaries included. `to_dict()` is the parsed
+    JSON line and `slots` its prefix then its context: a slot is the JSON
+    object on disk."""
 
     task: Task
-    runs: tuple
-    prefix_len: int
+    prefix: tuple
+    context: tuple
     target_text: str
     source_page_url: str
 
     def __post_init__(self):
-        if not (isinstance(self.task, Task) and isinstance(self.runs, tuple)
-                and all(isinstance(run, TokenRun) for run in self.runs)
+        if not (isinstance(self.task, Task)
+                and all(isinstance(runs, tuple) and all(isinstance(run, TokenRun) for run in runs)
+                        for runs in (self.prefix, self.context))
                 and isinstance(self.target_text, str) and isinstance(self.source_page_url, str)):
-            raise TypeError("an example needs a Task, a tuple of TokenRuns, and a str target_text and source_page_url")
-        if not _is_int(self.prefix_len):
-            raise ValueError(f"prefix_len must be an int, got {self.prefix_len!r}")
-        n_slots = sum(map(len, self.runs))
-        if not 0 <= self.prefix_len <= min(PREFIX_BUDGET, n_slots):
-            raise ValueError(f"prefix_len {self.prefix_len} outside [0, min(512, {n_slots})]")
+            raise TypeError("an example needs a Task, two tuples of TokenRuns, and a str target_text and source_page_url")
+        if self.prefix_len > PREFIX_BUDGET:
+            raise ValueError(f"prefix of {self.prefix_len} slots is over the {PREFIX_BUDGET}-slot budget")
+
+    @property
+    def prefix_len(self) -> int:
+        return sum(map(len, self.prefix))
 
     @property
     def slots(self) -> list:
@@ -207,38 +211,31 @@ class TaskExample:
         return json.loads(self.to_json_line())
 
     def to_json_line(self) -> str:
-        """The example as one compact JSON object, joined from each run's
-        encoding. Only the run that the prefix cap cuts is encoded here, as
-        two parts."""
-        prefix, context, start = [], [], 0
-        for run in self.runs:
-            if not run:
-                continue
-            end = start + len(run)
-            if end <= self.prefix_len:
-                prefix.append(run.json)
-            elif start >= self.prefix_len:
-                context.append(run.json)
-            else:
-                cut = self.prefix_len - start
-                prefix.append(run.members(0, cut))
-                context.append(run.members(cut))
-            start = end
+        """The example as one compact JSON object, joined from each run's encoding."""
+        prefix = ",".join([run.json for run in self.prefix if run])
+        context = ",".join([run.json for run in self.context if run])
         return (
             f'{{"task":{_json_str(self.task.value)},"page_url":{_json_str(self.source_page_url)},'
-            f'"prefix":[{",".join(prefix)}],"context":[{",".join(context)}],'
-            f'"target":{_json_str(self.target_text)}}}'
+            f'"prefix":[{prefix}],"context":[{context}],"target":{_json_str(self.target_text)}}}'
         )
 
 
 def _assemble(task: Task, page: Page, prefix_runs: list, context_runs: list, target: str) -> TaskExample:
-    return TaskExample(
-        task=task,
-        runs=tuple(run for run in prefix_runs + context_runs if run),
-        prefix_len=min(PREFIX_BUDGET, sum(map(len, prefix_runs))),
-        target_text=target,
-        source_page_url=page.url,
-    )
+    """The one place the prefix cap is applied. Whole prefix runs are kept
+    while they fit in PREFIX_BUDGET slots; the run the cap falls in is split
+    into two runs of its kind and origin, and its second part and every later
+    prefix run start the context. Empty runs are dropped."""
+    room, n = PREFIX_BUDGET, 0
+    while n < len(prefix_runs) and len(prefix_runs[n]) <= room:
+        room -= len(prefix_runs[n])
+        n += 1
+    prefix, overflow = prefix_runs[:n], prefix_runs[n:]
+    if overflow and room:
+        run = overflow[0]
+        prefix.append(TokenRun(run.kind, run.origin, run.values[:room]))
+        overflow[0] = TokenRun(run.kind, run.origin, run.values[room:])
+    return TaskExample(task, tuple(run for run in prefix if run),
+                       tuple(run for run in overflow + context_runs if run), target, page.url)
 
 
 def _section(page: Page, index: int) -> Section:
@@ -352,7 +349,7 @@ def leaks_target(example: TaskExample) -> bool:
     needle = tokenize(example.target_text)
     if not needle:
         return False
-    stream = [v if run.kind == "text" else None for run in example.runs for v in run.values]
+    stream = [v if run.kind == "text" else None for run in example.prefix + example.context for v in run.values]
     n = len(needle)
     for start in range(len(stream) - n + 1):
         if stream[start : start + n] == needle:

@@ -382,6 +382,36 @@ class TestValidation:
                 np.ones((4, 3)), np.eye(2), np.eye(3),
             )
 
+    def test_value_projection_shape_mismatch(self):
+        # key_proj fits (d_model=3, d=2); value_proj must be (3, d_v=2), not (3, 3)
+        with pytest.raises(ShapeError, match="value_proj"):
+            tglobal_attention(
+                np.ones((4, 2)), np.ones((4, 2)), np.ones((4, 2)), tglobal(4, r=1, block=2),
+                np.ones((4, 3)), np.ones((3, 2)), np.eye(3),
+            )
+
+    def test_zero_width_queries_and_keys_rejected(self):
+        with pytest.raises(ShapeError, match="d must be >= 1"):
+            sparse_attention(np.ones((4, 0)), np.ones((4, 0)), np.ones((4, 2)), full(4))
+
+    @pytest.mark.parametrize("side", ["keys", "values"])
+    def test_non_finite_side_bank_refused(self, side):
+        # finite embeddings and projections whose side keys or side values
+        # overflow; the dense oracle refuses such a bank as a non-finite k or v
+        g = rng(42)
+        l, d = 64, 4
+        q, k, v = make_qkv(g, l, d)
+        emb = g.normal(size=(l, d)) * 1e200
+        huge, tiny = 1e200 * np.eye(d), 1e-300 * np.eye(d)
+        kp, vp = (huge, tiny) if side == "keys" else (tiny, huge)
+        pattern = tglobal(l, r=3, block=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"side {side}"):
+                tglobal_attention(q, k, v, pattern, emb, kp, vp)
+            with np.errstate(over="ignore"), pytest.raises(ValueError):
+                tglobal_dense_oracle(q, k, v, pattern, emb, kp, vp)
+
     def test_nan_inputs_rejected(self):
         q = np.ones((4, 2))
         q[0, 0] = np.nan
@@ -411,6 +441,57 @@ class TestValidation:
                 sparse_attention(q, k, v, pattern)
             with pytest.raises(ValueError):
                 dense_oracle(q, k, v, pattern)
+
+
+@st.composite
+def overflow_cases(draw):
+    kind = draw(st.sampled_from(["full", "local", "tglobal", "prefix-global"]))
+    l = draw(st.integers(1, 300))
+    r = draw(st.one_of(st.integers(0, 16), st.integers(0, 2 * l)))
+    k = draw(st.one_of(st.just(0), st.just(l), st.integers(0, l)))
+    block = draw(st.integers(1, 2 * l))
+    d = draw(st.integers(2, 8))
+    i, j = draw(st.integers(0, l - 1)), draw(st.integers(0, l - 1))
+    return kind, l, r, k, block, d, i, j
+
+
+@settings(max_examples=150, deadline=None)
+@given(overflow_cases(), st.integers(0, 2**32 - 1))
+@example(("local", 300, 2, 0, 1, 4, 0, 299), 0)  # outside the window and outside band 0's keys
+@example(("local", 300, 2, 0, 1, 4, 0, 129), 0)  # outside the window, inside band 0's keys
+@example(("prefix-global", 300, 2, 10, 1, 4, 200, 150), 0)  # a window row, a key in its band's tile
+@example(("prefix-global", 300, 2, 10, 1, 4, 200, 5), 0)  # a window row and a prefix key
+@example(("tglobal", 300, 2, 0, 16, 4, 0, 129), 0)
+def test_overflow_refused_exactly_on_allowed_pairs(case, seed):
+    # q[i] . k[j] is about 1e320: the kernel and the dense oracle refuse it
+    # when the pattern lets query i see key j, and otherwise agree
+    kind, l, r, k_len, block, d, i, j = case
+    pattern = {
+        "full": lambda: full(l),
+        "local": lambda: local(l, r=r),
+        "tglobal": lambda: tglobal(l, r=r, block=block),
+        "prefix-global": lambda: prefix_global(l, k=k_len, r=r),
+    }[kind]()
+    g = rng(seed)
+    q, k, v = make_qkv(g, l, d)
+    q[i] = k[j] = 0.0
+    q[i, 0] = k[j, 0] = 1e160
+    if kind == "tglobal":
+        emb, kp, vp = g.normal(size=(l, 3)), g.normal(size=(3, d)), g.normal(size=(3, d))
+        run = lambda: tglobal_attention(q, k, v, pattern, emb, kp, vp)
+        oracle = lambda: tglobal_dense_oracle(q, k, v, pattern, emb, kp, vp)
+    else:
+        run = lambda: sparse_attention(q, k, v, pattern)
+        oracle = lambda: dense_oracle(q, k, v, pattern)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if j in build_mask(pattern).rows[i]:
+            with pytest.raises(ValueError, match="non-finite"):
+                run()
+            with pytest.raises(ValueError, match="non-finite"):
+                oracle()
+        else:
+            assert np.abs(run() - oracle()).max() < 1e-9
 
 
 class SummingStats(KernelStats):

@@ -13,7 +13,7 @@ import os
 import pytest
 
 from prefix_global import pipeline, sequence
-from prefix_global.demo import demo_corpus_path, demo_records, render_demo_corpus
+from prefix_global.demo import demo_corpus_path, demo_records, render_demo_corpus, write_demo_corpus
 from prefix_global.page import iter_corpus
 from prefix_global.pipeline import (
     DEFAULT_CONTENT_SECTION_THRESHOLD,
@@ -238,6 +238,12 @@ def test_output_bytes_pinned(task, variant):
 def test_bundled_file_matches_generator():
     with open(demo_corpus_path(), encoding="utf-8") as fh:
         assert fh.read() == render_demo_corpus()
+
+
+def test_written_corpus_is_the_bundled_file(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    write_demo_corpus(path)
+    assert path.read_bytes() == demo_corpus_path().read_bytes()
 
 
 def test_bundled_records_parse_strictly():

@@ -17,6 +17,7 @@ from prefix_global.sequence import (
     Task,
     TaskExample,
     TokenRun,
+    _assemble,
     build_image_caption_input,
     build_page_description_input,
     build_section_summarization_input,
@@ -24,6 +25,7 @@ from prefix_global.sequence import (
     check_page_description,
     check_section_summarization,
     leaks_target,
+    page_runs,
 )
 
 
@@ -61,15 +63,29 @@ def reference_slots(run):
     return [{"kind": run.kind, field: v, "origin": run.origin.value} for v in run.values]
 
 
-def reference_line(example):
-    """The example's JSON line from its runs and prefix_len alone: the
-    independent reference for to_json_line (it never calls to_dict,
-    to_json_line or members)."""
-    slots = [s for run in example.runs for s in reference_slots(run)]
-    k = example.prefix_len
-    line = {"task": example.task.value, "page_url": example.source_page_url,
-            "prefix": slots[:k], "context": slots[k:], "target": example.target_text}
+def slots_of(runs):
+    return [s for run in runs for s in reference_slots(run)]
+
+
+def reference_json(task, page_url, prefix, context, target):
+    line = {"task": task.value, "page_url": page_url, "prefix": prefix, "context": context, "target": target}
     return json.dumps(line, ensure_ascii=False, separators=(",", ":"))
+
+
+def reference_line(example):
+    """The example's JSON line from its prefix and context runs alone: the
+    independent reference for to_json_line (it never calls to_dict,
+    to_json_line or json)."""
+    return reference_json(example.task, example.source_page_url, slots_of(example.prefix),
+                          slots_of(example.context), example.target_text)
+
+
+def reference_cut_line(task, page_url, prefix_runs, context_runs, target):
+    """The JSON line of unsplit prefix material and context, the material cut
+    at PREFIX_BUDGET slots and its overflow put before the context."""
+    material = slots_of(prefix_runs)
+    return reference_json(task, page_url, material[:PREFIX_BUDGET],
+                          material[PREFIX_BUDGET:] + slots_of(context_runs), target)
 
 
 def two_section_page():
@@ -367,32 +383,49 @@ class TestTaskExample:
             TokenRun("text", Origin.CAPTION, ["x"])
         with pytest.raises(ValueError):
             TokenRun("image", Origin.CONTEXT_IMAGE, ("v", 7))
-        # prefix_len is an int, and a bool is not read as 0 or 1
+        # every field is refused when constructed, not when serialized
         runs = (text_run("a b"),)
-        for bad in (1.0, 2.5, True):
-            with pytest.raises(ValueError):
-                TaskExample(Task.PAGE_DESCRIPTION, runs, bad, "", "https://e.org/wiki/X")
-        # every other field is refused when constructed, not when serialized
         url = "https://e.org/wiki/X"
-        for task, bad_runs, target, page_url in (
-            ("page_description", runs, "", url),
-            (Task.PAGE_DESCRIPTION, list(runs), "", url),
-            (Task.PAGE_DESCRIPTION, runs, 3, url),
-            (Task.PAGE_DESCRIPTION, runs, "", None),
+        for task, prefix, context, target, page_url in (
+            ("page_description", runs, runs, "", url),
+            (Task.PAGE_DESCRIPTION, list(runs), runs, "", url),
+            (Task.PAGE_DESCRIPTION, runs, list(runs), "", url),
+            (Task.PAGE_DESCRIPTION, runs, runs, 3, url),
+            (Task.PAGE_DESCRIPTION, runs, runs, "", None),
         ):
             with pytest.raises(TypeError):
-                TaskExample(task, bad_runs, 0, target, page_url)
+                TaskExample(task, prefix, context, target, page_url)
+
+    def test_prefix_over_budget_refused(self):
+        def example(n_prefix):
+            run = TokenRun("text", Origin.SECTION_BODY, ("x",) * n_prefix)
+            return TaskExample(Task.PAGE_DESCRIPTION, (run,), (text_run("y"),), "", "https://e.org/wiki/X")
+
+        assert example(PREFIX_BUDGET).prefix_len == PREFIX_BUDGET
+        with pytest.raises(ValueError):
+            example(PREFIX_BUDGET + 1)
+        # the budget bounds the prefix, not the runs: two runs over it are refused too
+        half = TokenRun("text", Origin.SECTION_BODY, ("x",) * (PREFIX_BUDGET // 2 + 1))
+        with pytest.raises(ValueError):
+            TaskExample(Task.PAGE_DESCRIPTION, (half, half), (), "", "https://e.org/wiki/X")
 
     def test_runs_must_be_token_runs(self):
         slots = _example([text_run("a b")], "").slots
         with pytest.raises(TypeError):
-            TaskExample(Task.PAGE_DESCRIPTION, (slots,), 0, "", "https://e.org/wiki/X")
+            TaskExample(Task.PAGE_DESCRIPTION, (slots,), (), "", "https://e.org/wiki/X")
+        with pytest.raises(TypeError):
+            TaskExample(Task.PAGE_DESCRIPTION, (), (slots,), "", "https://e.org/wiki/X")
 
     def test_equality_compares_run_boundaries(self):
-        one = TaskExample(Task.PAGE_DESCRIPTION, (text_run("a b"),), 0, "", "https://e.org/wiki/X")
-        two = TaskExample(Task.PAGE_DESCRIPTION, (text_run("a"), text_run("b")), 0, "", "https://e.org/wiki/X")
+        url = "https://e.org/wiki/X"
+        one = TaskExample(Task.PAGE_DESCRIPTION, (), (text_run("a b"),), "", url)
+        two = TaskExample(Task.PAGE_DESCRIPTION, (), (text_run("a"), text_run("b")), "", url)
         assert one.slots == two.slots
         assert one != two
+        # the boundary between prefix and context counts as well
+        three = TaskExample(Task.PAGE_DESCRIPTION, (text_run("a"),), (text_run("b"),), "", url)
+        assert three.slots == two.slots
+        assert three != two
 
 
 class TestTokenRuns:
@@ -417,7 +450,7 @@ class TestTokenRuns:
         a = build_section_summarization_input(page, 1)
         b = build_section_summarization_input(page, 2)
         c = build_image_caption_input(page, 1, 0)
-        section3 = [[run for run in ex.runs if run.origin is Origin.SECTION_BODY][-1] for ex in (a, b, c)]
+        section3 = [[run for run in ex.prefix + ex.context if run.origin is Origin.SECTION_BODY][-1] for ex in (a, b, c)]
         assert section3[0].values == tuple(tokenize("a. b. c. d. e. f."))
         assert section3[0] is section3[1] is section3[2]
 
@@ -427,31 +460,35 @@ class TestTokenRuns:
         a = build_section_summarization_input(self.make_page(), 1)
         b = build_section_summarization_input(self.make_page(), 1)
         assert a == b
-        assert not any(x is y for x, y in zip(a.runs, b.runs))
+        assert not any(x is y for x, y in zip(a.prefix + a.context, b.prefix + b.context))
 
     def test_runs_hold_the_slots(self):
         page = self.make_page()
         for ex in (build_page_description_input(page), build_section_summarization_input(page, 2),
                    build_image_caption_input(page, 1, 2)):
-            assert all(ex.runs)
-            slots = iter(ex.slots)
-            for run in ex.runs:
-                for value in run.values:
-                    s = next(slots)
-                    assert s["kind"] == run.kind and s["origin"] == run.origin.value
-                    assert s["token" if run.kind == "text" else "image"] == value
-            assert next(slots, None) is None
+            assert all(ex.prefix) and all(ex.context)
+            for runs, slots in ((ex.prefix, prefix_of(ex)), (ex.context, context_of(ex))):
+                slots = iter(slots)
+                for run in runs:
+                    for value in run.values:
+                        s = next(slots)
+                        assert s["kind"] == run.kind and s["origin"] == run.origin.value
+                        assert s["token" if run.kind == "text" else "image"] == value
+                assert next(slots, None) is None
 
     def test_json_line_when_the_cap_cuts_a_run(self):
         page = self.make_page(long_target=True)
-        for ex in (build_section_summarization_input(page, 1), build_image_caption_input(page, 1, 0)):
+        own = page_runs(page).sections[1]
+        for ex, cut in ((build_section_summarization_input(page, 1), own.rest),
+                        (build_image_caption_input(page, 1, 0), own.body)):
             assert ex.prefix_len == PREFIX_BUDGET
-            ends, total = set(), 0
-            for run in ex.runs:
-                total += len(run)
-                ends.add(total)
-            assert PREFIX_BUDGET not in ends  # the cap falls inside a run
-            assert ex.to_json_line() == reference_line(ex)
+            # the cap falls inside a run: its two parts end the prefix and start the context
+            head, tail = ex.prefix[-1], ex.context[0]
+            assert head and tail and head is not cut and tail is not cut
+            assert (head.kind, head.origin) == (tail.kind, tail.origin) == (cut.kind, cut.origin)
+            assert head.values + tail.values == cut.values
+            expect = reference_cut_line(ex.task, page.url, ex.prefix[:-1] + (cut,), ex.context[1:], ex.target_text)
+            assert ex.to_json_line() == expect == reference_line(ex)
 
     @pytest.mark.parametrize("variant", list(PageDescPrefix), ids=lambda v: v.value)
     def test_json_line_matches_reference(self, variant):
@@ -461,27 +498,43 @@ class TestTokenRuns:
         for ex in examples:
             assert ex.to_json_line() == reference_line(ex)
 
-    def test_directly_built_example_at_every_prefix_len(self):
-        runs = (
+    def test_assembly_cuts_at_every_position(self):
+        runs = [
             text_run('a "b" \\ é'),
             SectionRuns(Section(index=2)).marker,
             TokenRun("text", Origin.CAPTION, ("\x01\u2028\ud800/", "x")),
             TokenRun("image", Origin.TARGET_IMAGE, ('vec "7"\n', "v")),
-        )
-        for k in range(sum(map(len, runs)) + 1):
-            ex = TaskExample(Task.IMAGE_CAPTIONING, runs, k, "t\n", "https://e.org/wiki/Ü")
+        ]
+        context = [text_run("after it")]
+        page = Page(url="https://e.org/wiki/Ü")
+        n_slots = sum(map(len, runs))
+        for cut in range(n_slots + 1):
+            # a pad run puts the cap at slot `cut` of the four runs
+            pad = TokenRun("text", Origin.PAGE_TITLE, ("p",) * (PREFIX_BUDGET - cut))
+            ex = _assemble(Task.IMAGE_CAPTIONING, page, [pad, *runs], context, "t\n")
+            assert ex.prefix_len == PREFIX_BUDGET
+            assert ex.to_json_line() == reference_cut_line(ex.task, page.url, [pad, *runs], context, "t\n")
             assert ex.to_json_line() == reference_line(ex)
-        empty = TaskExample(Task.PAGE_DESCRIPTION, (), 0, "", "https://e.org/wiki/E")
+            # only the run the cap falls inside is replaced by its parts
+            starts = [sum(map(len, runs[:i])) for i in range(len(runs))]
+            untouched = [run for run, start in zip(runs, starts) if not start < cut < start + len(run)]
+            assert [run for run in runs if any(run is r for r in ex.prefix + ex.context)] == untouched
+            assert ex.prefix[0] is pad and ex.context[-1] is context[0]
+        empty = TaskExample(Task.PAGE_DESCRIPTION, (), (), "", "https://e.org/wiki/E")
         assert empty.to_json_line() == reference_line(empty)
+        assert _assemble(Task.PAGE_DESCRIPTION, Page(url="https://e.org/wiki/E"), [], [], "") == empty
 
     def test_empty_runs_serialize_as_nothing(self):
         ab, c = text_run("a b"), text_run("c")
         empty = TokenRun("text", Origin.SECTION_BODY)
         runs = (empty, ab, TokenRun("image", Origin.CONTEXT_IMAGE), c, empty)
-        for k in range(4):
-            ex = TaskExample(Task.PAGE_DESCRIPTION, runs, k, "t", "https://e.org/wiki/E")
+        for n in range(len(runs) + 1):
+            ex = TaskExample(Task.PAGE_DESCRIPTION, runs[:n], runs[n:], "t", "https://e.org/wiki/E")
             assert ex.slots == reference_slots(ab) + reference_slots(c)
             assert ex.to_json_line() == reference_line(ex)
+        # assembly drops them
+        ex = _assemble(Task.PAGE_DESCRIPTION, Page(url="https://e.org/wiki/E"), list(runs[:3]), list(runs[3:]), "t")
+        assert ex.prefix == (ab,) and ex.context == (c,)
 
     def test_slots_are_derived_not_stored(self):
         page = self.make_page(long_target=True)
@@ -497,13 +550,11 @@ class TestTokenRuns:
     @pytest.mark.parametrize("run", [
         TokenRun("text", Origin.CAPTION, ("a", '"b"', "\\", "é", "\x01\u2028\ud800/")),
         TokenRun("image", Origin.TARGET_IMAGE, ('vec "7"\n', "v", "ü")),
-    ], ids=["text", "image"])
-    def test_members_is_the_json_of_a_slice(self, run):
-        for a in range(len(run) + 1):
-            for b in range(a, len(run) + 1):
-                expect = json.dumps(reference_slots(run)[a:b], ensure_ascii=False, separators=(",", ":"))
-                assert f"[{run.members(a, b)}]" == expect
-        assert run.json == run.members() == run.members(0, len(run))
+        TokenRun("text", Origin.SECTION_BODY),
+    ], ids=["text", "image", "empty"])
+    def test_json_is_the_reference_slots(self, run):
+        expect = json.dumps(reference_slots(run), ensure_ascii=False, separators=(",", ":"))
+        assert f"[{run.json}]" == expect
 
     @pytest.mark.parametrize("task", list(Task), ids=lambda t: t.value)
     def test_demo_examples_match_reference(self, task):
@@ -547,6 +598,10 @@ class TestLeakScan:
         assert not leaks_target(_example([text_run("the gray"), image, text_run("tower")], "the gray tower"))
         # without the image the same text leaks, across a run boundary
         assert leaks_target(_example([text_run("the gray"), text_run("tower", Origin.CAPTION)], "the gray tower"))
+        # and across the boundary between prefix and context
+        split = TaskExample(Task.PAGE_DESCRIPTION, (text_run("the gray"),), (text_run("tower"),),
+                            "the gray tower", "https://e.org/wiki/X")
+        assert leaks_target(split)
 
     def test_empty_target_never_leaks(self):
         assert not leaks_target(_example([text_run("x")], ""))
@@ -558,10 +613,4 @@ class TestLeakScan:
 
 
 def _example(runs, target):
-    return TaskExample(
-        task=Task.PAGE_DESCRIPTION,
-        runs=tuple(runs),
-        prefix_len=min(sum(map(len, runs)), PREFIX_BUDGET),
-        target_text=target,
-        source_page_url="https://e.org/wiki/X",
-    )
+    return _assemble(Task.PAGE_DESCRIPTION, Page(url="https://e.org/wiki/X"), list(runs), [], target)
