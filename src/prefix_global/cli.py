@@ -192,7 +192,7 @@ def attend(kind, length, dim, radius, prefix_k, block, seed, scale, check_oracle
 @click.argument("corpus", type=click.Path(exists=True, dir_okay=False))
 @click.option("--task", type=click.Choice([t.value for t in Task]), required=True)
 @click.option("--out-dir", type=click.Path(file_okay=False), required=True)
-@click.option("--threshold", type=int, default=DEFAULT_CONTENT_SECTION_THRESHOLD, show_default=True,
+@click.option("--threshold", type=click.IntRange(min=0), default=DEFAULT_CONTENT_SECTION_THRESHOLD, show_default=True,
               help="Minimum content sections for page description eligibility.")
 @click.option("--variant", type=click.Choice([v.value for v in PageDescPrefix]),
               default=PageDescPrefix.TITLES_AND_FIRST_SENTENCES.value, show_default=True,
@@ -202,16 +202,21 @@ def attend(kind, length, dim, radius, prefix_k, block, seed, scale, check_oracle
 def build(corpus, task, out_dir, threshold, variant, lenient):
     """Build one task dataset from a JSONL corpus: train/val/test example
     files plus an accounting report."""
+    out = pathlib.Path(out_dir)
+    split_paths = {split: out / f"{split}.jsonl" for split in ("train", "val", "test")}
     try:
+        if any(path.exists() and os.path.samefile(corpus, path)
+               for path in [*split_paths.values(), out / "report.json"]):
+            raise click.ClickException(f"corpus {corpus} is also an output file in {out_dir}; not overwriting it")
+        digest = _file_digest(corpus)
         # a strict-mode CorpusError surfaces here, before any split file is opened
         routed, report = build_dataset(iter_corpus(corpus, strict=not lenient), Task(task),
                                        threshold=threshold, variant=PageDescPrefix(variant))
-        out = pathlib.Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         handles = {}
         try:
-            for split in ("train", "val", "test"):
-                handles[split] = open(out / f"{split}.jsonl", "w", encoding="utf-8")
+            for split, path in split_paths.items():
+                handles[split] = open(path, "w", encoding="utf-8")
             for r in routed:
                 handles[r.split].write(r.example.to_json_line() + "\n")
         finally:
@@ -221,7 +226,7 @@ def build(corpus, task, out_dir, threshold, variant, lenient):
             "version": __version__,
             "config": {"task": task, "threshold": threshold, "variant": variant,
                        "lenient": lenient},
-            "input": {"path": os.fspath(corpus), "sha256": _file_digest(corpus)},
+            "input": {"path": os.fspath(corpus), "sha256": digest},
             "accounting": report.to_dict(),
         }
         (out / "report.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",

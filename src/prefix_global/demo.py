@@ -8,395 +8,20 @@ a non-jpeg/png image, a 9-image page (6-image prefix cap), and a page whose
 prefix material overflows the 512-slot budget. Page names were chosen so the
 URL hash routes pages into all three splits.
 
-The JSONL shipped under data/ is exactly write_demo_corpus output; a test
-regenerates it and compares bytes.
+The JSONL shipped under data/ is the one copy of the corpus; a test pins its
+sha256, so its bytes cannot change unnoticed.
 """
 
 from __future__ import annotations
 
-import json
 from importlib import resources
 
-BASE_URL = "https://site.example/wiki"
 CORPUS_RESOURCE = "demo_corpus.jsonl"
 
 
-def _img(slug, n, ref, alt, attr, mime="image/jpeg", wit=True):
-    ext = {"image/jpeg": "jpg", "image/png": "png"}.get(mime, "webp")
-    return {
-        "section_image_url": f"https://img.example/{slug}/{n:02d}.{ext}",
-        "section_image_mime_type": mime,
-        "section_image_raw_ref_desc": ref,
-        "section_image_alt_text_desc": alt,
-        "section_image_raw_attr_desc": attr,
-        "section_image_in_WIT": wit,
-        "embedding_id": f"img-{slug}-{n:02d}",
-    }
-
-
-def _sec(index, title, text, parent=None, table=False, images=()):
-    return {
-        "section_index": index,
-        "section_title": title,
-        "section_text": text,
-        "section_parent_index": parent,
-        "section_contains_table_or_list": table,
-        "images": list(images),
-    }
-
-
-def _page(name, title, desc, sections):
-    return {
-        "page_url": f"{BASE_URL}/{name}",
-        "page_title": title,
-        "raw_page_description": desc,
-        "sections": sections,
-    }
-
-
-def _meadow_page():
-    sections = [
-        _sec(0, "", "The meadow lies above the treeline. Grasses dominate its southern slope.")
-    ]
-    for i, letter in enumerate("ABCDEFGHIJK", start=1):
-        first = f"Plot {letter} holds " + " ".join(f"specimen{j:02d}" for j in range(44)) + "."
-        sections.append(_sec(i, f"Plot {letter}", first + " It was remapped in a later season."))
-    return _page(
-        "Alpine_Meadow_Flora",
-        "Alpine Meadow Flora",
-        "An alpine meadow noted for its unusually dense summer flora.",
-        sections,
-    )
-
-
-def demo_records() -> list[dict]:
-    return [
-        _page(
-            "Aster_Lighthouse",
-            "Aster Lighthouse",
-            "A sandstone lighthouse that has guarded the Aster estuary since 1834.",
-            [
-                _sec(0, "", "The tower rises forty metres above the tide line. Its twin beacons sweep the estuary after dusk."),
-                _sec(1, "History",
-                     "Construction began after the wreck of the Marguerite. Local quarries supplied the facing stone. "
-                     "The first keeper took post in 1834. Supplies arrived by rowing boat until 1901. "
-                     "The light was electrified two generations later. A storm in 1956 carried away the landing stage.",
-                     images=[
-                         _img("aster", 1, "keepers rowing supplies ashore", "two keepers in a rowing boat", "archive scan of a glass plate"),
-                         _img("aster", 2, "the original oil lantern assembly", "oil lantern", "museum photograph"),
-                     ]),
-                _sec(2, "Design",
-                     "The tower tapers from a twelve sided base. Each course of stone is dovetailed into its neighbours. "
-                     "The lamp room sits behind storm glass. A cast bronze cupola crowns the gallery. "
-                     "Ventilation shafts spiral inside the walls.",
-                     images=[
-                         _img("aster", 3, "cutaway drawing of the lamp room", "sectional drawing", "engraving from a survey report", mime="image/png"),
-                     ]),
-                _sec(3, "Gallery", "", images=[
-                    _img("aster", 4, "storm over the breakwater wall", "storm seas", "weather service still", mime="image/webp"),
-                    _img("aster", 5, "fog rolling past the lantern", "fog bank", "visitor snapshot", wit=False),
-                ]),
-                _sec(4, "See also", ""),
-            ],
-        ),
-        _page(
-            "List_of_River_Crossings",
-            "List of River Crossings",
-            "A catalogue of bridges and fords across the upper river valley.",
-            [
-                _sec(0, "", "The valley has been bridged since Roman times."),
-                _sec(1, "Spans",
-                     "The oldest span is the packhorse bridge at Wath. Seven crossings carry modern roads. "
-                     "Three fords remain in seasonal use. The railway viaduct has nine arches. "
-                     "Two footbridges serve the nature reserve. The newest crossing opened in 2011.",
-                     table=True),
-                _sec(2, "Notes",
-                     "Flood marks are cut into the abutments at Wath. The packhorse bridge is a scheduled monument. "
-                     "Tolls were collected until 1894. The viaduct was repointed in the 1980s. "
-                     "Winter spates still close the lower fords."),
-            ],
-        ),
-        _page(
-            "Fog_Signal_Stub",
-            "Fog Signal Stub",
-            "",
-            [
-                _sec(0, "",
-                     "A compressed air fog signal stood on the point. Its twin horns faced the shipping channel. "
-                     "The engine house held two oil engines. Blasts sounded every ninety seconds in thick weather. "
-                     "The station closed when radar became common."),
-                _sec(1, "Operation",
-                     "Air was stored in riveted iron receivers. A clockwork timer spaced the blasts. "
-                     "Keepers stoked the compressor through long fogs. The horns could be heard eleven miles out."),
-                _sec(2, "Relics",
-                     "The engine house survives as a store. One horn is displayed at the maritime museum.",
-                     images=[_img("fogsignal", 1, "brass horn", "horn", "museum label")]),
-            ],
-        ),
-        _page(
-            "Tidal_Mill",
-            "Tidal Mill",
-            "A restored mill that grinds grain on the ebb tide.",
-            [
-                _sec(0, "",
-                     "A mill has stood on the creek since 1586. The present building dates from 1793. "
-                     "It worked two tides a day until 1936."),
-                _sec(1, "Mechanism",
-                     "The pond fills through sluice gates on the flood. Falling water turns an undershot wheel. "
-                     "Oak gearing steps the drive up to the stones. Two pairs of stones grind in tandem. "
-                     "The miller worked whatever hours the tide set.",
-                     images=[_img("tidalmill", 1, "oak gears meshing under the floor", "wooden gearing", "heritage trust photograph")]),
-            ],
-        ),
-        _page(
-            "Harbor_Crane",
-            "Harbor Crane",
-            "A medieval treadwheel crane preserved on the old quay.",
-            [
-                _sec(0, "",
-                     "A treadwheel crane has stood on the quay since 1667. Two men walking inside its wheels lifted the loads."),
-                _sec(1, "External links", ""),
-            ],
-        ),
-        _page(
-            "Granite_Quarry",
-            "Granite Quarry",
-            "A terraced quarry that supplied granite for the coastal forts.",
-            [
-                _sec(0, "",
-                     "The quarry terraces step down the headland in five lifts. Granite from here faced the harbour forts."),
-                _sec(1, "Extraction",
-                     "Plug and feather holes still mark the benches. Black powder opened the deeper lifts. "
-                     "Derricks swung the blocks onto flat wagons. An incline lowered wagons to the dressing floor. "
-                     "Masons squared the blocks under open sheds. Waste stone went into the harbour moles. "
-                     "The last face was worked in 1931.",
-                     images=[
-                         _img("quarry", 1, "derrick swinging a rough block", "quarry derrick", "survey collection print"),
-                         _img("quarry", 2, "plug marks along a quarry bench", "drill marks", "field recording sheet"),
-                         _img("quarry", 3, "the incline winding house", "winding house", "railway society plate"),
-                         _img("quarry", 4, "masons dressing stone in the sheds", "dressing sheds", "trade journal figure"),
-                     ]),
-                _sec(2, "Transport",
-                     "A private quay served the quarry from the start. Ketches carried dressed stone along the coast. "
-                     "The broad gauge siding arrived in 1874. Traction engines worked the final years. "
-                     "One crane jib survives beside the slip.",
-                     images=[
-                         _img("quarry", 5, "ketch loading at the quarry quay", "loading ketch", "harbour board album"),
-                         _img("quarry", 6, "flat wagons on the broad siding", "stone wagons", "railway society plate two"),
-                         _img("quarry", 7, "a traction engine hauling blocks", "traction engine", "parish fair postcard"),
-                         _img("quarry", 8, "the surviving crane jib at dusk", "crane jib", "amateur slide"),
-                         _img("quarry", 9, "dressed kerbs stacked for shipment", "kerb stacks", "export ledger photograph"),
-                     ]),
-            ],
-        ),
-        _meadow_page(),
-        _page(
-            "Clockwork_Planetarium",
-            "Clockwork Planetarium",
-            "A room sized clockwork model of the solar system completed in 1774.",
-            [
-                _sec(0, "",
-                     "The planetarium fills the upper hall of the academy. Its gears model the six planets then known."),
-                _sec(1, "Mechanics", ""),
-                _sec(2, "Gear trains",
-                     "The main train is cut from hardened brass. A single weight drives the whole model. "
-                     "Ratios follow the tables of the royal almanac. The slowest wheel turns once in thirty years. "
-                     "An escapement the size of a hand regulates it all.",
-                     parent=1),
-                _sec(3, "Orrery dome",
-                     "Painted constellations line the dome above the orrery. The planets ride on telescoping brass arms. "
-                     "Moons are geared to their own epicycles. A lamp at the centre stands for the sun. "
-                     "Visitors crank a handle to run a year in a minute. The comet of 1769 has its own eccentric track.",
-                     parent=1,
-                     images=[_img("planetarium", 1, "brass planets orbiting the lamp", "orrery arms", "academy catalogue plate")]),
-                _sec(4, "Notes", ""),
-            ],
-        ),
-        _page(
-            "Village_Bakery",
-            "Village Bakery",
-            "A communal wood fired bakery serving three hill villages.",
-            [
-                _sec(0, "",
-                     "The bakery was raised by subscription in 1811. Three villages share its single great oven. "
-                     "Families marked loaves with wooden stamps. The oven fires on faggots of gorse. "
-                     "Heat is judged by the colour of the soot. Baking days rotate among the hamlets. "
-                     "The building doubles as a meeting room. It still bakes on winter feast days."),
-            ],
-        ),
-        _page(
-            "Iron_Aqueduct",
-            "Iron Aqueduct",
-            "A cast iron aqueduct carrying the canal across the gorge.",
-            [
-                _sec(0, "",
-                     "The aqueduct strides the gorge on six iron arches. Its trough holds the canal in a single casting."),
-                _sec(1, "Dimensions",
-                     "The trough runs 286 feet between abutments. Each arch spans just under fifty feet. "
-                     "The waterway is twelve feet wide. Depth of water is five feet six inches. "
-                     "The towpath cantilevers off the east flange. Headroom above the river is ninety feet.",
-                     table=True),
-                _sec(2, "Construction",
-                     "Castings came from the valley foundry by sledge. Masons dressed the abutments through two winters. "
-                     "The trough sections were caulked with flannel and lead. A horse walked the first boat across in 1805. "
-                     "Engineers inspected the flanges by lantern light."),
-                _sec(3, "Materials",
-                     "The arches are grey cast iron throughout. Wrought straps tie the spandrels. "
-                     "Abutments are coursed limestone from the gorge. The towpath plates were rolled at the same works. "
-                     "Paint analysis found the first coat was ochre.",
-                     images=[_img("aqueduct", 1, "limestone blocks laid in courses", "abutment masonry", "survey photograph", mime="image/png")]),
-            ],
-        ),
-        _page(
-            "Paper_Lantern_Festival",
-            "Paper Lantern Festival",
-            "An autumn festival in which paper lanterns are floated downstream.",
-            [
-                _sec(0, "",
-                     "The festival closes the harvest month on the river. Every household folds at least one lantern."),
-                _sec(1, "Celebration",
-                     "Drummers lead the procession to the water gate. Children carry lanterns on split bamboo frames. "
-                     "Elders light the wicks from a shared brazier. The current carries the fleet under the old bridge. "
-                     "Singers answer each other across the banks. The last lantern is retrieved as a keepsake.",
-                     images=[
-                         _img("lantern", 1, "lanterns drifting over the river", "drifting lanterns", "festival committee still"),
-                         _img("lantern", 2, "children carrying bamboo frames", "lantern bearers", "local press photograph"),
-                     ]),
-            ],
-        ),
-        _page(
-            "Dry_Stone_Wall",
-            "Dry Stone Wall",
-            "A network of mortarless field walls enclosing the upland pastures.",
-            [
-                _sec(0, "",
-                     "Field walls climb from the valley floor to the fell tops. No mortar binds a single stone."),
-                _sec(1, "Technique",
-                     "Each wall rises from a trench of founding stones. Two faces lean into a rubble heart. "
-                     "Through stones cross the full width at intervals. Coping stones lock the top course. "
-                     "A waller judges every stone by hand once.",
-                     images=[_img("drystone", 1, "coping stones capping the wall", "wall top detail", "field guide plate")]),
-            ],
-        ),
-        _page(
-            "Wind_Pump",
-            "Wind Pump",
-            "A steel windmill that lifts marsh water into the drainage canal.",
-            [
-                _sec(0, "",
-                     "A steel windmill has drained the marsh since 1923. Its tail vane swings the rotor into the wind."),
-                _sec(1, "Sails",
-                     "Eighteen curved blades make up the rotor. The gearbox converts rotation to a pump stroke. "
-                     "A tail vane holds the head square to the wind. Storm latches furl the rotor in gales. "
-                     "Greasing the bearings is the only upkeep."),
-            ],
-        ),
-        _page(
-            "Salt_Evaporation_Pond",
-            "Salt Evaporation Pond",
-            "A chain of shallow ponds where sea salt is harvested by hand.",
-            [
-                _sec(0, "",
-                     "Nine shallow ponds step toward the lagoon mouth. Each pond concentrates the brine a little further."),
-                _sec(1, "Harvest",
-                     "Sea water enters the first pond at spring tides. Sun and wind do the slow work of the chain. "
-                     "Crystals form first along the pond margins. Rakers draw the salt into low ridges. "
-                     "Baskets carry the harvest to the washing floor.",
-                     images=[_img("saltpond", 1, "rakes drawing salt into ridges", "salt raking", "cooperative archive print", mime="image/png")]),
-            ],
-        ),
-        _page(
-            "Charcoal_Kiln",
-            "Charcoal Kiln",
-            "A clay charcoal kiln rebuilt each season by the colliers.",
-            [
-                _sec(0, "",
-                     "Colliers rebuild the clay kiln at every burn. A burn takes four days and four nights."),
-                _sec(1, "Firing",
-                     "Billets stack in a dome around the chimney stake. Turf and clay seal the whole heap. "
-                     "The stake is drawn and embers dropped in. Smoke colour tells the collier how the burn runs. "
-                     "Vents open and close to steer the fire.",
-                     images=[_img("kiln", 1, "smoke seeping from the clay dome", "sealed kiln smoking", "forest commission slide")]),
-                _sec(2, "Imagery", "", images=[
-                    _img("kiln", 2, "kiln glowing at nightfall", "night burn", "visitor photograph"),
-                ]),
-            ],
-        ),
-        _page(
-            "Bog_Oak_Railway",
-            "Bog Oak Railway",
-            "A narrow gauge railway laid to carry bog oak out of the moss.",
-            [
-                _sec(0, "",
-                     "A narrow gauge line crosses the moss on larch piles. It was laid to carry bog oak to the sawmill."),
-                _sec(1, "Route",
-                     "The line leaves the sawmill yard on a timber trestle. Passing loops sit at the two cutting faces. "
-                     "Rails float on brushwood fascines over soft ground. Horses worked the line before the petrol locomotive. "
-                     "The outer mile was lifted in 1967.",
-                     images=[_img("bogoak", 1, "wagons loaded with black oak trunks", "loaded wagons", "sawmill album page")]),
-            ],
-        ),
-        _page(
-            "Signal_Box",
-            "Signal Box",
-            "A timber signal box controlling the junction south of the station.",
-            [
-                _sec(0, "", "The box controlled the junction for ninety one years."),
-                _sec(1, "References", ""),
-            ],
-        ),
-        _page(
-            "Watermill_Ledger",
-            "Watermill Ledger",
-            "",
-            [
-                _sec(0, "",
-                     "The ledger records every grinding at the mill. Entries run unbroken from 1784 to 1902. "
-                     "Its vellum binding survived two floods."),
-                _sec(1, "Entries",
-                     "Each entry lists the farm and the sacks brought in. Toll corn is struck through in red. "
-                     "Wet summers show as weeks of thin custom. The miller noted ice days in the margin. "
-                     "A later hand indexed the family names."),
-            ],
-        ),
-        _page(
-            "Cobblestone_Street",
-            "Cobblestone Street",
-            "A steep cobbled street kept in its eighteenth century form.",
-            [
-                _sec(0, "",
-                     "The street climbs from the harbour in a single curve. Its cobbles were laid by ships ballast."),
-                _sec(1, "Paving",
-                     "Setts are packed in fan patterns up the slope. A central gutter sheds storm water. "
-                     "Kerbs came from the granite quarry terraces. Horses gained footing on the raked joints. "
-                     "Repairs reuse every lifted stone.",
-                     images=[_img("cobble", 1, "setts packed in fan patterns", "fan pattern paving", "conservation report figure")]),
-            ],
-        ),
-        _page(
-            "Fulling_Mill",
-            "Fulling Mill",
-            "A water powered mill where woven cloth was cleaned and thickened.",
-            [
-                _sec(0, "",
-                     "The mill thickened woven cloth for the valley weavers. Its hammers ran day and night at the peak."),
-                _sec(1, "Process",
-                     "Cloth soaks in troughs of fullers earth. Oak hammers pound the weave for hours. "
-                     "The wheel lifts each hammer twice a turn. Tenters stretch the finished cloth on the green. "
-                     "The nap is raised with teasel heads.",
-                     images=[_img("fulling", 1, "hammers pounding wet cloth", "fulling stocks", "postcard reproduction", wit=False)]),
-            ],
-        ),
-    ]
-
-
-def render_demo_corpus() -> str:
-    return "\n".join(json.dumps(r, ensure_ascii=False) for r in demo_records()) + "\n"
-
-
 def write_demo_corpus(path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_demo_corpus())
+    with open(path, "wb") as fh:
+        fh.write(demo_corpus_path().read_bytes())
 
 
 def demo_corpus_path():

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 # assign_split is defined in page and re-exported from here
-from .page import MalformedRecord, SectionClass, assign_split
+from .page import MalformedRecord, SectionClass, _is_int, assign_split
 from .sequence import (
     REASON_PARSE_ERROR,
     PageDescPrefix,
@@ -74,9 +74,13 @@ def build_dataset(
     Returns routed examples in canonical order (page order, then section or
     image order within a page) and an accounting report. The source is
     iterated once. Each candidate's check runs first; its example is built
-    only when the check finds no reason.
+    only when the check finds no reason. A bad task, variant or threshold
+    (anything but an int >= 0) raises ValueError before the source is read.
     """
     task = Task(task)
+    variant = PageDescPrefix(variant)
+    if not _is_int(threshold) or threshold < 0:
+        raise ValueError(f"threshold must be an int >= 0, got {threshold!r}")
     report = FilterReport(task=task)
     routed = []
 
@@ -109,7 +113,7 @@ def build_dataset(
 def nearest_rank(values, pct: float):
     """Nearest-rank percentile: the value at rank ceil(pct/100 * n), for
     0 < pct <= 100."""
-    if not 0 < pct <= 100:
+    if isinstance(pct, bool) or not 0 < pct <= 100:
         raise ValueError(f"percentile {pct} outside (0, 100]")
     data = sorted(values)
     if not data:

@@ -18,7 +18,7 @@ from click.testing import CliRunner
 
 from prefix_global.cli import main as cli_main
 from prefix_global.cost import accounted_pairs, mask_nnz
-from prefix_global.demo import demo_corpus_path, render_demo_corpus
+from prefix_global.demo import demo_corpus_path
 from prefix_global.kernel import KernelStats, sparse_attention, tglobal_attention
 from prefix_global.page import iter_corpus
 from prefix_global.patterns import build_mask, full, local, prefix_global, tglobal
@@ -260,7 +260,7 @@ def test_c7_pipeline_accounting_and_determinism(capfd, tmp_path):
             redo, _ = _dataset_digest(task)
             assert redo == digest, f"{task.value} differs on rerun"
         bad = tmp_path / "bad.jsonl"
-        bad.write_text(render_demo_corpus() + "{broken\n", encoding="utf-8")
+        bad.write_text(demo_corpus_path().read_text(encoding="utf-8") + "{broken\n", encoding="utf-8")
         _, report = build_dataset(iter_corpus(bad, strict=False), Task.PAGE_DESCRIPTION)
         assert report.rejections.get("parse_error") == 1
         seen_reasons.add("parse_error")

@@ -2,6 +2,8 @@
 structure, and rerun determinism."""
 
 import json
+import os
+import pathlib
 
 import pytest
 from click.testing import CliRunner
@@ -274,6 +276,42 @@ def test_build_missing_corpus_is_usage_error(runner, tmp_path):
     res = invoke(runner, "build", str(tmp_path / "nope.jsonl"),
                  "--task", "page_description", "--out-dir", str(tmp_path / "o"))
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("link", ["same-path", "dotted-path", "hard-link", "symlink"])
+@pytest.mark.parametrize("name", ["train.jsonl", "val.jsonl", "test.jsonl", "report.json"])
+def test_build_refuses_a_corpus_that_is_an_output(runner, tmp_path, name, link):
+    # the run once overwrote its own corpus with a split and reported the
+    # split's digest as the input's
+    body = pathlib.Path(CORPUS).read_bytes()
+    out = tmp_path / "out"
+    out.mkdir()
+    output = out / name
+    if link in ("same-path", "dotted-path"):
+        output.write_bytes(body)
+        corpus = output if link == "same-path" else out / ".." / "out" / name
+    else:
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes(body)
+        if link == "hard-link":
+            os.link(corpus, output)
+        else:
+            output.symlink_to(corpus)
+    res = invoke(runner, "build", str(corpus), "--task", "page_description",
+                 "--out-dir", str(out))
+    assert res.exit_code == 1
+    assert "is also an output file" in res.output
+    assert pathlib.Path(corpus).read_bytes() == body
+    assert [p.name for p in out.iterdir()] == [name]
+
+
+@pytest.mark.parametrize("threshold", ["-1", "1.5", "x"])
+def test_build_rejects_bad_threshold(runner, tmp_path, threshold):
+    out = tmp_path / "out"
+    res = invoke(runner, "build", CORPUS, "--task", "page_description",
+                 "--out-dir", str(out), "--threshold", threshold)
+    assert res.exit_code == 2
+    assert not out.exists()
 
 
 def test_build_variant_changes_examples(runner, tmp_path):

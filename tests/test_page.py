@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prefix_global.demo import demo_records
+from prefix_global.demo import demo_corpus_path
 from prefix_global.page import (
     CorpusError,
     ImageRef,
@@ -463,7 +463,7 @@ IMAGE_FIELDS = ("section_image_url", "section_image_mime_type", "section_image_a
                 "section_image_raw_ref_desc", "section_image_raw_attr_desc", "section_image_in_WIT", "embedding_id")
 FUZZ_VALUES = (None, True, False, 0, -1, 2**70, 1.5, "", "x", "false", [], {}, [1], {"a": 1})
 _DELETE = object()  # the field is removed from the record
-DEMO_RECORDS = demo_records()
+DEMO_RECORDS = [json.loads(line) for line in demo_corpus_path().read_text(encoding="utf-8").splitlines()]
 
 
 @st.composite

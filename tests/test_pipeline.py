@@ -13,7 +13,7 @@ import os
 import pytest
 
 from prefix_global import pipeline, sequence
-from prefix_global.demo import demo_corpus_path, demo_records, render_demo_corpus, write_demo_corpus
+from prefix_global.demo import demo_corpus_path, write_demo_corpus
 from prefix_global.page import iter_corpus
 from prefix_global.pipeline import (
     DEFAULT_CONTENT_SECTION_THRESHOLD,
@@ -125,9 +125,10 @@ def test_routed_split_matches_url_hash():
 
 
 def test_caption_count_equals_recount():
-    # Independent recount straight off the raw records.
+    # Independent recount straight off the raw JSON lines.
     n = 0
-    for rec in demo_records():
+    for line in demo_corpus_path().read_text(encoding="utf-8").splitlines():
+        rec = json.loads(line)
         for sec in rec["sections"]:
             for img in sec["images"]:
                 ok = (
@@ -150,10 +151,26 @@ def test_threshold_monotonicity():
     assert outs[1] == 14  # default threshold
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"threshold": True}, {"threshold": False}, {"threshold": 2.5}, {"threshold": "2"},
+    {"threshold": None}, {"threshold": -1}, {"variant": "titles"},
+], ids=repr)
+@pytest.mark.parametrize("task", list(Task), ids=lambda t: t.value)
+def test_bad_argument_refused_before_the_source_is_read(task, kwargs):
+    # True once read as 1, 2.5 as 3, and "2" or None raised TypeError only
+    # at the first page that reached the threshold check
+    def source():
+        raise AssertionError("the source was read")
+        yield
+
+    with pytest.raises(ValueError):
+        build_dataset(source(), task, **kwargs)
+
+
 def corpus_with_a_bad_line(tmp_path):
     """The demo corpus with one unparseable line, read leniently."""
     path = tmp_path / "corpus.jsonl"
-    lines = render_demo_corpus().splitlines()
+    lines = demo_corpus_path().read_text(encoding="utf-8").splitlines()
     lines.insert(3, "{not json")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return iter_corpus(path, strict=False)
@@ -235,9 +252,14 @@ def test_output_bytes_pinned(task, variant):
     assert hashlib.sha256(blob).hexdigest() == PINNED_DIGESTS[task, variant]
 
 
-def test_bundled_file_matches_generator():
-    with open(demo_corpus_path(), encoding="utf-8") as fh:
-        assert fh.read() == render_demo_corpus()
+# The bundled file is the one copy of the demo corpus, and every golden
+# count and digest here was tallied from these bytes.
+DEMO_CORPUS_SHA256 = "b69d2a477a9636ef1ec8bfa0ee34ad18ccf42994371d24b648ab3e55588d5362"
+
+
+def test_bundled_file_pinned():
+    assert os.path.basename(str(demo_corpus_path())) == "demo_corpus.jsonl"
+    assert hashlib.sha256(demo_corpus_path().read_bytes()).hexdigest() == DEMO_CORPUS_SHA256
 
 
 def test_written_corpus_is_the_bundled_file(tmp_path):
@@ -266,6 +288,13 @@ def test_nearest_rank():
     for pct in (0, -5, 150):
         with pytest.raises(ValueError):
             nearest_rank([1, 2, 3], pct)
+
+
+@pytest.mark.parametrize("pct", [True, False])
+def test_nearest_rank_refuses_bool(pct):
+    # True once gave the first rank
+    with pytest.raises(ValueError):
+        nearest_rank([1, 2, 3], pct)
 
 
 def test_corpus_stats_golden():
@@ -323,4 +352,3 @@ def test_unknown_task_or_variant_refused():
 
 def test_default_threshold_value():
     assert DEFAULT_CONTENT_SECTION_THRESHOLD == 2
-    assert os.path.basename(str(demo_corpus_path())) == "demo_corpus.jsonl"
