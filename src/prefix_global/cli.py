@@ -21,7 +21,7 @@ from . import __version__
 from .cost import accounted_pairs, compare, render_table
 from .kernel import KernelStats, block_average, sparse_attention, tglobal_attention
 from .numcore import dense_attention
-from .page import CorpusError, MalformedRecord, iter_corpus
+from .page import SPLITS, CorpusError, MalformedRecord, iter_corpus
 from .patterns import (
     DEFAULT_BLOCK,
     DEFAULT_PREFIX,
@@ -92,7 +92,10 @@ def mask(kind, length, radius, prefix_k, block, fmt, out):
     if out is None:
         click.echo(rendered, nl=False)
     else:
-        pathlib.Path(out).write_text(rendered, encoding="utf-8")
+        try:
+            pathlib.Path(out).write_text(rendered, encoding="utf-8")
+        except OSError as exc:
+            raise click.ClickException(str(exc)) from exc
         click.echo(f"wrote {fmt} mask to {out}")
 
 
@@ -203,7 +206,7 @@ def build(corpus, task, out_dir, threshold, variant, lenient):
     """Build one task dataset from a JSONL corpus: train/val/test example
     files plus an accounting report."""
     out = pathlib.Path(out_dir)
-    split_paths = {split: out / f"{split}.jsonl" for split in ("train", "val", "test")}
+    split_paths = {split: out / f"{split}.jsonl" for split in SPLITS}
     try:
         if any(path.exists() and os.path.samefile(corpus, path)
                for path in [*split_paths.values(), out / "report.json"]):

@@ -14,60 +14,54 @@ Two counts per pattern, both first-class:
 
 - mask_nnz: the exact number of allowed pairs in the realized mask (windows
   clipped at the edges, prefix/window overlap deduplicated, self included).
+  W(n, r) = n*(2m+1) - m*(m+1), m = min(r, n-1), counts the clipped radius-r
+  windows of n rows. local is W(l, r); tglobal adds l * ceil(l / block) side
+  pairs; prefix-global is k*l + (l-k)*k + W(l-k, r): the prefix rows see every
+  key, and each later row sees the k prefix keys plus its window over the l-k
+  tokens after the prefix, which form a local pattern of their own.
 
 The convention over-charges edge clipping and prefix/window overlap but omits
 the self key, so the two counts can land on either side of each other in
 degenerate corners (tiny r with a long tail of windowed rows). For
-prefix-global with k >= r, mask_nnz <= accounted_pairs exactly when
-l <= k + r*(r+1); at the reference configuration (k=512, r=127) that covers
-every l up to 16,768, far past anything the comparison tables use.
+prefix-global, accounted_pairs - mask_nnz = 2r(l - k) - W(l - k, r), which is
+r*(r+1) - (l - k) once l - k > r and never negative below that: mask_nnz <=
+accounted_pairs exactly when l <= k + r*(r+1). At the reference configuration
+(k=512, r=127) that covers every l up to 16,768, far past anything the
+comparison tables use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .patterns import AttentionPattern, PatternKind
 
 
-def _window_total(l: int, r: int) -> int:
-    """Sum over queries of the clipped window size |{j : |i-j| <= r}|."""
-    i = np.arange(l, dtype=np.int64)
-    lo = np.maximum(i - r, 0)
-    hi = np.minimum(i + r, l - 1)
-    return int((hi - lo + 1).sum())
+def _window_total(n: int, r: int) -> int:
+    """Sum over n queries of the clipped window size |{j : |i-j| <= r}|; 0 for n = 0."""
+    m = min(r, n - 1)
+    return n * (2 * m + 1) - m * (m + 1)
 
 
 def accounted_pairs(pattern: AttentionPattern) -> int:
-    l = pattern.l
-    if pattern.kind is PatternKind.FULL:
-        return l * l
-    if pattern.kind is PatternKind.LOCAL:
-        return _window_total(l, pattern.r)
+    l, r = pattern.l, pattern.r
     if pattern.kind is PatternKind.TGLOBAL:
-        return l * (2 * pattern.r + pattern.side_keys)
-    k = pattern.k
-    return (l - k) * (2 * pattern.r + k) + k * l
+        return l * (2 * r + pattern.side_keys)
+    if pattern.kind is PatternKind.PREFIX_GLOBAL:
+        k = pattern.k
+        return (l - k) * (2 * r + k) + k * l
+    return mask_nnz(pattern)  # full and local: the convention is the exact count
 
 
 def mask_nnz(pattern: AttentionPattern) -> int:
     """Exact allowed-pair count, computed without materializing the mask."""
-    l = pattern.l
+    l, r = pattern.l, pattern.r
     if pattern.kind is PatternKind.FULL:
         return l * l
-    if pattern.kind is PatternKind.LOCAL:
-        return _window_total(l, pattern.r)
-    if pattern.kind is PatternKind.TGLOBAL:
-        return _window_total(l, pattern.r) + l * pattern.side_keys
-    k, r = pattern.k, pattern.r
-    i = np.arange(k, l, dtype=np.int64)
-    lo = np.maximum(i - r, 0)
-    hi = np.minimum(i + r, l - 1)
-    window = hi - lo + 1
-    overlap = np.maximum(np.minimum(hi, k - 1) - lo + 1, 0)
-    return k * l + int((window - overlap + k).sum())
+    if pattern.kind is PatternKind.PREFIX_GLOBAL:
+        k = pattern.k
+        return k * l + (l - k) * k + _window_total(l - k, r)
+    return _window_total(l, r) + l * pattern.side_keys  # local and tglobal; local has no side keys
 
 
 @dataclass(frozen=True)
@@ -111,18 +105,12 @@ _COLUMN_LABELS = {
     PatternKind.FULL: "Full",
     PatternKind.LOCAL: "Local",
 }
-_COLUMN_ORDER = [
-    PatternKind.TGLOBAL,
-    PatternKind.PREFIX_GLOBAL,
-    PatternKind.FULL,
-    PatternKind.LOCAL,
-]
 
 
 def render_table(reports: list[CostReport]) -> str:
     """Accounted pairs as text: one row per sequence length, one column per
     pattern kind, cells thousands-separated."""
-    kinds = [k for k in _COLUMN_ORDER if any(c.pattern.kind is k for c in reports)]
+    kinds = [k for k in _COLUMN_LABELS if any(c.pattern.kind is k for c in reports)]
     lengths = sorted({c.pattern.l for c in reports})
     cells = {(c.pattern.l, c.pattern.kind): c.accounted_pairs for c in reports}
     header = ["Input Length"] + [_COLUMN_LABELS[k] for k in kinds]

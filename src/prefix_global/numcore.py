@@ -78,14 +78,16 @@ def row_softmax(m, additive_mask) -> np.ndarray:
         rows = np.flatnonzero(dead)[:8].tolist()
         raise DegenerateRowError(f"rows with every position masked: {rows}")
 
-    logits = m + np.where(disallowed, 0.0, mask)
-    # Assignment, not addition: adding anything to MASKED would overflow.
-    logits[disallowed] = -np.inf
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    weights = np.exp(shifted)
-    out = weights / weights.sum(axis=1, keepdims=True)
-    if not np.isfinite(out).all():
-        raise ValueError("softmax produced non-finite values")
+    # overflow is refused with ValueError, so numpy need not warn first
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = m + np.where(disallowed, 0.0, mask)
+        # Assignment, not addition: adding anything to MASKED would overflow.
+        logits[disallowed] = -np.inf
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        weights = np.exp(shifted)
+        out = weights / weights.sum(axis=1, keepdims=True)
+        if not np.isfinite(out).all():
+            raise ValueError("softmax produced non-finite values")
     return out
 
 

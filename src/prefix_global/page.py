@@ -2,17 +2,18 @@
 
 Corpus format is one JSON object per line, one page per object, UTF-8.
 Page-level keys: page_url, page_title, raw_page_description, split (optional;
-assigned from the URL hash when absent), sections. Each section object uses
-the same snake_case names: section_index, section_title, section_text,
-section_parent_index, section_depth, section_contains_table_or_list, and an
-images list whose entries carry section_image_url, section_image_mime_type,
-section_image_alt_text_desc, section_image_raw_ref_desc,
-section_image_raw_attr_desc, section_image_in_WIT, embedding_id. The two
-flags, section_contains_table_or_list and section_image_in_WIT, are JSON
-booleans; absent or null is false. Unknown keys are ignored everywhere.
-first/rest sentence fields, if present in a record, are ignored too: both
-are always re-derived with the splitter below so the stored pair can never
-disagree with the stored text.
+a Page without one, parsed or not, gets its URL hash's split), sections. Each
+section object uses the same snake_case names: section_index, section_title,
+section_text, section_parent_index, section_depth,
+section_contains_table_or_list, and an images list whose entries carry
+section_image_url, section_image_mime_type, section_image_alt_text_desc,
+section_image_raw_ref_desc, section_image_raw_attr_desc, section_image_in_WIT,
+embedding_id. The two flags, section_contains_table_or_list and
+section_image_in_WIT, are JSON booleans; absent or null is false. A string
+UTF-8 cannot encode (a lone surrogate, which JSON can escape) is refused.
+Unknown keys are ignored everywhere. first/rest sentence fields, if present in
+a record, are ignored too: both are always re-derived with the splitter below
+so the stored pair can never disagree with the stored text.
 
 The sentence splitter is deliberately naive: the first ., ! or ? followed by
 whitespace (or end of text) ends the first sentence. No abbreviation guard.
@@ -105,7 +106,7 @@ class Page:
     title: str = ""
     raw_description: str = ""
     sections: tuple = ()
-    split: str = "train"
+    split: str | None = None  # None: the split of the URL's hash
     # what later stages derive from this page and keep for as long as the
     # page lives (the sequence builders keep its token runs here); it takes
     # no part in construction, repr or comparison
@@ -114,6 +115,8 @@ class Page:
     def __post_init__(self):
         if not self.url:
             raise CorpusError("page_url must be nonempty")
+        if self.split is None:
+            object.__setattr__(self, "split", assign_split(self.url))
         if self.split not in SPLITS:
             raise CorpusError(f"split must be one of {SPLITS}, got {self.split!r}")
         sections = tuple(self.sections)
@@ -184,15 +187,13 @@ def split_first_sentence(text: str) -> tuple[str, str]:
     return text[:cut], text[cut:].strip()
 
 
-def iter_sentences(text: str):
-    while text:
-        first, text = split_first_sentence(text)
-        if first:
-            yield first
-
-
 def count_sentences(text: str) -> int:
-    return sum(1 for _ in iter_sentences(text))
+    """Sentences split_first_sentence would take off `text` one at a time:
+    one per sentence end, plus one if non-whitespace follows the last."""
+    n = end = 0
+    for n, match in enumerate(_SENTENCE_END_RE.finditer(text), start=1):
+        end = match.end()
+    return n + bool(text[end:].strip())
 
 
 def tokenize(text: str) -> list[str]:
@@ -210,16 +211,17 @@ def _require(obj: dict, key: str, kind, where: str):
     value = obj.get(key)
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise CorpusError(f"{where}: field {key!r} must be {kind.__name__}, got {type(value).__name__}")
+    if kind is str:
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise CorpusError(f"{where}: field {key!r} holds a lone surrogate, which UTF-8 cannot encode") from None
     return value
 
 
 def _optional_str(obj: dict, key: str, where: str) -> str:
-    value = obj.get(key, "")
-    if value is None:
-        return ""
-    if not isinstance(value, str):
-        raise CorpusError(f"{where}: field {key!r} must be a string")
-    return value
+    """The str at `key`; absent or null is ""."""
+    return "" if obj.get(key) is None else _require(obj, key, str, where)
 
 
 def _optional_bool(obj: dict, key: str, where: str) -> bool:
@@ -295,15 +297,12 @@ def parse_page(obj: dict) -> Page:
     sections = []
     for n, raw in enumerate(sections_raw):
         sections.append(parse_section(raw, f"{where} section {n}", sections))
-    split = obj.get("split")
-    if split is None:
-        split = assign_split(url)
     return Page(
         url=url,
         title=_optional_str(obj, "page_title", where),
         raw_description=_optional_str(obj, "raw_page_description", where),
         sections=tuple(sections),
-        split=split,
+        split=obj.get("split"),
     )
 
 

@@ -127,7 +127,10 @@ class AttentionMask:
 
     pattern: AttentionPattern
     rows: tuple
-    side_keys: int
+
+    @property
+    def side_keys(self) -> int:
+        return self.pattern.side_keys
 
     @property
     def n_queries(self) -> int:
@@ -164,18 +167,17 @@ def build_mask(pattern: AttentionPattern) -> AttentionMask:
     if kind is PatternKind.FULL:
         everything = np.arange(l, dtype=np.int64)
         rows = tuple(everything for _ in range(l))
-        return AttentionMask(pattern, rows, 0)
+        return AttentionMask(pattern, rows)
 
     r = pattern.r
     if kind is PatternKind.LOCAL:
         rows = tuple(_window(i, r, l) for i in range(l))
-        return AttentionMask(pattern, rows, 0)
+        return AttentionMask(pattern, rows)
 
     if kind is PatternKind.TGLOBAL:
-        side = pattern.side_keys
-        bank = np.arange(l, l + side, dtype=np.int64)
+        bank = np.arange(l, l + pattern.side_keys, dtype=np.int64)
         rows = tuple(np.concatenate([_window(i, r, l), bank]) for i in range(l))
-        return AttentionMask(pattern, rows, side)
+        return AttentionMask(pattern, rows)
 
     k = pattern.k
     everything = np.arange(l, dtype=np.int64)
@@ -191,7 +193,7 @@ def build_mask(pattern: AttentionPattern) -> AttentionMask:
             rows.append(np.arange(0, hi + 1, dtype=np.int64))
         else:
             rows.append(np.concatenate([prefix_cols, np.arange(lo, hi + 1, dtype=np.int64)]))
-    return AttentionMask(pattern, tuple(rows), 0)
+    return AttentionMask(pattern, tuple(rows))
 
 
 def render_csv(mask: AttentionMask) -> str:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 # assign_split is defined in page and re-exported from here
-from .page import MalformedRecord, SectionClass, _is_int, assign_split
+from .page import SPLITS, MalformedRecord, SectionClass, _is_int, assign_split
 from .sequence import (
     REASON_PARSE_ERROR,
     PageDescPrefix,
@@ -39,7 +39,7 @@ class FilterReport:
     candidates: int = 0
     examples_out: int = 0
     rejections: dict = field(default_factory=dict)
-    splits: dict = field(default_factory=lambda: {"train": 0, "val": 0, "test": 0})
+    splits: dict = field(default_factory=lambda: dict.fromkeys(SPLITS, 0))
 
     def reject(self, reason: str) -> None:
         self.rejections[reason] = self.rejections.get(reason, 0) + 1

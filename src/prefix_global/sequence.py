@@ -17,16 +17,17 @@ descriptions are all withheld from the input side of their own example.
 
 Examples are assembled from token runs. A run is one piece of text (the page
 URL or title; a section's marker, title, body, first sentence or rest; one
-image's caption) or a list of images: one kind, one origin and its values. It
-is validated once, as a whole, and kept on the page, so every example of that
+image's caption) or a list of images: one origin, which decides its kind (the
+two image origins make image runs, the rest text runs), and its values. It is
+validated once, as a whole, and kept on the page, so every example of that
 page shares it. A section's runs are built together, once, and its body run is
 its first sentence's tokens then the rest's: the split cuts just after a .!?
 that whitespace or the end follows, and no token spans whitespace, so that is
 exactly the tokens of the whole body. An example is its prefix runs and its
-context runs: the run the cap falls in is split into two runs of its kind and
-origin, and every other run stays the page's shared object. Each run's JSON
-is encoded once and an example's JSON line joins them; a slot exists only as
-one JSON object in it.
+context runs: the run the cap falls in is split into two runs of its origin,
+and every other run stays the page's shared object. Each run's JSON is encoded
+once and an example's JSON line joins them; a slot exists only as one JSON
+object in it.
 
 Each task's one eligibility rule is a check_* function that returns the reason
 a candidate is refused, or None; the builders lay out and check only indices.
@@ -40,7 +41,7 @@ from enum import Enum
 from functools import cached_property
 from json.encoder import encode_basestring as _json_str  # a str as a JSON string, as json.dumps writes it
 
-from .page import Page, Section, _is_int, count_sentences, tokenize
+from .page import Mime, Page, Section, _is_int, count_sentences, tokenize
 
 PREFIX_BUDGET = 512
 PAGE_DESC_MAX_IMAGES = 6
@@ -80,6 +81,9 @@ class Origin(str, Enum):
     CONTEXT_IMAGE = "context_image"
 
 
+_IMAGE_ORIGINS = frozenset({Origin.TARGET_IMAGE, Origin.CONTEXT_IMAGE})
+
+
 class PageDescPrefix(str, Enum):
     """Alternative page-description prefix layouts, ablation variants."""
 
@@ -91,18 +95,15 @@ class PageDescPrefix(str, Enum):
 @dataclass(frozen=True)
 class TokenRun:
     """The text tokens or image embedding ids of one piece of a page, such as
-    a section's title or one image's caption, all of one kind and one origin.
-    The builders make each run once per page and share it between the page's
+    a section's title or one image's caption, all of one origin. The
+    builders make each run once per page and share it between the page's
     examples; only a run that the prefix cap cuts is replaced, in its
     example, by its two parts."""
 
-    kind: str  # "text" | "image"
     origin: Origin
     values: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in ("text", "image"):
-            raise ValueError(f"unknown slot kind {self.kind!r}")
         if not isinstance(self.origin, Origin):
             raise ValueError(f"run origin must be an Origin, got {self.origin!r}")
         if not isinstance(self.values, tuple) or not all(isinstance(v, str) for v in self.values):
@@ -110,6 +111,11 @@ class TokenRun:
 
     def __len__(self) -> int:
         return len(self.values)
+
+    @property
+    def kind(self) -> str:
+        """The slot kind: "image" for the two image origins, "text" for every other."""
+        return "image" if self.origin in _IMAGE_ORIGINS else "text"
 
     @cached_property
     def json(self) -> str:
@@ -123,11 +129,11 @@ class TokenRun:
 
 
 def _text_run(text: str, origin: Origin) -> TokenRun:
-    return TokenRun("text", origin, tuple(tokenize(text)))
+    return TokenRun(origin, tuple(tokenize(text)))
 
 
 def _image_run(images, origin: Origin) -> TokenRun:
-    return TokenRun("image", origin, tuple(img.embedding_id for img in images))
+    return TokenRun(origin, tuple(img.embedding_id for img in images))
 
 
 class SectionRuns:
@@ -137,11 +143,11 @@ class SectionRuns:
 
     def __init__(self, section: Section):
         self.section = section
-        self.marker = TokenRun("text", Origin.SECTION_INDEX, (f"[S{section.index}]",))
+        self.marker = TokenRun(Origin.SECTION_INDEX, (f"[S{section.index}]",))
         self.title = _text_run(section.title, Origin.SECTION_TITLE)
         self.first_sentence = _text_run(section.first_sentence, Origin.SECTION_FIRST_SENTENCE)
         self.rest = _text_run(section.rest_sentences, Origin.SECTION_BODY)
-        self.body = TokenRun("text", Origin.SECTION_BODY, self.first_sentence.values + self.rest.values)
+        self.body = TokenRun(Origin.SECTION_BODY, self.first_sentence.values + self.rest.values)
         # one caption run per image, in image order; empty without a reference description
         self.captions = tuple(_text_run(img.reference_desc, Origin.CAPTION) for img in section.images)
         # marker -> title -> body -> captions, the canonical section layout
@@ -223,7 +229,7 @@ class TaskExample:
 def _assemble(task: Task, page: Page, prefix_runs: list, context_runs: list, target: str) -> TaskExample:
     """The one place the prefix cap is applied. Whole prefix runs are kept
     while they fit in PREFIX_BUDGET slots; the run the cap falls in is split
-    into two runs of its kind and origin, and its second part and every later
+    into two runs of its origin, and its second part and every later
     prefix run start the context. Empty runs are dropped."""
     room, n = PREFIX_BUDGET, 0
     while n < len(prefix_runs) and len(prefix_runs[n]) <= room:
@@ -232,8 +238,8 @@ def _assemble(task: Task, page: Page, prefix_runs: list, context_runs: list, tar
     prefix, overflow = prefix_runs[:n], prefix_runs[n:]
     if overflow and room:
         run = overflow[0]
-        prefix.append(TokenRun(run.kind, run.origin, run.values[:room]))
-        overflow[0] = TokenRun(run.kind, run.origin, run.values[room:])
+        prefix.append(TokenRun(run.origin, run.values[:room]))
+        overflow[0] = TokenRun(run.origin, run.values[room:])
     return TaskExample(task, tuple(run for run in prefix if run),
                        tuple(run for run in overflow + context_runs if run), target, page.url)
 
@@ -318,7 +324,7 @@ def check_image_caption(img) -> str | None:
     """Reason the image cannot be a captioning target, or None."""
     if not img.in_quality_set:
         return REASON_NOT_IN_QUALITY_SET
-    if img.mime.value not in ("jpeg", "png"):
+    if img.mime is Mime.OTHER:
         return REASON_MIME
     if len(img.reference_desc.split()) < MIN_REFERENCE_WORDS:
         return REASON_SHORT_REFERENCE

@@ -117,6 +117,15 @@ def test_mask_pgm_to_file(runner, tmp_path):
     assert "wrote pgm mask" in res.output
 
 
+def test_mask_out_into_missing_directory_is_an_error(runner, tmp_path):
+    out = tmp_path / "nodir" / "m.csv"
+    res = invoke(runner, "mask", "-l", "8", "-k", "2", "--fmt", "csv", "-o", str(out))
+    assert res.exit_code == 1
+    assert "Error:" in res.output and "No such file or directory" in res.output
+    assert isinstance(res.exception, SystemExit)
+    assert not out.parent.exists()
+
+
 def test_mask_rejects_prefix_longer_than_sequence(runner):
     res = invoke(runner, "mask", "--kind", "prefix-global", "-l", "8", "-k", "20")
     assert res.exit_code == 2
@@ -270,6 +279,37 @@ def test_build_lenient_survives_undecodable_lines(runner, tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["accounting"]["rejections"]["parse_error"] == 2
     assert report["accounting"]["candidates"] == 22
+
+
+def surrogate_corpus(tmp_path):
+    """The demo corpus with a lone surrogate in the first page's title: valid
+    JSON, as json.dumps escapes it, but no UTF-8 file can hold it."""
+    lines = demo_corpus_path().read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[0])
+    record["page_title"] = "T \ud800 x"
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join([json.dumps(record)] + lines[1:]) + "\n", encoding="utf-8")
+    return bad
+
+
+def test_build_strict_refuses_a_string_utf8_cannot_encode(runner, tmp_path):
+    out = tmp_path / "out"
+    res = invoke(runner, "build", str(surrogate_corpus(tmp_path)), "--task", "page_description",
+                 "--out-dir", str(out))
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "line 1" in res.output and "page_title" in res.output
+    assert not out.exists()
+
+
+def test_build_lenient_counts_a_string_utf8_cannot_encode(runner, tmp_path):
+    out = tmp_path / "out"
+    res = invoke(runner, "build", str(surrogate_corpus(tmp_path)), "--task", "page_description",
+                 "--out-dir", str(out), "--lenient")
+    assert res.exit_code == 0, res.output
+    report = json.loads((out / "report.json").read_text())
+    assert report["accounting"]["rejections"]["parse_error"] == 1
+    assert report["accounting"]["candidates"] == 20
 
 
 def test_build_missing_corpus_is_usage_error(runner, tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from prefix_global import cost
 from prefix_global.cost import accounted_pairs, compare, mask_nnz, render_table, report
-from prefix_global.patterns import build_mask, full, local, prefix_global, tglobal
+from prefix_global.patterns import AttentionPattern, PatternKind, build_mask, full, local, prefix_global, tglobal
 
 # Accounted pair counts at the reference configuration (k=512, r=127,
 # block=16), re-derived by hand from the closed forms before freezing:
@@ -90,11 +90,29 @@ class TestClosedFormAgainstEnumeration:
 
 
 @st.composite
+def any_pattern(draw):
+    """A pattern of any kind with l <= 300, r up to 2l, k anywhere in [0, l]
+    and block in [1, l + 1]."""
+    l = draw(st.integers(1, 300))
+    return AttentionPattern(draw(st.sampled_from(PatternKind)), l, r=draw(st.integers(0, 2 * l)),
+                            k=draw(st.integers(0, l)), block=draw(st.integers(1, l + 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_pattern())
+@example(prefix_global(1, k=0, r=0))
+@example(prefix_global(300, k=300, r=600))
+@example(tglobal(300, r=0, block=301))
+def test_closed_form_matches_enumeration_property(pattern):
+    assert mask_nnz(pattern) == build_mask(pattern).nnz()
+
+
+@st.composite
 def geometry(draw):
-    """(l, k, r) of a prefix-global pattern with k >= r, l up to a little
-    past k + r*(r+1)."""
+    """(l, k, r) of a prefix-global pattern, l up to a little past
+    k + r*(r+1)."""
     r = draw(st.integers(0, 16))
-    k = draw(st.integers(r, r + 64))
+    k = draw(st.integers(0, r + 64))
     l = draw(st.integers(max(k, 1), k + r * (r + 1) + 2 * r + 16))
     return l, k, r
 
@@ -119,7 +137,7 @@ class TestConventionVsExact:
         assert mask_nnz(above) > accounted_pairs(above)
 
     # the bound documented in cost.py, over random prefix-global geometries
-    # with k >= r and l drawn on both sides of the boundary k + r*(r+1)
+    # with l drawn on both sides of the boundary k + r*(r+1)
     @settings(max_examples=300, deadline=None)
     @given(geometry())
     @example((16768, 512, 127))  # the reference configuration's boundary
@@ -179,3 +197,19 @@ def test_window_total_closed_form_small():
     # l=5, r=1: window sizes 2,3,3,3,2
     assert cost._window_total(5, 1) == 13
     assert cost._window_total(1, 4) == 1
+
+
+def loop_window_total(n, r):
+    return sum(min(n - 1, i + r) - max(0, i - r) + 1 for i in range(n))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 40])
+def test_window_total_matches_loop(n):
+    for r in range(0, 2 * n + 3):
+        assert cost._window_total(n, r) == loop_window_total(n, r), r
+
+
+def test_mask_nnz_needs_no_memory_per_token():
+    # k*l + (l-k)*k + W(l-k, r) at k=512, r=127; a per-row array would need
+    # hundreds of GiB at this length
+    assert mask_nnz(prefix_global(10**11)) == 127_899_999_591_040

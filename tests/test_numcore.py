@@ -78,6 +78,14 @@ class TestMatmul:
         with pytest.raises(ValueError):
             matmul(np.ones((2, 2)), b)
 
+    def test_ragged_operand_rejected(self):
+        with pytest.raises(ShapeError, match="not coercible"):
+            numcore.as_matrix([[1.0, 2.0], [3.0]])
+
+    def test_overflow_rejected(self):
+        with pytest.raises(ValueError, match="overflowed"):
+            matmul([[1e200]], [[1e200]])
+
 
 class TestRowSoftmax:
     @pytest.mark.parametrize("seed", range(6))
@@ -120,6 +128,12 @@ class TestRowSoftmax:
     def test_mask_shape_mismatch(self):
         with pytest.raises(ShapeError):
             row_softmax(np.zeros((2, 2)), np.zeros((2, 3)))
+
+    def test_overflowing_bias_refused_without_a_warning(self):
+        # a finite score plus a finite bias can overflow; that is a ValueError
+        # and numpy's overflow warning does not escape first
+        with pytest.raises(ValueError, match="non-finite"):
+            row_softmax([[1e308, 0.0]], [[1e308, 0.0]])
 
     def test_rows_sum_to_one(self):
         g = rng(99)
@@ -179,6 +193,10 @@ class TestDenseAttention:
     def test_kv_row_mismatch(self):
         with pytest.raises(ShapeError):
             dense_attention(np.ones((2, 3)), np.ones((4, 3)), np.ones((5, 3)), np.zeros((2, 4)))
+
+    def test_mask_shape_mismatch(self):
+        with pytest.raises(ShapeError, match="mask shape"):
+            dense_attention(np.ones((2, 3)), np.ones((4, 3)), np.ones((4, 3)), np.zeros((4, 2)))
 
 
 def test_masked_sentinel_is_most_negative_finite():

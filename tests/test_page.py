@@ -4,7 +4,7 @@ import copy
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prefix_global.demo import demo_corpus_path
@@ -16,6 +16,7 @@ from prefix_global.page import (
     Page,
     Section,
     SectionClass,
+    assign_split,
     classify_section,
     count_sentences,
     is_content_section,
@@ -87,6 +88,27 @@ class TestSentenceCount:
     )
     def test_counts(self, text, n):
         assert count_sentences(text) == n
+
+    @staticmethod
+    def peeled_count(text):
+        """The count of the loop that took one sentence at a time off the
+        text with split_first_sentence."""
+        n = 0
+        while text:
+            first, text = split_first_sentence(text)
+            if first:
+                n += 1
+        return n
+
+    # sentence marks, whitespace that str.strip and re's \s both know, letters
+    @given(st.text(alphabet="aZ9 .!?,\t\n\x1c\u2003", max_size=40))
+    @example("   ")
+    @example("...")
+    @example("  a. b")
+    @example("a.b. c")
+    @settings(max_examples=300, deadline=None)
+    def test_one_pass_count_matches_peeling(self, text):
+        assert count_sentences(text) == self.peeled_count(text)
 
 
 class TestTokenize:
@@ -183,6 +205,12 @@ class TestPageInvariants:
     def test_bad_split_rejected(self):
         with pytest.raises(CorpusError):
             Page(url="u", split="dev")
+
+    def test_split_defaults_to_the_url_hash(self):
+        url = "https://e.org/wiki/P0"
+        assert assign_split(url) != "train"
+        assert Page(url=url).split == parse_page({"page_url": url}).split == assign_split(url)
+        assert Page(url=url, split="train").split == "train"
 
     def test_has_children(self):
         page = Page(url="u", sections=(sec(0), sec(1, parent_index=0, depth=1)))
@@ -317,6 +345,10 @@ class TestParsePage:
         with pytest.raises(CorpusError):
             parse_page([1, 2])
 
+    def test_non_object_section_entry(self):
+        with pytest.raises(CorpusError, match="section entry must be an object"):
+            parse_page(page_record(sections=[5]))
+
     # bool subclasses int, so JSON true/false once passed as indices 1/0
     @pytest.mark.parametrize("field, value", [
         ("section_index", True),
@@ -406,12 +438,14 @@ class TestCorpusIO:
         assert isinstance(items[2], MalformedRecord)
 
     # each line decodes to something json.loads or UTF-8 cannot handle: bytes
-    # that are not UTF-8, nesting past the recursion limit, and an integer
-    # past Python's digit limit for int()
+    # that are not UTF-8, nesting past the recursion limit, an integer past
+    # Python's digit limit for int(), and a lone surrogate, which JSON can
+    # escape but UTF-8 cannot encode
     BAD_LINES = {
         "not-utf8": b'{"page_url": "https://e.org/wiki/\xff\xfe"}',
         "deep-nesting": b"[" * 100_000 + b"]" * 100_000,
         "huge-int": b'{"page_url": "https://e.org/x", "page_title": ' + b"9" * 5000 + b"}",
+        "lone-surrogate": b'{"page_url": "https://e.org/x", "page_title": "T \\ud800 x"}',
     }
 
     def write_around(self, tmp_path, bad: bytes):

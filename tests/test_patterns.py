@@ -7,6 +7,7 @@ from prefix_global import patterns
 from prefix_global.kernel import block_average
 from prefix_global.numcore import MASKED
 from prefix_global.patterns import (
+    AttentionMask,
     AttentionPattern,
     PatternError,
     PatternKind,
@@ -220,3 +221,14 @@ def test_side_keys_property():
     assert tglobal(16, block=16).side_keys == 1
     assert full(64).side_keys == 0
     assert patterns.local(64, r=2).side_keys == 0
+
+
+def test_mask_side_keys_are_its_patterns():
+    for pattern in (tglobal(33, r=1, block=16), patterns.local(4, r=1), prefix_global(8, k=2, r=1)):
+        mask = build_mask(pattern)
+        assert mask.side_keys == pattern.side_keys
+        assert mask.n_keys == pattern.l + pattern.side_keys
+    # the count cannot be given apart from the pattern
+    local4 = patterns.local(4, r=1)
+    with pytest.raises(TypeError):
+        AttentionMask(local4, build_mask(local4).rows, 3)

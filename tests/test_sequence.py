@@ -41,7 +41,7 @@ def img(n, mime=Mime.JPEG, ref="a distant stone tower", wit=True, attr="credit l
 
 
 def text_run(text, origin=Origin.SECTION_BODY):
-    return TokenRun("text", origin, tuple(tokenize(text)))
+    return TokenRun(origin, tuple(tokenize(text)))
 
 
 def toks(slots, *origins):
@@ -57,10 +57,24 @@ def context_of(example):
     return example.to_dict()["context"]
 
 
+# each origin's slot kind and value field, assigned here, not read off a run
+ORIGIN_SLOT = {
+    Origin.PAGE_URL: ("text", "token"),
+    Origin.PAGE_TITLE: ("text", "token"),
+    Origin.SECTION_INDEX: ("text", "token"),
+    Origin.SECTION_TITLE: ("text", "token"),
+    Origin.SECTION_FIRST_SENTENCE: ("text", "token"),
+    Origin.SECTION_BODY: ("text", "token"),
+    Origin.CAPTION: ("text", "token"),
+    Origin.TARGET_IMAGE: ("image", "image"),
+    Origin.CONTEXT_IMAGE: ("image", "image"),
+}
+
+
 def reference_slots(run):
-    """The run's slots as dicts, from its kind, origin and values alone."""
-    field = "token" if run.kind == "text" else "image"
-    return [{"kind": run.kind, field: v, "origin": run.origin.value} for v in run.values]
+    """The run's slots as dicts, from its origin and values alone."""
+    kind, field = ORIGIN_SLOT[run.origin]
+    return [{"kind": kind, field: v, "origin": run.origin.value} for v in run.values]
 
 
 def slots_of(runs):
@@ -376,13 +390,11 @@ class TestTaskExample:
     def test_slot_validation(self):
         # a run is validated once, as a whole
         with pytest.raises(ValueError):
-            TokenRun("audio", Origin.CAPTION, ("x",))
+            TokenRun("caption", ("x",))
         with pytest.raises(ValueError):
-            TokenRun("text", "caption", ("x",))
+            TokenRun(Origin.CAPTION, ["x"])
         with pytest.raises(ValueError):
-            TokenRun("text", Origin.CAPTION, ["x"])
-        with pytest.raises(ValueError):
-            TokenRun("image", Origin.CONTEXT_IMAGE, ("v", 7))
+            TokenRun(Origin.CONTEXT_IMAGE, ("v", 7))
         # every field is refused when constructed, not when serialized
         runs = (text_run("a b"),)
         url = "https://e.org/wiki/X"
@@ -398,14 +410,14 @@ class TestTaskExample:
 
     def test_prefix_over_budget_refused(self):
         def example(n_prefix):
-            run = TokenRun("text", Origin.SECTION_BODY, ("x",) * n_prefix)
+            run = TokenRun(Origin.SECTION_BODY, ("x",) * n_prefix)
             return TaskExample(Task.PAGE_DESCRIPTION, (run,), (text_run("y"),), "", "https://e.org/wiki/X")
 
         assert example(PREFIX_BUDGET).prefix_len == PREFIX_BUDGET
         with pytest.raises(ValueError):
             example(PREFIX_BUDGET + 1)
         # the budget bounds the prefix, not the runs: two runs over it are refused too
-        half = TokenRun("text", Origin.SECTION_BODY, ("x",) * (PREFIX_BUDGET // 2 + 1))
+        half = TokenRun(Origin.SECTION_BODY, ("x",) * (PREFIX_BUDGET // 2 + 1))
         with pytest.raises(ValueError):
             TaskExample(Task.PAGE_DESCRIPTION, (half, half), (), "", "https://e.org/wiki/X")
 
@@ -470,10 +482,11 @@ class TestTokenRuns:
             for runs, slots in ((ex.prefix, prefix_of(ex)), (ex.context, context_of(ex))):
                 slots = iter(slots)
                 for run in runs:
+                    kind, field = ORIGIN_SLOT[run.origin]
                     for value in run.values:
                         s = next(slots)
-                        assert s["kind"] == run.kind and s["origin"] == run.origin.value
-                        assert s["token" if run.kind == "text" else "image"] == value
+                        assert s["kind"] == kind and s["origin"] == run.origin.value
+                        assert s[field] == value
                 assert next(slots, None) is None
 
     def test_json_line_when_the_cap_cuts_a_run(self):
@@ -485,7 +498,7 @@ class TestTokenRuns:
             # the cap falls inside a run: its two parts end the prefix and start the context
             head, tail = ex.prefix[-1], ex.context[0]
             assert head and tail and head is not cut and tail is not cut
-            assert (head.kind, head.origin) == (tail.kind, tail.origin) == (cut.kind, cut.origin)
+            assert head.origin == tail.origin == cut.origin
             assert head.values + tail.values == cut.values
             expect = reference_cut_line(ex.task, page.url, ex.prefix[:-1] + (cut,), ex.context[1:], ex.target_text)
             assert ex.to_json_line() == expect == reference_line(ex)
@@ -502,15 +515,15 @@ class TestTokenRuns:
         runs = [
             text_run('a "b" \\ é'),
             SectionRuns(Section(index=2)).marker,
-            TokenRun("text", Origin.CAPTION, ("\x01\u2028\ud800/", "x")),
-            TokenRun("image", Origin.TARGET_IMAGE, ('vec "7"\n', "v")),
+            TokenRun(Origin.CAPTION, ("\x01\u2028\ud800/", "x")),
+            TokenRun(Origin.TARGET_IMAGE, ('vec "7"\n', "v")),
         ]
         context = [text_run("after it")]
         page = Page(url="https://e.org/wiki/Ü")
         n_slots = sum(map(len, runs))
         for cut in range(n_slots + 1):
             # a pad run puts the cap at slot `cut` of the four runs
-            pad = TokenRun("text", Origin.PAGE_TITLE, ("p",) * (PREFIX_BUDGET - cut))
+            pad = TokenRun(Origin.PAGE_TITLE, ("p",) * (PREFIX_BUDGET - cut))
             ex = _assemble(Task.IMAGE_CAPTIONING, page, [pad, *runs], context, "t\n")
             assert ex.prefix_len == PREFIX_BUDGET
             assert ex.to_json_line() == reference_cut_line(ex.task, page.url, [pad, *runs], context, "t\n")
@@ -526,8 +539,8 @@ class TestTokenRuns:
 
     def test_empty_runs_serialize_as_nothing(self):
         ab, c = text_run("a b"), text_run("c")
-        empty = TokenRun("text", Origin.SECTION_BODY)
-        runs = (empty, ab, TokenRun("image", Origin.CONTEXT_IMAGE), c, empty)
+        empty = TokenRun(Origin.SECTION_BODY)
+        runs = (empty, ab, TokenRun(Origin.CONTEXT_IMAGE), c, empty)
         for n in range(len(runs) + 1):
             ex = TaskExample(Task.PAGE_DESCRIPTION, runs[:n], runs[n:], "t", "https://e.org/wiki/E")
             assert ex.slots == reference_slots(ab) + reference_slots(c)
@@ -548,13 +561,20 @@ class TestTokenRuns:
             assert "slots" not in vars(ex)
 
     @pytest.mark.parametrize("run", [
-        TokenRun("text", Origin.CAPTION, ("a", '"b"', "\\", "é", "\x01\u2028\ud800/")),
-        TokenRun("image", Origin.TARGET_IMAGE, ('vec "7"\n', "v", "ü")),
-        TokenRun("text", Origin.SECTION_BODY),
+        TokenRun(Origin.CAPTION, ("a", '"b"', "\\", "é", "\x01\u2028\ud800/")),
+        TokenRun(Origin.TARGET_IMAGE, ('vec "7"\n', "v", "ü")),
+        TokenRun(Origin.SECTION_BODY),
     ], ids=["text", "image", "empty"])
     def test_json_is_the_reference_slots(self, run):
         expect = json.dumps(reference_slots(run), ensure_ascii=False, separators=(",", ":"))
         assert f"[{run.json}]" == expect
+
+    @pytest.mark.parametrize("origin", list(Origin), ids=lambda o: o.value)
+    def test_origin_decides_kind(self, origin):
+        kind, field = ORIGIN_SLOT[origin]
+        run = TokenRun(origin, ("v",))
+        assert run.kind == kind
+        assert json.loads(f"[{run.json}]") == [{"kind": kind, field: "v", "origin": origin.value}]
 
     @pytest.mark.parametrize("task", list(Task), ids=lambda t: t.value)
     def test_demo_examples_match_reference(self, task):
@@ -594,7 +614,7 @@ class TestLeakScan:
         assert not leaks_target(_example([text_run("tower gray the")], "the gray tower"))
 
     def test_image_slot_breaks_contiguity(self):
-        image = TokenRun("image", Origin.CONTEXT_IMAGE, ("v",))
+        image = TokenRun(Origin.CONTEXT_IMAGE, ("v",))
         assert not leaks_target(_example([text_run("the gray"), image, text_run("tower")], "the gray tower"))
         # without the image the same text leaks, across a run boundary
         assert leaks_target(_example([text_run("the gray"), text_run("tower", Origin.CAPTION)], "the gray tower"))
