@@ -18,7 +18,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .cost import accounted_pairs, compare, render_table
+from .cost import accounted_pairs, compare, mask_nnz, render_table
 from .kernel import KernelStats, block_average, sparse_attention, tglobal_attention
 from .numcore import dense_attention
 from .page import SPLITS, CorpusError, MalformedRecord, iter_corpus
@@ -76,18 +76,18 @@ def main():
 @click.option("--out", "-o", type=click.Path(dir_okay=False, writable=True), default=None,
               help="Write rendered mask here instead of stdout.")
 def mask(kind, length, radius, prefix_k, block, fmt, out):
-    """Materialize one attention mask and render or summarize it."""
+    """Summarize one attention mask in closed form, or build and render it."""
     pattern = _pattern(kind, length, radius, prefix_k, block)
-    built = build_mask(pattern)
     if fmt == "summary":
         _emit({
             "version": __version__,
             "pattern": pattern.describe(),
-            "nnz": built.nnz(),
+            "nnz": mask_nnz(pattern),
             "accounted_pairs": accounted_pairs(pattern),
-            "side_keys": built.side_keys,
+            "side_keys": pattern.side_keys,
         })
         return
+    built = build_mask(pattern)
     rendered = render_csv(built) if fmt == "csv" else render_pgm(built)
     if out is None:
         click.echo(rendered, nl=False)

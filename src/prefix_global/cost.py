@@ -1,6 +1,9 @@
 """Attention cost accounting: query-key pairs per layer, closed form.
 
-Two counts per pattern, both first-class:
+Every pattern follows one key-set rule with g global rows (l for full, k for
+prefix-global, 0 for local and tglobal): the first g queries see every token
+key, and every other query sees the first g keys, its radius-r window clipped
+below at g, and every side key. Two counts per pattern, both first-class:
 
 - accounted_pairs: the budgeting convention used when patterns are compared
   by hand. Each non-global query is charged a fixed 2r-wide window with no
@@ -12,13 +15,15 @@ Two counts per pattern, both first-class:
     tglobal:       l * (2r + ceil(l / block))
     prefix-global: (l - k) * (2r + k)  +  k * l
 
+  tglobal's is prefix-global's at k = 0 plus its l * side_keys side pairs.
+
 - mask_nnz: the exact number of allowed pairs in the realized mask (windows
   clipped at the edges, prefix/window overlap deduplicated, self included).
   W(n, r) = n*(2m+1) - m*(m+1), m = min(r, n-1), counts the clipped radius-r
-  windows of n rows. local is W(l, r); tglobal adds l * ceil(l / block) side
-  pairs; prefix-global is k*l + (l-k)*k + W(l-k, r): the prefix rows see every
-  key, and each later row sees the k prefix keys plus its window over the l-k
-  tokens after the prefix, which form a local pattern of their own.
+  windows of n rows. full is l * l, and every other kind is k*l + (l-k)*k +
+  W(l-k, r) + l * side_keys with k = 0 for local and tglobal: the k prefix
+  rows see every key, and each later row sees the k prefix keys, its window
+  over the l-k tokens after the prefix, and every side key.
 
 The convention over-charges edge clipping and prefix/window overlap but omits
 the self key, so the two counts can land on either side of each other in
@@ -44,24 +49,19 @@ def _window_total(n: int, r: int) -> int:
 
 
 def accounted_pairs(pattern: AttentionPattern) -> int:
-    l, r = pattern.l, pattern.r
-    if pattern.kind is PatternKind.TGLOBAL:
-        return l * (2 * r + pattern.side_keys)
-    if pattern.kind is PatternKind.PREFIX_GLOBAL:
-        k = pattern.k
-        return (l - k) * (2 * r + k) + k * l
-    return mask_nnz(pattern)  # full and local: the convention is the exact count
+    if pattern.kind in (PatternKind.FULL, PatternKind.LOCAL):
+        return mask_nnz(pattern)  # the convention is the exact count
+    l, k = pattern.l, pattern.k or 0
+    return (l - k) * (2 * pattern.r + k) + k * l + l * pattern.side_keys
 
 
 def mask_nnz(pattern: AttentionPattern) -> int:
     """Exact allowed-pair count, computed without materializing the mask."""
-    l, r = pattern.l, pattern.r
+    l = pattern.l
     if pattern.kind is PatternKind.FULL:
         return l * l
-    if pattern.kind is PatternKind.PREFIX_GLOBAL:
-        k = pattern.k
-        return k * l + (l - k) * k + _window_total(l - k, r)
-    return _window_total(l, r) + l * pattern.side_keys  # local and tglobal; local has no side keys
+    k = pattern.k or 0
+    return k * l + (l - k) * k + _window_total(l - k, pattern.r) + l * pattern.side_keys
 
 
 @dataclass(frozen=True)

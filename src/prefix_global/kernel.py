@@ -4,19 +4,18 @@ Every pattern compiles to a list of bands, and one executor runs them all. A
 band is a run of query rows [b0, b1) that scores its keys in one or more
 contiguous key tiles [lo, hi), optionally masked to the radius-r window
 |i - j| <= r. Its first tile also scores an optional global bank of
-(keys, values) that every row of the band sees unmasked. The patterns reduce
-to:
-
-- full: one band with one tile, every row against every key. It has no
-  sparsity to exploit, so it allocates the whole l x l grid in one block, and
-  its instrumented buffer size is the baseline the sparse patterns are
-  measured against.
-- local: ROW_BLOCK-row window bands, each one tile spanning its clipped window.
-- prefix-global: ROW_BLOCK-row bands over the k prefix rows, each tiling every
-  key in tiles of ROW_BLOCK + 2r + k keys; then window bands over the
-  remaining rows, clipped below at k, with the first k keys and values as
-  their bank. No score block is wider than a window band, whatever l is.
-- tglobal: the local bands, with the block-averaged side keys as their bank.
+(keys, values) that every row of the band sees unmasked. Every pattern
+follows one rule with g global rows (k for prefix-global, 0 for local and
+tglobal): rows [0, g) see every key, and every other row sees the first g
+keys, its window clipped below at g, and every side key. So the plan is
+ROW_BLOCK-row bands over rows [0, g), each tiling every key in tiles of
+ROW_BLOCK + 2r + g keys, then ROW_BLOCK-row window bands over rows [g, l),
+each one tile spanning its clipped window, banked on the first g keys and
+values or else on tglobal's block-averaged side keys. No score block is wider
+than a window band, whatever l is. The exception is full (g = l), which has
+no sparsity to exploit: one band with one tile allocates the whole l x l grid
+in one block, and its instrumented buffer size is the baseline the sparse
+patterns are measured against.
 
 A band is an online softmax over its tiles (Milakov & Gimelshein 2018;
 FlashAttention, Dao et al. 2022): each tile is scored, scaled in place by
@@ -107,9 +106,18 @@ def _blocks(start: int, stop: int, size: int = ROW_BLOCK):
         yield b0, min(b0 + size, stop)
 
 
-def _window_bands(start: int, l: int, r: int, bank=None) -> list:
-    """Bands over rows [start, l), each one tile spanning its window clipped to [start, l)."""
-    return [_Band(b0, b1, ((max(start, b0 - r), min(l, b1 + r)),), r, bank) for b0, b1 in _blocks(start, l)]
+def _bands(pattern: AttentionPattern, k, v, side=None) -> list:
+    """Prefix bands over the g global rows, then window bands banked on the
+    first g keys and values, or on `side`; full is one band over the grid."""
+    l = pattern.l
+    if pattern.kind is PatternKind.FULL:
+        return [_Band(0, l, ((0, l),))]
+    g, r = pattern.k or 0, pattern.r
+    # global rows see every key, in tiles as wide as the widest window band
+    tiles = tuple(_blocks(0, l, ROW_BLOCK + 2 * r + g))
+    bands = [_Band(b0, b1, tiles) for b0, b1 in _blocks(0, g)]
+    bank = (k[:g], v[:g]) if side is None else side
+    return bands + [_Band(b0, b1, ((max(g, b0 - r), min(l, b1 + r)),), r, bank) for b0, b1 in _blocks(g, l)]
 
 
 def _attend(q, k, v, bands, scale_by_sqrt_d: bool, stats: KernelStats | None) -> np.ndarray:
@@ -183,19 +191,8 @@ def sparse_attention(
     """
     if pattern.kind is PatternKind.TGLOBAL:
         raise PatternError("tglobal patterns need tglobal_attention (side keys required)")
-    l = pattern.l
-    q, k, v = _validate_qkv(q, k, v, l)
-    if pattern.kind is PatternKind.FULL:
-        bands = [_Band(0, l, ((0, l),))]
-    elif pattern.kind is PatternKind.LOCAL:
-        bands = _window_bands(0, l, pattern.r)
-    else:
-        n_prefix = pattern.k
-        # prefix rows see every key, in tiles as wide as the widest window band
-        tiles = tuple(_blocks(0, l, ROW_BLOCK + 2 * pattern.r + n_prefix))
-        bands = [_Band(b0, b1, tiles) for b0, b1 in _blocks(0, n_prefix)]
-        bands += _window_bands(n_prefix, l, pattern.r, (k[:n_prefix], v[:n_prefix]))
-    return _attend(q, k, v, bands, scale_by_sqrt_d, stats)
+    q, k, v = _validate_qkv(q, k, v, pattern.l)
+    return _attend(q, k, v, _bands(pattern, k, v), scale_by_sqrt_d, stats)
 
 
 def block_average(token_embeddings, block: int) -> np.ndarray:
@@ -251,4 +248,4 @@ def tglobal_attention(
     for name, side in zip(("keys", "values"), bank):
         if not np.isfinite(side).all():
             raise ValueError(f"side {name} overflowed to non-finite values")
-    return _attend(q, k, v, _window_bands(0, l, pattern.r, bank), scale_by_sqrt_d, stats)
+    return _attend(q, k, v, _bands(pattern, k, v, bank), scale_by_sqrt_d, stats)

@@ -10,6 +10,11 @@ Four patterns over a length-l token sequence:
 - prefix-global: the first k tokens attend to and are attended by everything;
   the remaining tokens attend to the prefix plus their local window.
 
+All four follow one rule with g global rows: the first g queries see every
+token key, and every other query sees the first g keys, its radius-r window
+clipped below at g, and every side key. g is l for full, k for prefix-global
+and 0 for local and tglobal; only tglobal has side keys.
+
 Masks are kept as per-query sorted index arrays. Columns 0..l-1 are token
 keys; side key t sits at column l + t. Every query always attends to itself
 (r >= 0 keeps i in its own window), so no row is ever empty.
@@ -41,6 +46,15 @@ class PatternKind(str, Enum):
     PREFIX_GLOBAL = "prefix-global"
 
 
+# the parameters each kind uses, with their defaults; a kind's other parameters are None
+_PARAMS = {
+    PatternKind.FULL: {},
+    PatternKind.LOCAL: {"r": DEFAULT_RADIUS},
+    PatternKind.TGLOBAL: {"r": DEFAULT_RADIUS, "block": DEFAULT_BLOCK},
+    PatternKind.PREFIX_GLOBAL: {"r": DEFAULT_RADIUS, "k": DEFAULT_PREFIX},
+}
+
+
 @dataclass(frozen=True)
 class AttentionPattern:
     """A fully specified pattern. Parameters that a kind does not use are None.
@@ -60,37 +74,21 @@ class AttentionPattern:
             raise PatternError(f"l must be a positive int, got {self.l!r}")
         kind = PatternKind(self.kind)
         object.__setattr__(self, "kind", kind)
-        if kind is PatternKind.FULL:
-            object.__setattr__(self, "r", None)
-            object.__setattr__(self, "k", None)
-            object.__setattr__(self, "block", None)
-            return
-        r = DEFAULT_RADIUS if self.r is None else self.r
-        if not _is_int(r) or r < 0:
-            raise PatternError(f"r must be an int >= 0, got {self.r!r}")
-        object.__setattr__(self, "r", r)
-        if kind is PatternKind.LOCAL:
-            object.__setattr__(self, "k", None)
-            object.__setattr__(self, "block", None)
-        elif kind is PatternKind.TGLOBAL:
-            block = DEFAULT_BLOCK if self.block is None else self.block
-            if not _is_int(block) or block < 1:
-                raise PatternError(f"block must be an int >= 1, got {self.block!r}")
-            object.__setattr__(self, "k", None)
-            object.__setattr__(self, "block", block)
-        else:
-            k = DEFAULT_PREFIX if self.k is None else self.k
-            if not _is_int(k) or not 0 <= k <= self.l:
-                raise PatternError(f"k must satisfy 0 <= k <= l={self.l}, got {self.k!r}")
-            object.__setattr__(self, "k", k)
-            object.__setattr__(self, "block", None)
+        given = {name: getattr(self, name) for name in ("r", "k", "block")}
+        for name, value in given.items():
+            default = _PARAMS[kind].get(name)  # None for a parameter the kind does not use
+            object.__setattr__(self, name, default if default is None or value is None else value)
+        if self.r is not None and (not _is_int(self.r) or self.r < 0):
+            raise PatternError(f"r must be an int >= 0, got {given['r']!r}")
+        if self.k is not None and (not _is_int(self.k) or not 0 <= self.k <= self.l):
+            raise PatternError(f"k must satisfy 0 <= k <= l={self.l}, got {given['k']!r}")
+        if self.block is not None and (not _is_int(self.block) or self.block < 1):
+            raise PatternError(f"block must be an int >= 1, got {given['block']!r}")
 
     @property
     def side_keys(self) -> int:
         """Number of averaged side keys (0 for every kind but tglobal)."""
-        if self.kind is PatternKind.TGLOBAL:
-            return -(-self.l // self.block)
-        return 0
+        return -(-self.l // self.block) if self.kind is PatternKind.TGLOBAL else 0
 
     def describe(self) -> dict:
         out = {"kind": self.kind.value, "l": self.l}
@@ -122,7 +120,8 @@ class AttentionMask:
     """Explicit mask: rows[i] is the sorted array of key columns query i sees.
 
     Columns 0..l-1 are token keys; columns l..l+side_keys-1 are side keys.
-    Row arrays may be shared between queries; treat them as read-only.
+    Rows that are one contiguous run of columns are slices of one shared
+    read-only array: writing into one raises ValueError.
     """
 
     pattern: AttentionPattern
@@ -156,56 +155,36 @@ class AttentionMask:
         return np.where(grid == 1, 0.0, MASKED)
 
 
-def _window(i: int, r: int, l: int) -> np.ndarray:
-    return np.arange(max(0, i - r), min(l - 1, i + r) + 1, dtype=np.int64)
-
-
 def build_mask(pattern: AttentionPattern) -> AttentionMask:
-    """Enumerate the key set of every query under `pattern`."""
+    """Enumerate the key set of every query under `pattern`: the first g rows
+    see every token key, and every other row sees the first g keys, its
+    radius-r window clipped below at g, and every side key."""
     l = pattern.l
-    kind = pattern.kind
-    if kind is PatternKind.FULL:
-        everything = np.arange(l, dtype=np.int64)
-        rows = tuple(everything for _ in range(l))
-        return AttentionMask(pattern, rows)
-
-    r = pattern.r
-    if kind is PatternKind.LOCAL:
-        rows = tuple(_window(i, r, l) for i in range(l))
-        return AttentionMask(pattern, rows)
-
-    if kind is PatternKind.TGLOBAL:
-        bank = np.arange(l, l + pattern.side_keys, dtype=np.int64)
-        rows = tuple(np.concatenate([_window(i, r, l), bank]) for i in range(l))
-        return AttentionMask(pattern, rows)
-
-    k = pattern.k
-    everything = np.arange(l, dtype=np.int64)
-    prefix_cols = np.arange(k, dtype=np.int64)
-    rows = []
-    for i in range(l):
-        if i < k:
-            rows.append(everything)
-            continue
-        lo, hi = max(0, i - r), min(l - 1, i + r)
-        if lo <= k:
-            # window touches or overlaps the prefix: one contiguous run
-            rows.append(np.arange(0, hi + 1, dtype=np.int64))
-        else:
-            rows.append(np.concatenate([prefix_cols, np.arange(lo, hi + 1, dtype=np.int64)]))
+    g = l if pattern.kind is PatternKind.FULL else pattern.k or 0
+    r = pattern.r or 0  # full's rows are all global, so its radius is never read
+    keys = np.arange(l + pattern.side_keys, dtype=np.int64)
+    keys.flags.writeable = False
+    rows = [keys[:l]] * g
+    for i in range(g, l):
+        # a window that reaches g continues the first g keys: one run from 0
+        lo, hi = (i - r if i - r > g else 0), min(l, i + r + 1)
+        parts = [keys[:g], keys[lo:hi]] if g and lo else [keys[lo:hi]]
+        if pattern.side_keys:
+            parts.append(keys[l:])
+        rows.append(parts[0] if len(parts) == 1 else np.concatenate(parts))
     return AttentionMask(pattern, tuple(rows))
+
+
+def _grid_text(mask: AttentionMask, sep: str) -> str:
+    """One line per query, its 0/1 cells joined by `sep`."""
+    return "".join(sep.join(map(str, row)) + "\n" for row in mask.to_grid().tolist())
 
 
 def render_csv(mask: AttentionMask) -> str:
     """Grid as CSV text: one line per query, cells 0 or 1."""
-    grid = mask.to_grid()
-    return "\n".join(",".join(str(int(c)) for c in row) for row in grid) + "\n"
+    return _grid_text(mask, ",")
 
 
 def render_pgm(mask: AttentionMask) -> str:
     """Grid as a plain-text PGM (P2) image, maxval 1, allowed cells white."""
-    grid = mask.to_grid()
-    h, w = grid.shape
-    lines = ["P2", f"{w} {h}", "1"]
-    lines.extend(" ".join(str(int(c)) for c in row) for row in grid)
-    return "\n".join(lines) + "\n"
+    return f"P2\n{mask.n_keys} {mask.n_queries}\n1\n" + _grid_text(mask, " ")

@@ -101,6 +101,19 @@ def test_mask_summary_golden(runner):
     assert blob["side_keys"] == 0
 
 
+def test_mask_summary_builds_no_mask(runner, monkeypatch):
+    def refuse(pattern):
+        raise AssertionError("the summary must not build the mask")
+
+    monkeypatch.setattr("prefix_global.cli.build_mask", refuse)
+    res = invoke(runner, "mask", "--kind", "prefix-global",
+                 "-l", "16", "-k", "4", "-r", "2")
+    assert res.exit_code == 0, res.output
+    blob = json.loads(res.output)
+    assert (blob["nnz"], blob["accounted_pairs"], blob["side_keys"]) == (166, 160, 0)
+    assert blob["pattern"] == {"kind": "prefix-global", "l": 16, "k": 4, "r": 2}
+
+
 def test_mask_csv_stdout(runner):
     res = invoke(runner, "mask", "--kind", "full", "-l", "3", "--fmt", "csv")
     assert res.exit_code == 0

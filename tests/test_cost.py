@@ -107,6 +107,29 @@ def test_closed_form_matches_enumeration_property(pattern):
     assert mask_nnz(pattern) == build_mask(pattern).nnz()
 
 
+def convention_pairs(pattern):
+    """The budgeting convention, one formula per kind as the cost docstring
+    states it; local's is the true count, tallied window by window."""
+    l, r, k = pattern.l, pattern.r, pattern.k
+    if pattern.kind is PatternKind.FULL:
+        return l * l
+    if pattern.kind is PatternKind.LOCAL:
+        return sum(min(l - 1, i + r) - max(0, i - r) + 1 for i in range(l))
+    if pattern.kind is PatternKind.TGLOBAL:
+        return l * (2 * r + -(-l // pattern.block))
+    return (l - k) * (2 * r + k) + k * l
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_pattern())
+@example(prefix_global(1, k=0, r=0))
+@example(prefix_global(300, k=300, r=600))
+@example(local(300, r=600))
+@example(tglobal(300, r=0, block=301))
+def test_accounted_pairs_matches_convention_property(pattern):
+    assert accounted_pairs(pattern) == convention_pairs(pattern)
+
+
 @st.composite
 def geometry(draw):
     """(l, k, r) of a prefix-global pattern, l up to a little past

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from prefix_global import patterns
 from prefix_global.kernel import block_average
@@ -62,6 +64,39 @@ def test_rows_match_set_oracle(pattern):
         assert set(got) == oracle_key_set(pattern, i), f"row {i} wrong"
 
 
+@st.composite
+def any_pattern(draw):
+    """A pattern of any kind with l in [1, 80], r in [0, 2l], k in [0, l] and
+    block in [1, l + 1]."""
+    l = draw(st.integers(1, 80))
+    return AttentionPattern(draw(st.sampled_from(PatternKind)), l, r=draw(st.integers(0, 2 * l)),
+                            k=draw(st.integers(0, l)), block=draw(st.integers(1, l + 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_pattern())
+@example(prefix_global(40, k=0, r=3))
+@example(prefix_global(40, k=40, r=3))
+@example(prefix_global(9, k=3, r=9))
+@example(local(9, r=20))
+@example(tglobal(9, r=9, block=2))
+@example(full(1))
+@example(local(1, r=0))
+@example(tglobal(1, r=0, block=1))
+@example(prefix_global(1, k=0, r=0))
+@example(prefix_global(1, k=1, r=2))
+@example(tglobal(7, r=1, block=8))
+def test_rows_match_set_oracle_property(pattern):
+    mask = build_mask(pattern)
+    assert len(mask.rows) == pattern.l
+    for i, row in enumerate(mask.rows):
+        got = row.tolist()
+        assert got == sorted(got), f"row {i} not sorted"
+        assert len(set(got)) == len(got), f"row {i} has duplicates"
+        assert i in got, f"row {i} lacks its own key"
+        assert set(got) == oracle_key_set(pattern, i), f"row {i} wrong"
+
+
 @pytest.mark.parametrize("pattern", sample_patterns(), ids=lambda p: str(p.describe()))
 def test_no_degenerate_rows_and_self_always_present(pattern):
     mask = build_mask(pattern)
@@ -110,6 +145,19 @@ class TestHandAuditedRows:
         a = build_mask(prefix_global(9, k=0, r=2)).to_grid()
         b = build_mask(local(9, r=2)).to_grid()
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("pattern, rows", [
+    (full(6), (0, 5)),
+    (local(6, r=1), (0, 3, 5)),
+    (prefix_global(12, k=3, r=2), (0, 4)),  # a global row, and a window that touches the prefix
+], ids=lambda p: getattr(p, "kind", "rows"))
+def test_shared_rows_are_read_only(pattern, rows):
+    mask = build_mask(pattern)
+    for i in rows:
+        with pytest.raises(ValueError):
+            mask.rows[i][-1] = 99
+    assert [row.tolist() for row in mask.rows] == [row.tolist() for row in build_mask(pattern).rows]
 
 
 class TestValidation:
