@@ -41,13 +41,23 @@ keys a band's tiles happen to span. The scale multiplies the scores, not q:
 then accept what the dense oracle refuses. tglobal's side keys and values
 that are not finite are refused the same way.
 
-Bands and tiles run sequentially with a fixed reduction order per row, so
-outputs are deterministic.
+A call plans in the calling thread, then runs its bands on up to the usable
+cores: min(cores, bands) workers, the calling thread one of them, pull bands
+from one shared iterator, and the extra threads are started and joined inside
+the call, so calls share no state and no thread outlives one. Numpy releases
+the GIL in the matmuls and ufunc loops that are nearly all of a band's time.
+Each band writes only its own output rows, with a fixed reduction order per
+row, so outputs are deterministic and do not depend on the worker count. A
+refused call raises the error of its lowest-index failing band, the one a
+serial run would have stopped at. Worker threads multiply with BLAS threads,
+so pin BLAS to one thread where cores are few.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -62,8 +72,11 @@ ROW_BLOCK = 128  # band height; bounds every sparse score buffer at 128 rows
 
 @dataclass
 class KernelStats:
-    """Score-buffer instrumentation. peak_score_elements is the element count
-    of the widest score block materialized at any one time."""
+    """Score-buffer instrumentation, recorded from a call's plan in band order
+    before any band runs, so a refused call counts every block of its plan.
+    peak_score_elements is the element count of the widest score block; each
+    worker holds one buffer that size, so up to `workers` such blocks are
+    live at once."""
 
     peak_score_elements: int = 0
     score_blocks: int = 0
@@ -120,59 +133,116 @@ def _bands(pattern: AttentionPattern, k, v, side=None) -> list:
     return bands + [_Band(b0, b1, ((max(g, b0 - r), min(l, b1 + r)),), r, bank) for b0, b1 in _blocks(g, l)]
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on. Tests monkeypatch it to set the worker count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _attend(q, k, v, bands, scale_by_sqrt_d: bool, stats: KernelStats | None) -> np.ndarray:
-    """Run every band as an online softmax over its key tiles: score the tile
-    (and the bank, on the first tile) in one block, mask it to the window, and
-    fold its unnormalized weights into a running row max, row sum and output.
-    Each band's output is divided by its row sums once, at the end."""
+    """Plan in the calling thread, then run the bands on up to the usable
+    cores. The plan records every score block in band order, builds each
+    window's outside-mask once per (rows, b0 - lo, width, r), so interior
+    bands share one, and gives each worker a scratch buffer as wide as the
+    widest block. Workers pull bands from one shared iterator; each band
+    writes only its own rows of the output, so the worker count changes no
+    output bit."""
     inv_scale = 1.0 / math.sqrt(q.shape[1]) if scale_by_sqrt_d else 1.0
+    masks, widest, cols = {}, 0, 0
+    for b0, b1, tiles, r, bank in bands:
+        rows = b1 - b0
+        for t, (lo, hi) in enumerate(tiles):
+            n_cols = hi - lo + (0 if t or bank is None else bank[0].shape[0])
+            if stats is not None:
+                stats.record(rows * n_cols)
+            widest, cols = max(widest, rows * n_cols), max(cols, n_cols)
+            geometry = (rows, b0 - lo, hi - lo, r)
+            if r is not None and geometry not in masks:
+                offsets = np.subtract.outer(np.arange(b0 - lo, b1 - lo), np.arange(hi - lo))
+                masks[geometry] = np.abs(offsets) > r
     out = np.empty((q.shape[0], v.shape[1]), dtype=np.float64)
-    masks = {}  # window outside-masks by (rows, b0 - lo, width, r); interior bands share one
-    # overflow is refused with ValueError below, so numpy need not warn first
-    with np.errstate(over="ignore", invalid="ignore"):
-        for b0, b1, tiles, r, bank in bands:
-            rows = b1 - b0
-            row_sum = acc = 0.0
-            for t, (lo, hi) in enumerate(tiles):
-                width = hi - lo
-                n_bank = 0 if t or bank is None else bank[0].shape[0]
-                scores = np.empty((rows, width + n_bank), dtype=np.float64)
-                if stats is not None:
-                    stats.record(scores.size)
-                np.matmul(q[b0:b1], k[lo:hi].T, out=scores[:, :width])
-                if n_bank:
-                    np.matmul(q[b0:b1], bank[0].T, out=scores[:, width:])
-                scores *= inv_scale
-                if r is not None:
-                    geometry = (rows, b0 - lo, width, r)
-                    if geometry not in masks:
-                        offsets = np.subtract.outer(np.arange(b0 - lo, b1 - lo), np.arange(width))
-                        masks[geometry] = np.abs(offsets) > r
-                    outside = masks[geometry]
-                if not np.isfinite(scores).all():
-                    refused = ~np.isfinite(scores)
-                    if r is not None:  # a pair outside the window is masked below, not refused
-                        refused[:, :width] &= ~outside
-                    if refused.any():
-                        raise ValueError(f"attention scores of rows {b0}..{b1 - 1} overflowed to non-finite values")
-                if r is not None:
-                    np.copyto(scores[:, :width], -np.inf, where=outside)
-                # a window row keeps at least itself and a prefix tile is unmasked, so the max is finite
-                new_max = scores.max(axis=1, keepdims=True)
-                if t:
-                    np.maximum(new_max, row_max, out=new_max)
-                    rescale = np.exp(row_max - new_max)  # <= 1: the weights so far, moved to the new max
-                    row_sum *= rescale
-                    acc *= rescale
-                row_max = new_max
-                scores -= row_max
-                np.exp(scores, out=scores)
-                row_sum += (scores @ np.ones(scores.shape[1]))[:, None]  # faster than .sum(axis=1)
-                acc += scores[:, :width] @ v[lo:hi]
-                if n_bank:
-                    acc += scores[:, width:] @ bank[1]
-            np.divide(acc, row_sum, out=out[b0:b1])
+    jobs = iter(enumerate(bands))  # next() on a list iterator is atomic under the GIL
+    errors = {}  # band index -> the exception that band raised
+
+    def work(scratch, ones):  # every tile's scores are a view of scratch
+        # overflow is refused with ValueError in _run_band, so numpy need not warn first;
+        # errstate is per thread, so each worker sets its own
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, band in jobs:
+                if errors:
+                    return
+                try:
+                    _run_band(q, k, v, band, inv_scale, masks, scratch, ones, out)
+                except BaseException as exc:  # re-raised by the calling thread
+                    errors[i] = exc
+                    return
+
+    # the caller allocates every worker's buffers, so they return to the malloc
+    # arena its own next allocations come from (measured: lower page-attend peak RSS)
+    buffers = [(np.empty(widest), np.ones(cols)) for _ in range(min(_usable_cores(), len(bands)))]
+    threads = []
+    try:
+        for scratch_and_ones in buffers[1:]:
+            thread = threading.Thread(target=work, args=scratch_and_ones)
+            try:
+                thread.start()
+            except RuntimeError:  # no thread to be had: run on the workers already started
+                break
+            threads.append(thread)
+        work(*buffers[0])  # the calling thread is a worker too
+    finally:
+        for thread in threads:
+            thread.join()
+    # every band before the lowest failing one was handed out first and ran to
+    # its end, so this is the band a serial run would have refused on
+    if errors:
+        raise errors[min(errors)]
     return out
+
+
+def _run_band(q, k, v, band, inv_scale, masks, scratch, ones, out) -> None:
+    """One band as an online softmax over its key tiles: score the tile (and
+    the bank, on the first tile) in one block, mask it to the window, and fold
+    its unnormalized weights into a running row max, row sum and output. The
+    output rows are divided by their row sums once, at the end."""
+    b0, b1, tiles, r, bank = band
+    rows = b1 - b0
+    row_sum = acc = 0.0
+    for t, (lo, hi) in enumerate(tiles):
+        width = hi - lo
+        n_bank = 0 if t or bank is None else bank[0].shape[0]
+        scores = scratch[: rows * (width + n_bank)].reshape(rows, width + n_bank)
+        np.matmul(q[b0:b1], k[lo:hi].T, out=scores[:, :width])
+        if n_bank:
+            np.matmul(q[b0:b1], bank[0].T, out=scores[:, width:])
+        scores *= inv_scale
+        if r is not None:
+            outside = masks[(rows, b0 - lo, width, r)]
+        if not np.isfinite(scores).all():
+            refused = ~np.isfinite(scores)
+            if r is not None:  # a pair outside the window is masked below, not refused
+                refused[:, :width] &= ~outside
+            if refused.any():
+                raise ValueError(f"attention scores of rows {b0}..{b1 - 1} overflowed to non-finite values")
+        if r is not None:
+            np.copyto(scores[:, :width], -np.inf, where=outside)
+        # a window row keeps at least itself and a prefix tile is unmasked, so the max is finite
+        new_max = scores.max(axis=1, keepdims=True)
+        if t:
+            np.maximum(new_max, row_max, out=new_max)
+            rescale = np.exp(row_max - new_max)  # <= 1: the weights so far, moved to the new max
+            row_sum *= rescale
+            acc *= rescale
+        row_max = new_max
+        scores -= row_max
+        np.exp(scores, out=scores)
+        row_sum += (scores @ ones[: scores.shape[1]])[:, None]  # faster than .sum(axis=1)
+        acc += scores[:, :width] @ v[lo:hi]
+        if n_bank:
+            acc += scores[:, width:] @ bank[1]
+    np.divide(acc, row_sum, out=out[b0:b1])
 
 
 def sparse_attention(

@@ -1,8 +1,12 @@
 """Kernel equivalence against dense-masked oracles, locality at the bit level,
-the score-buffer contract, refusal of overflowing scores, and property tests
-of the band geometry."""
+the score-buffer contract, refusal of overflowing scores, property tests
+of the band geometry, and bands run on several threads changing no bit."""
 
+import sys
+import threading
+import time
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -585,3 +589,158 @@ class TestBandGeometry:
         elif kind == "prefix-global":
             assert stats.peak_score_elements <= kernel.ROW_BLOCK * (kernel.ROW_BLOCK + 2 * r + k_len)
         assert cost.mask_nnz(pattern) == build_mask(pattern).nnz()
+
+
+def with_workers(n):
+    """Run the kernel as if the process had n usable cores."""
+    return mock.patch.object(kernel, "_usable_cores", lambda: n)
+
+
+def attend(kind, l, r, k_len, block, q, k, v, g, stats=None):
+    pattern = {
+        "full": lambda: full(l),
+        "local": lambda: local(l, r=r),
+        "tglobal": lambda: tglobal(l, r=r, block=block),
+        "prefix-global": lambda: prefix_global(l, k=k_len, r=r),
+    }[kind]()
+    if kind == "tglobal":
+        emb = g.normal(size=(l, 5))
+        kp, vp = g.normal(size=(5, q.shape[1])), g.normal(size=(5, v.shape[1]))
+        return tglobal_attention(q, k, v, pattern, emb, kp, vp, stats=stats)
+    return sparse_attention(q, k, v, pattern, stats=stats)
+
+
+class CallLog(KernelStats):
+    """KernelStats that also logs each record call and the thread making it."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def record(self, n_elements):
+        super().record(n_elements)
+        self.calls.append((n_elements, threading.get_ident()))
+
+
+class TestWorkers:
+    """Bands run on min(usable cores, bands) workers; the count changes no
+    output bit, no counter and no refusal, and no thread outlives a call."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(geometries(), st.integers(0, 2**32 - 1))
+    @example(("prefix-global", 300, 7, 0, 1, 4, 4), 0)
+    @example(("prefix-global", 300, 7, 300, 1, 4, 4), 1)
+    @example(("prefix-global", 389, 11, 200, 1, 5, 3), 2)
+    @example(("local", 383, 400, 0, 1, 2, 7), 3)
+    @example(("tglobal", 301, 520, 0, 13, 4, 2), 4)
+    @example(("tglobal", 1, 0, 0, 1, 1, 3), 5)
+    @example(("local", 1, 0, 0, 1, 3, 1), 6)
+    @example(("prefix-global", 1, 0, 1, 1, 2, 2), 7)
+    @example(("full", 129, 0, 0, 1, 3, 5), 8)
+    @example(("prefix-global", 400, 0, 129, 1, 3, 5), 9)
+    def test_worker_count_changes_no_bit(self, geometry, seed):
+        kind, l, r, k_len, block, d, d_v = geometry
+        q, k, v = make_qkv(rng(seed), l, d, d_v=d_v)
+        runs = []
+        for n in (1, 2, 3):
+            log = CallLog()
+            with with_workers(n):
+                out = attend(kind, l, r, k_len, block, q, k, v, rng(seed + 1), stats=log)
+            runs.append((out.tobytes(), log.peak_score_elements, log.score_blocks, log.calls))
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        # every block is recorded by the calling thread, so a subclass never races
+        assert {ident for _, ident in runs[0][3]} <= {threading.get_ident()}
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_refusal_names_the_lowest_failing_band(self, n):
+        # overflow in a prefix tile of band 1 (rows 128..199, key 590 in its
+        # last tile) and in window bands 3 and 4; band 0 is clean
+        l, d = 600, 4
+        q, k, v = make_qkv(rng(60), l, d)
+        for i, j in ((150, 590), (400, 401), (500, 499)):
+            q[i] = k[j] = 0.0
+            q[i, 0] = k[j, 0] = 1e160
+        pattern = prefix_global(l, k=200, r=2)
+        before = threading.active_count()
+        with warnings.catch_warnings(), with_workers(n):
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^attention scores of rows 128\.\.199 overflowed"):
+                sparse_attention(q, k, v, pattern)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_any_error_of_the_lowest_failing_band_is_raised(self, n, monkeypatch):
+        # band 2 fails late and band 5 fails at once; the call raises band 2's
+        # error, whichever finished first, and stops handing out bands
+        run_band = kernel._run_band
+        ran = []
+
+        def failing(q, k, v, band, *rest):
+            ran.append(band.b0)
+            if band.b0 == 256:
+                time.sleep(0.05)
+                raise LookupError("band 2")
+            if band.b0 == 640:
+                raise RuntimeError("band 5")
+            return run_band(q, k, v, band, *rest)
+
+        monkeypatch.setattr(kernel, "_run_band", failing)
+        q, k, v = make_qkv(rng(61), 1280, 4)
+        before = threading.active_count()
+        with with_workers(n), pytest.raises(LookupError, match="band 2"):
+            sparse_attention(q, k, v, local(1280, r=3))
+        assert threading.active_count() == before
+        assert set(range(0, 384, 128)) <= set(ran) and len(ran) < 10
+
+    def test_every_band_runs_once_under_thread_switching(self, monkeypatch):
+        # more workers than cores and a switch every microsecond: a band
+        # handed out twice or never shows in the log, or as unwritten rows
+        q, k, v = make_qkv(rng(64), 4096, 4)
+        pattern = local(4096, r=3)
+        with with_workers(1):
+            want = sparse_attention(q, k, v, pattern).tobytes()
+        run_band, ran = kernel._run_band, []
+
+        def logged(q, k, v, band, *rest):
+            ran.append(band.b0)
+            return run_band(q, k, v, band, *rest)
+
+        monkeypatch.setattr(kernel, "_run_band", logged)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with with_workers(5):
+                for _ in range(3):
+                    assert sparse_attention(q, k, v, pattern).tobytes() == want
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(ran) == sorted(list(range(0, 4096, 128)) * 3)
+
+    def test_threads_per_call(self, monkeypatch):
+        started = []
+        real_start = threading.Thread.start
+
+        def start(thread):
+            started.append(thread)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        q, k, v = make_qkv(rng(62), 300, 4)
+        with with_workers(4):
+            for pattern in (full(300), prefix_global(100, k=0, r=3)):  # one band: run inline
+                sparse_attention(q[: pattern.l], k[: pattern.l], v[: pattern.l], pattern)
+            assert started == []
+            sparse_attention(q, k, v, local(300, r=3))  # three bands: the caller and two threads
+        assert len(started) == 2 and not any(t.is_alive() for t in started)
+
+    def test_no_thread_to_be_had_runs_on_the_caller(self, monkeypatch):
+        q, k, v = make_qkv(rng(63), 700, 4)
+        pattern = prefix_global(700, k=200, r=5)
+        want = sparse_attention(q, k, v, pattern).tobytes()
+
+        def refuse(thread):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        with with_workers(3):
+            assert sparse_attention(q, k, v, pattern).tobytes() == want
