@@ -5,7 +5,7 @@ and webpage-to-sequence dataset construction.
 __version__ = "0.1.0"
 
 from .cost import CostReport, accounted_pairs, compare, mask_nnz, render_table, report
-from .demo import demo_corpus_path, write_demo_corpus
+from .demo import demo_corpus_path
 from .kernel import KernelStats, block_average, sparse_attention, tglobal_attention
 from .numcore import (
     MASKED,
@@ -21,9 +21,9 @@ from .page import (
     Page,
     Section,
     SectionClass,
+    assign_split,
     iter_corpus,
     parse_page,
-    read_corpus,
 )
 from .patterns import (
     DEFAULT_BLOCK,
@@ -44,7 +44,6 @@ from .patterns import (
 from .pipeline import (
     FilterReport,
     RoutedExample,
-    assign_split,
     build_dataset,
     corpus_stats,
 )
@@ -74,12 +73,12 @@ __all__ = [
     "KernelStats", "sparse_attention", "tglobal_attention", "block_average",
     # page model
     "CorpusError", "MalformedRecord", "Page", "Section", "ImageRef", "SectionClass",
-    "parse_page", "iter_corpus", "read_corpus",
+    "parse_page", "iter_corpus", "assign_split",
     # sequences
     "Task", "Origin", "PageDescPrefix", "TaskExample", "build_page_description_input",
     "build_section_summarization_input", "build_image_caption_input", "leaks_target",
     # pipeline
-    "FilterReport", "RoutedExample", "assign_split", "build_dataset", "corpus_stats",
+    "FilterReport", "RoutedExample", "build_dataset", "corpus_stats",
     # bundled corpus
-    "demo_corpus_path", "write_demo_corpus",
+    "demo_corpus_path",
 ]

@@ -147,7 +147,11 @@ def flops(lengths, kinds, radius, prefix_k, block, as_json):
               help="Also run the dense masked reference and report max |diff|.")
 def attend(kind, length, dim, radius, prefix_k, block, seed, scale, check_oracle):
     """Run the sparse forward pass on seeded random inputs and fingerprint
-    the output."""
+    the output.
+
+    output_sha256, and its sameness across kernel worker counts, hold only
+    at one BLAS thread count; to compare fingerprints, set
+    OPENBLAS_NUM_THREADS=1, as perfbench does."""
     pattern = _pattern(kind, length, radius, prefix_k, block)
     if check_oracle and length > ORACLE_LENGTH_CAP:
         raise click.UsageError(

@@ -19,11 +19,6 @@ from importlib import resources
 CORPUS_RESOURCE = "demo_corpus.jsonl"
 
 
-def write_demo_corpus(path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(demo_corpus_path().read_bytes())
-
-
 def demo_corpus_path():
     """Path to the installed copy of the bundled corpus."""
     return resources.files("prefix_global").joinpath("data").joinpath(CORPUS_RESOURCE)

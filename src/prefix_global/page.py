@@ -15,6 +15,12 @@ Unknown keys are ignored everywhere. first/rest sentence fields, if present in
 a record, are ignored too: both are always re-derived with the splitter below
 so the stored pair can never disagree with the stored text.
 
+Page input is checked here and nowhere downstream: the corpus reader checks
+each field's JSON type, and the model checks its invariants (a nonempty page
+URL, section order and parent chains, an image's embedding_id being a str).
+The sequence builders copy checked fields into token runs and check nothing
+again.
+
 The sentence splitter is deliberately naive: the first ., ! or ? followed by
 whitespace (or end of text) ends the first sentence. No abbreviation guard.
 It is a documented, replaceable seam, not a linguistic claim.
@@ -78,6 +84,9 @@ class ImageRef:
             raise CorpusError("image url must be nonempty")
         if not self.embedding_id:
             object.__setattr__(self, "embedding_id", self.url)
+        # the one outside value a token run copies unchanged
+        if not isinstance(self.embedding_id, str):
+            raise CorpusError(f"image embedding_id must be a str, got {type(self.embedding_id).__name__}")
 
 
 @dataclass(frozen=True)
@@ -121,24 +130,14 @@ class Page:
             raise CorpusError(f"split must be one of {SPLITS}, got {self.split!r}")
         sections = tuple(self.sections)
         object.__setattr__(self, "sections", sections)
-        parents = set()
         for pos, sec in enumerate(sections):
             if sec.index != pos:
                 raise CorpusError(f"section indices must be 0..n-1 in order; slot {pos} has index {sec.index}")
-            if sec.parent_index is not None:
-                if not 0 <= sec.parent_index < sec.index:
-                    raise CorpusError(f"section {sec.index}: parent_index {sec.parent_index} must precede it")
-                parents.add(sec.parent_index)
+            if sec.parent_index is not None and not 0 <= sec.parent_index < sec.index:
+                raise CorpusError(f"section {sec.index}: parent_index {sec.parent_index} must precede it")
             expected_depth = 0 if sec.parent_index is None else sections[sec.parent_index].depth + 1
             if sec.depth != expected_depth:
                 raise CorpusError(f"section {sec.index}: depth {sec.depth} != parent-chain length {expected_depth}")
-        object.__setattr__(self, "_parents", frozenset(parents))
-
-    def has_children(self, index: int) -> bool:
-        return index in self._parents
-
-    def section_class(self, index: int) -> SectionClass:
-        return classify_section(self.sections[index], self.has_children(index))
 
     def content_sections(self) -> list:
         return [s for s in self.sections if is_content_section(s)]
@@ -288,8 +287,6 @@ def parse_page(obj: dict) -> Page:
     if not isinstance(obj, dict):
         raise CorpusError("page record must be a JSON object")
     url = _require(obj, "page_url", str, "page")
-    if not url:
-        raise CorpusError("page_url must be nonempty")
     where = f"page {url}"
     sections_raw = obj.get("sections", [])
     if not isinstance(sections_raw, list):
@@ -338,8 +335,3 @@ def iter_corpus(path, strict: bool = True):
                 yield MalformedRecord(n, str(exc))
                 continue
             yield page
-
-
-def read_corpus(path) -> list:
-    """Load a JSONL corpus strictly into memory."""
-    return list(iter_corpus(path, strict=True))

@@ -14,8 +14,7 @@ import statistics
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-# assign_split is defined in page and re-exported from here
-from .page import SPLITS, MalformedRecord, SectionClass, _is_int, assign_split
+from .page import SPLITS, MalformedRecord, SectionClass, _is_int, classify_section
 from .sequence import (
     REASON_PARSE_ERROR,
     PageDescPrefix,
@@ -135,7 +134,9 @@ def _distribution(values) -> dict:
 
 
 def corpus_stats(pages) -> dict:
-    """Taxonomy counts, image counts, and per-page distributions."""
+    """Taxonomy counts, image counts, and per-page distributions. A
+    section's class depends on whether it has children, which is worked out
+    here from the parent indices of its page's sections."""
     class_counts = {c.value: 0 for c in SectionClass}
     sections_per_page, content_per_page, images_per_page = [], [], []
     images_per_section = []
@@ -147,8 +148,9 @@ def corpus_stats(pages) -> dict:
         sections_per_page.append(len(page.sections))
         content_per_page.append(len(page.content_sections()))
         page_images = 0
+        parents = {s.parent_index for s in page.sections}
         for sec in page.sections:
-            class_counts[page.section_class(sec.index).value] += 1
+            class_counts[classify_section(sec, sec.index in parents).value] += 1
             images_per_section.append(len(sec.images))
             page_images += len(sec.images)
             for img in sec.images:

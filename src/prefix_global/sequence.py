@@ -19,7 +19,8 @@ Examples are assembled from token runs. A run is one piece of text (the page
 URL or title; a section's marker, title, body, first sentence or rest; one
 image's caption) or a list of images: one origin, which decides its kind (the
 two image origins make image runs, the rest text runs), and its values. It is
-validated once, as a whole, and kept on the page, so every example of that
+a plain value, built only here from page fields that the corpus reader and
+the page model have checked, and kept on the page, so every example of that
 page shares it. A section's runs are built together, once, and its body run is
 its first sentence's tokens then the rest's: the split cuts just after a .!?
 that whitespace or the end follows, and no token spans whitespace, so that is
@@ -98,16 +99,12 @@ class TokenRun:
     a section's title or one image's caption, all of one origin. The
     builders make each run once per page and share it between the page's
     examples; only a run that the prefix cap cuts is replaced, in its
-    example, by its two parts."""
+    example, by its two parts. Runs are built only in this module, from
+    checked page fields (tokenize output, a marker, image embedding ids, or
+    parts of other runs), so a run checks nothing itself."""
 
     origin: Origin
     values: tuple = ()
-
-    def __post_init__(self):
-        if not isinstance(self.origin, Origin):
-            raise ValueError(f"run origin must be an Origin, got {self.origin!r}")
-        if not isinstance(self.values, tuple) or not all(isinstance(v, str) for v in self.values):
-            raise ValueError("run values must be a tuple of str")
 
     def __len__(self) -> int:
         return len(self.values)

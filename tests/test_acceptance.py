@@ -20,9 +20,9 @@ from prefix_global.cli import main as cli_main
 from prefix_global.cost import accounted_pairs, mask_nnz
 from prefix_global.demo import demo_corpus_path
 from prefix_global.kernel import KernelStats, sparse_attention, tglobal_attention
-from prefix_global.page import iter_corpus
+from prefix_global.page import assign_split, iter_corpus
 from prefix_global.patterns import build_mask, full, local, prefix_global, tglobal
-from prefix_global.pipeline import assign_split, build_dataset
+from prefix_global.pipeline import build_dataset
 from prefix_global.sequence import Task, leaks_target
 
 

@@ -23,10 +23,11 @@ from prefix_global.page import (
     iter_corpus,
     parse_mime,
     parse_page,
-    read_corpus,
     split_first_sentence,
     tokenize,
 )
+from prefix_global.pipeline import build_dataset, corpus_stats
+from prefix_global.sequence import REASON_PARSE_ERROR, Task
 
 
 def sec(index, **kw):
@@ -213,10 +214,11 @@ class TestPageInvariants:
         assert Page(url=url, split="train").split == "train"
 
     def test_has_children(self):
+        # corpus_stats works out which sections have children: the empty
+        # parent is structural, the empty leaf a heading
         page = Page(url="u", sections=(sec(0), sec(1, parent_index=0, depth=1)))
-        assert page.has_children(0)
-        assert not page.has_children(1)
-        assert page.section_class(0) is SectionClass.STRUCTURAL
+        assert corpus_stats([page])["sections"] == {
+            "structural": 1, "heading": 1, "text_only": 0, "image_only": 0, "both": 0, "total": 2}
 
     def test_class_counts_partition(self):
         page = Page(
@@ -228,13 +230,13 @@ class TestPageInvariants:
                 sec(3, body_text="b.", images=(img("https://img.example/y.png"),)),
             ),
         )
-        classes = [page.section_class(i) for i in range(4)]
-        assert len(classes) == len(page.sections)
-        assert classes.count(SectionClass.TEXT_ONLY) == 1
-        assert classes.count(SectionClass.HEADING) == 0
-        assert classes.count(SectionClass.STRUCTURAL) == 1
-        assert classes.count(SectionClass.IMAGE_ONLY) == 1
-        assert classes.count(SectionClass.BOTH) == 1
+        counts = corpus_stats([page])["sections"]
+        assert counts["total"] == len(page.sections)
+        assert counts[SectionClass.TEXT_ONLY.value] == 1
+        assert counts[SectionClass.HEADING.value] == 0
+        assert counts[SectionClass.STRUCTURAL.value] == 1
+        assert counts[SectionClass.IMAGE_ONLY.value] == 1
+        assert counts[SectionClass.BOTH.value] == 1
 
 
 class TestMime:
@@ -260,6 +262,15 @@ class TestMime:
     def test_image_url_required(self):
         with pytest.raises(CorpusError):
             ImageRef(url="")
+
+    # an embedding_id is copied into a token run unchanged, so the model
+    # refuses one that is not a str; a non-str url with no embedding_id
+    # becomes one
+    @pytest.mark.parametrize("kw", [{"embedding_id": 7}, {"embedding_id": b"v"}, {"url": 7}, {"url": b"x.jpg"}],
+                             ids=["int-id", "bytes-id", "int-url", "bytes-url"])
+    def test_non_str_embedding_id_refused(self, kw):
+        with pytest.raises(CorpusError, match="embedding_id must be a str"):
+            img(**kw)
 
 
 def page_record(url="https://e.org/wiki/Mill", **over):
@@ -414,17 +425,17 @@ class TestCorpusIO:
             tmp_path,
             [json.dumps(page_record()), json.dumps(page_record(url="https://e.org/wiki/Other"))],
         )
-        pages = read_corpus(path)
+        pages = list(iter_corpus(path))
         assert [p.url for p in pages] == ["https://e.org/wiki/Mill", "https://e.org/wiki/Other"]
 
     def test_blank_lines_skipped(self, tmp_path):
         path = self.write(tmp_path, [json.dumps(page_record()), "", "   "])
-        assert len(read_corpus(path)) == 1
+        assert len(list(iter_corpus(path))) == 1
 
     def test_strict_raises_on_bad_json(self, tmp_path):
         path = self.write(tmp_path, ["{not json"])
         with pytest.raises(CorpusError):
-            read_corpus(path)
+            list(iter_corpus(path))
 
     def test_lenient_yields_malformed_records(self, tmp_path):
         path = self.write(
@@ -464,7 +475,7 @@ class TestCorpusIO:
     @pytest.mark.parametrize("bad", BAD_LINES.values(), ids=BAD_LINES.keys())
     def test_undecodable_line_strict_raises_corpus_error(self, tmp_path, bad):
         with pytest.raises(CorpusError, match="^line 2: "):
-            read_corpus(self.write_around(tmp_path, bad))
+            list(iter_corpus(self.write_around(tmp_path, bad)))
 
     @pytest.mark.parametrize("field", TestParsePage.FLAG_FIELDS)
     @pytest.mark.parametrize("value", ["false", 1], ids=["string-false", "int-1"])
@@ -473,15 +484,27 @@ class TestCorpusIO:
         TestParsePage.set_flag(record, field, value)
         path = self.write_around(tmp_path, json.dumps(record).encode())
         with pytest.raises(CorpusError, match=f"^line 2: .*{field}"):
-            read_corpus(path)
+            list(iter_corpus(path))
         items = list(iter_corpus(path, strict=False))
         assert [type(i) for i in items] == [Page, MalformedRecord, Page]
         assert items[1].line_number == 2 and field in items[1].error
 
+    def test_non_str_embedding_id_strict_and_lenient(self, tmp_path):
+        record = page_record(url="https://e.org/wiki/P2")
+        record["sections"][1]["images"][0]["embedding_id"] = 7
+        path = self.write_around(tmp_path, json.dumps(record).encode())
+        with pytest.raises(CorpusError, match="^line 2: .*'embedding_id' must be str, got int"):
+            list(iter_corpus(path))
+        items = list(iter_corpus(path, strict=False))
+        assert [type(i) for i in items] == [Page, MalformedRecord, Page]
+        assert items[1].line_number == 2 and "embedding_id" in items[1].error
+        _, report = build_dataset(items, Task.IMAGE_CAPTIONING)
+        assert report.rejections[REASON_PARSE_ERROR] == 1
+
     def test_duplicate_urls_rejected(self, tmp_path):
         path = self.write(tmp_path, [json.dumps(page_record()), json.dumps(page_record())])
         with pytest.raises(CorpusError):
-            read_corpus(path)
+            list(iter_corpus(path))
         items = list(iter_corpus(path, strict=False))
         assert isinstance(items[0], Page)
         assert isinstance(items[1], MalformedRecord)
@@ -528,7 +551,7 @@ class TestParserFuzz:
         good = [json.dumps(page_record(url=f"https://e.org/wiki/P{i}")) for i in (1, 3)]
         path.write_text("\n".join([good[0], json.dumps(record), good[1]]) + "\n", encoding="utf-8")
         try:
-            assert len(read_corpus(path)) == 3
+            assert len(list(iter_corpus(path))) == 3
             parsed = True
         except CorpusError as exc:
             assert str(exc).startswith("line 2:")

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prefix_global.demo import demo_corpus_path
-from prefix_global.page import ImageRef, Mime, Page, Section, iter_corpus, tokenize
+from prefix_global.page import ImageRef, Mime, Page, Section, iter_corpus, parse_page, tokenize
 from prefix_global.pipeline import build_dataset
 from prefix_global.sequence import (
     PREFIX_BUDGET,
@@ -388,14 +388,8 @@ class TestTaskExample:
         assert a == b
 
     def test_slot_validation(self):
-        # a run is validated once, as a whole
-        with pytest.raises(ValueError):
-            TokenRun("caption", ("x",))
-        with pytest.raises(ValueError):
-            TokenRun(Origin.CAPTION, ["x"])
-        with pytest.raises(ValueError):
-            TokenRun(Origin.CONTEXT_IMAGE, ("v", 7))
-        # every field is refused when constructed, not when serialized
+        # every field is refused when constructed, not when serialized; a
+        # run's values are checked earlier, as page fields (test_page.py)
         runs = (text_run("a b"),)
         url = "https://e.org/wiki/X"
         for task, prefix, context, target, page_url in (
@@ -604,6 +598,77 @@ def test_body_run_is_the_whole_body_tokenized(text):
     body = SectionRuns(section).body
     assert body.values == tuple(tokenize(section.body_text))
     assert body.origin is Origin.SECTION_BODY
+
+
+# quotes and a backslash, which JSON escapes; U+2028, which it may leave
+# raw; non-ASCII letters; and every sentence mark
+RECORD_ALPHABET = "aZ9é中 .!?,'\"\\\u2028\t\n"
+record_text = st.text(alphabet=RECORD_ALPHABET, max_size=30)
+# words then a sentence mark, or none: bodies of zero to seven sentences
+record_body = st.lists(st.tuples(record_text, st.sampled_from([".", "!", "?", "", "?!", '."'])), max_size=7).map(
+    lambda parts: " ".join(words + mark for words, mark in parts))
+
+
+@st.composite
+def raw_image(draw, n):
+    image = {
+        "section_image_url": f"https://img.example/{n}/" + draw(record_text),
+        "section_image_mime_type": draw(st.sampled_from(["image/jpeg", "image/png", "image/gif", None])),
+        "section_image_raw_ref_desc": draw(record_body),
+        "section_image_in_WIT": draw(st.booleans()),
+    }
+    if draw(st.booleans()):
+        image["embedding_id"] = draw(record_text)  # "" falls back to the url
+    return image
+
+
+@st.composite
+def raw_record(draw):
+    """One corpus record as the reader sees it: zero to six sections, each
+    with a parent among the earlier ones or none, images with and without an
+    embedding_id, and table/list flags."""
+    sections = []
+    for i in range(draw(st.integers(0, 6))):
+        sections.append({
+            "section_index": i,
+            "section_title": draw(record_text),
+            "section_text": draw(record_body),
+            "section_parent_index": draw(st.one_of(st.none(), st.integers(0, i - 1))) if i else None,
+            "section_contains_table_or_list": draw(st.booleans()),
+            "images": [draw(raw_image(f"{i}.{n}")) for n in range(draw(st.integers(0, 3)))],
+        })
+    return {
+        "page_url": "https://e.org/wiki/" + draw(record_text),
+        "page_title": draw(record_text),
+        "raw_page_description": draw(record_body),
+        "sections": sections,
+    }
+
+
+@given(raw_record())
+@example({"page_url": "https://e.org/wiki/Q", "raw_page_description": "D.", "sections": [
+    {"section_index": 0, "section_text": "A. B. C. D. E.", "images": [
+        {"section_image_url": "https://img.example/a.jpg", "section_image_mime_type": "image/jpeg",
+         "section_image_raw_ref_desc": "a stone tower", "section_image_in_WIT": True},
+        {"section_image_url": "https://img.example/b.png", "section_image_mime_type": "image/png",
+         "section_image_raw_ref_desc": "a tower at dusk", "section_image_in_WIT": True, "embedding_id": "vec-b"},
+    ]},
+    {"section_index": 1, "section_parent_index": 0, "section_text": "F. G. H. I. J. K.", "images": [
+        {"section_image_url": "https://img.example/c.jpg", "embedding_id": "vec-c"}]},
+]})
+@settings(max_examples=150, deadline=None)
+def test_parsed_record_runs_hold_str_values(record):
+    # runs check nothing themselves: every value comes from a checked page
+    # field, so every value is a str and the JSON line gives each one back
+    page = parse_page(record)
+    for task in Task:
+        for variant in PageDescPrefix:
+            routed, _ = build_dataset([page], task, threshold=0, variant=variant)
+            for _, ex in routed:
+                runs = ex.prefix + ex.context
+                assert all(type(v) is str for run in runs for v in run.values)
+                line = json.loads(ex.to_json_line())
+                assert line["prefix"] == slots_of(ex.prefix) and line["context"] == slots_of(ex.context)
 
 
 class TestLeakScan:
