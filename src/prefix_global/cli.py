@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .cost import accounted_pairs, compare, mask_nnz, render_table
-from .kernel import KernelStats, block_average, sparse_attention, tglobal_attention
+from .kernel import KernelStats, block_average, sparse_attention
 from .numcore import dense_attention
 from .page import SPLITS, CorpusError, MalformedRecord, iter_corpus
 from .patterns import (
@@ -164,15 +164,14 @@ def attend(kind, length, dim, radius, prefix_k, block, seed, scale, check_oracle
         key_proj = rng.standard_normal((dim, dim))
         value_proj = rng.standard_normal((dim, dim))
         q = rng.standard_normal((length, dim))
-        k_mat = emb @ key_proj
-        v_mat = emb @ value_proj
-        out = tglobal_attention(q, k_mat, v_mat, pattern, emb, key_proj, value_proj,
-                                scale_by_sqrt_d=scale, stats=stats)
+        averaged = block_average(emb, pattern.block)
+        k_mat = np.vstack([emb @ key_proj, averaged @ key_proj])
+        v_mat = np.vstack([emb @ value_proj, averaged @ value_proj])
     else:
         q = rng.standard_normal((length, dim))
         k_mat = rng.standard_normal((length, dim))
         v_mat = rng.standard_normal((length, dim))
-        out = sparse_attention(q, k_mat, v_mat, pattern, scale_by_sqrt_d=scale, stats=stats)
+    out = sparse_attention(q, k_mat, v_mat, pattern, scale_by_sqrt_d=scale, stats=stats)
     payload = {
         "version": __version__,
         "config": {"kind": kind, "length": length, "dim": dim, "radius": radius,
@@ -183,14 +182,7 @@ def attend(kind, length, dim, radius, prefix_k, block, seed, scale, check_oracle
         "score_blocks": stats.score_blocks,
     }
     if check_oracle:
-        additive = build_mask(pattern).to_additive()
-        if pattern.kind is PatternKind.TGLOBAL:
-            averaged = block_average(emb, pattern.block)
-            dense = dense_attention(q, np.vstack([k_mat, averaged @ key_proj]),
-                                    np.vstack([v_mat, averaged @ value_proj]),
-                                    additive, scale_by_sqrt_d=scale)
-        else:
-            dense = dense_attention(q, k_mat, v_mat, additive, scale_by_sqrt_d=scale)
+        dense = dense_attention(q, k_mat, v_mat, build_mask(pattern).to_additive(), scale_by_sqrt_d=scale)
         payload["max_abs_diff"] = float(np.max(np.abs(out - dense)))
     _emit(payload)
 

@@ -11,7 +11,10 @@ keys, its window clipped below at g, and every side key. So the plan is
 ROW_BLOCK-row bands over rows [0, g), each tiling every key in tiles of
 ROW_BLOCK + 2r + g keys, then ROW_BLOCK-row window bands over rows [g, l),
 each one tile spanning its clipped window, banked on the first g keys and
-values or else on tglobal's block-averaged side keys. No score block is wider
+values or else on tglobal's block-averaged side keys. k and v carry the side
+keys and values as their last side_keys rows, the column order of the
+pattern's mask and of the dense oracle, and one operand check,
+numcore.attention_operands, serves both. No score block is wider
 than a window band, whatever l is. The exception is full (g = l), which has
 no sparsity to exploit: one band with one tile allocates the whole l x l grid
 in one block, and its instrumented buffer size is the baseline the sparse
@@ -38,8 +41,7 @@ sees, are checked in full. Where the pattern forbids the pair, the score is
 masked like any other, so whether a call is refused does not depend on which
 keys a band's tiles happen to span. The scale multiplies the scores, not q:
 (q / sqrt(d)) . k can be finite where q . k overflowed, and the kernel would
-then accept what the dense oracle refuses. tglobal's side keys and values
-that are not finite are refused the same way.
+then accept what the dense oracle refuses.
 
 A call plans in the calling thread, then runs its bands on up to the usable
 cores: min(cores, bands) workers, the calling thread one of them, pull bands
@@ -63,7 +65,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numcore import ShapeError, as_matrix
+from .numcore import ShapeError, as_matrix, attention_operands
 from .page import _is_int
 from .patterns import AttentionPattern, PatternError, PatternKind
 
@@ -99,29 +101,15 @@ class _Band(NamedTuple):
     bank: tuple | None = None
 
 
-def _validate_qkv(q, k, v, l: int):
-    q = as_matrix(q, "q")
-    k = as_matrix(k, "k")
-    v = as_matrix(v, "v")
-    if not (q.shape[0] == k.shape[0] == v.shape[0] == l):
-        raise ShapeError(
-            f"q/k/v must each have l={l} rows, got {q.shape[0]}/{k.shape[0]}/{v.shape[0]}"
-        )
-    if q.shape[1] != k.shape[1]:
-        raise ShapeError(f"q has d={q.shape[1]} but k has d={k.shape[1]}")
-    if q.shape[1] < 1:
-        raise ShapeError("d must be >= 1")
-    return q, k, v
-
-
 def _blocks(start: int, stop: int, size: int = ROW_BLOCK):
     for b0 in range(start, stop, size):
         yield b0, min(b0 + size, stop)
 
 
-def _bands(pattern: AttentionPattern, k, v, side=None) -> list:
+def _bands(pattern: AttentionPattern, k, v) -> list:
     """Prefix bands over the g global rows, then window bands banked on the
-    first g keys and values, or on `side`; full is one band over the grid."""
+    side keys and values, the rows of k and v past l, or else on the first g;
+    full is one band over the grid."""
     l = pattern.l
     if pattern.kind is PatternKind.FULL:
         return [_Band(0, l, ((0, l),))]
@@ -129,7 +117,7 @@ def _bands(pattern: AttentionPattern, k, v, side=None) -> list:
     # global rows see every key, in tiles as wide as the widest window band
     tiles = tuple(_blocks(0, l, ROW_BLOCK + 2 * r + g))
     bands = [_Band(b0, b1, tiles) for b0, b1 in _blocks(0, g)]
-    bank = (k[:g], v[:g]) if side is None else side
+    bank = (k[l:], v[l:]) if pattern.side_keys else (k[:g], v[:g])
     return bands + [_Band(b0, b1, ((max(g, b0 - r), min(l, b1 + r)),), r, bank) for b0, b1 in _blocks(g, l)]
 
 
@@ -253,15 +241,19 @@ def sparse_attention(
     scale_by_sqrt_d: bool = True,
     stats: KernelStats | None = None,
 ) -> np.ndarray:
-    """Forward attention under a full, local, or prefix-global pattern.
+    """Forward attention under any pattern.
 
-    q, k, v: (l, d) / (l, d) / (l, d_v) float64. Returns (l, d_v). Equal to
-    dense attention over the pattern's rendered mask, but score buffers cover
-    only reachable columns. Pass a KernelStats to observe buffer sizes.
+    q: (l, d); k: (l + side_keys, d); v: (l + side_keys, d_v), float64, with
+    tglobal's side keys and values as the last side_keys rows, in the mask's
+    column order, as dense_attention takes them. Returns (l, d_v), equal to
+    dense attention over the pattern's rendered mask. Pass a KernelStats to
+    observe buffer sizes.
     """
-    if pattern.kind is PatternKind.TGLOBAL:
-        raise PatternError("tglobal patterns need tglobal_attention (side keys required)")
-    q, k, v = _validate_qkv(q, k, v, pattern.l)
+    q, k, v = attention_operands(q, k, v)
+    l, n_keys = pattern.l, pattern.l + pattern.side_keys
+    if (q.shape[0], k.shape[0]) != (l, n_keys):
+        raise ShapeError(f"{pattern.kind.value} attention needs {l} query rows and {n_keys} key rows, "
+                         f"got {q.shape[0]} and {k.shape[0]}")
     return _attend(q, k, v, _bands(pattern, k, v), scale_by_sqrt_d, stats)
 
 
@@ -289,18 +281,19 @@ def tglobal_attention(
     scale_by_sqrt_d: bool = True,
     stats: KernelStats | None = None,
 ) -> np.ndarray:
-    """Forward attention under a tglobal pattern.
+    """tglobal attention from the token rows alone: q, k, v have l rows each.
 
-    Side key/value slots are built on the fly: token_embeddings (l x d_model)
-    are block-averaged, then pushed through key_proj (d_model x d) and
-    value_proj (d_model x d_v), the same projections that produced k and v
-    from the real tokens. Every query attends to its local window plus every
-    side slot; side slots are never queries, so the output still has l rows.
+    token_embeddings (l x d_model) are block-averaged and pushed through
+    key_proj (d_model x d) and value_proj (d_model x d_v), the projections
+    that made k and v; the side keys and values this gives are stacked under
+    k and v for sparse_attention. Kept because the benchmark harness calls it.
     """
     if pattern.kind is not PatternKind.TGLOBAL:
         raise PatternError(f"expected a tglobal pattern, got {pattern.kind.value}")
     l = pattern.l
-    q, k, v = _validate_qkv(q, k, v, l)
+    q, k, v = attention_operands(q, k, v)
+    if k.shape[0] != l:
+        raise ShapeError(f"k and v must have l={l} rows, without side rows, got {k.shape[0]}")
     emb = as_matrix(token_embeddings, "token_embeddings")
     if emb.shape[0] != l:
         raise ShapeError(f"token_embeddings must have l={l} rows, got {emb.shape[0]}")
@@ -314,8 +307,9 @@ def tglobal_attention(
     # a non-finite side key or value is refused with ValueError, so numpy need not warn first
     with np.errstate(over="ignore", invalid="ignore"):
         averaged = block_average(emb, pattern.block)
-        bank = (averaged @ kp, averaged @ vp)
-    for name, side in zip(("keys", "values"), bank):
+        side_k, side_v = averaged @ kp, averaged @ vp
+    for name, side in (("keys", side_k), ("values", side_v)):
         if not np.isfinite(side).all():
             raise ValueError(f"side {name} overflowed to non-finite values")
-    return _attend(q, k, v, _bands(pattern, k, v, bank), scale_by_sqrt_d, stats)
+    return sparse_attention(q, np.vstack([k, side_k]), np.vstack([v, side_v]), pattern,
+                            scale_by_sqrt_d=scale_by_sqrt_d, stats=stats)

@@ -2,7 +2,8 @@
 
 Everything here is the reference ("materialize the full score matrix") path.
 The block-sparse implementations in `kernel` are checked against this module;
-this module is in turn checked against scalar loops in the tests.
+this module is in turn checked against scalar loops in the tests. Both paths
+check q, k and v with `attention_operands`, so they refuse the same operands.
 
 Masking is additive. A disallowed position carries the `MASKED` sentinel, the
 most negative finite float64. The softmax replaces sentinel entries with -inf
@@ -91,6 +92,22 @@ def row_softmax(m, additive_mask) -> np.ndarray:
     return out
 
 
+def attention_operands(q, k, v):
+    """q, k and v as float64 matrices, checked as every attention call needs
+    them: q and k share a width d >= 1, and k and v have one row per key.
+    The kernel and dense_attention both check here, so they refuse alike."""
+    q = as_matrix(q, "q")
+    k = as_matrix(k, "k")
+    v = as_matrix(v, "v")
+    if q.shape[1] != k.shape[1]:
+        raise ShapeError(f"q has d={q.shape[1]} but k has d={k.shape[1]}")
+    if q.shape[1] < 1:
+        raise ShapeError("d must be >= 1")
+    if k.shape[0] != v.shape[0]:
+        raise ShapeError(f"k has {k.shape[0]} rows but v has {v.shape[0]}")
+    return q, k, v
+
+
 def dense_attention(q, k, v, additive_mask, scale_by_sqrt_d: bool = True) -> np.ndarray:
     """Full scaled dot-product attention with an additive mask.
 
@@ -100,14 +117,8 @@ def dense_attention(q, k, v, additive_mask, scale_by_sqrt_d: bool = True) -> np.
     A scaled score that is not finite raises ValueError where the mask allows
     its position; a masked position is never refused, whatever its score.
     """
-    q = as_matrix(q, "q")
-    k = as_matrix(k, "k")
-    v = as_matrix(v, "v")
+    q, k, v = attention_operands(q, k, v)
     mask = as_matrix(additive_mask, "additive_mask")
-    if q.shape[1] != k.shape[1]:
-        raise ShapeError(f"q has d={q.shape[1]} but k has d={k.shape[1]}")
-    if k.shape[0] != v.shape[0]:
-        raise ShapeError(f"k has {k.shape[0]} rows but v has {v.shape[0]}")
     if mask.shape != (q.shape[0], k.shape[0]):
         raise ShapeError(f"mask shape {mask.shape} != score shape {(q.shape[0], k.shape[0])}")
     # overflow is refused with ValueError, so numpy need not warn first

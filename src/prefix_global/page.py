@@ -82,7 +82,7 @@ class ImageRef:
     def __post_init__(self):
         if not self.url:
             raise CorpusError("image url must be nonempty")
-        if not self.embedding_id:
+        if self.embedding_id == "":
             object.__setattr__(self, "embedding_id", self.url)
         # the one outside value a token run copies unchanged
         if not isinstance(self.embedding_id, str):

@@ -122,7 +122,9 @@ class TokenRun:
         field = "token" if self.kind == "text" else "image"
         head = f'{{"kind":"{self.kind}","{field}":'
         tail = f',"origin":{_json_str(self.origin.value)}}}'
-        return ",".join([head + _json_str(v) + tail for v in self.values])
+        if not self.values:
+            return ""
+        return head + (tail + "," + head).join(map(_json_str, self.values)) + tail
 
 
 def _text_run(text: str, origin: Origin) -> TokenRun:

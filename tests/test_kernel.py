@@ -35,12 +35,22 @@ def rng(seed):
     return np.random.default_rng(seed)
 
 
-def make_qkv(g, l, d, d_v=None):
+def make_qkv(g, l, d, d_v=None, side=0):
+    """q of l rows; k and v of l + side rows, the side keys last, as the mask orders them."""
     return (
         g.normal(size=(l, d)),
-        g.normal(size=(l, d)),
-        g.normal(size=(l, d_v or d)),
+        g.normal(size=(l + side, d)),
+        g.normal(size=(l + side, d_v or d)),
     )
+
+
+def make_pattern(kind, l, r, k_len, block):
+    return {
+        "full": lambda: full(l),
+        "local": lambda: local(l, r=r),
+        "tglobal": lambda: tglobal(l, r=r, block=block),
+        "prefix-global": lambda: prefix_global(l, k=k_len, r=r),
+    }[kind]()
 
 
 def dense_oracle(q, k, v, pattern, scale=True):
@@ -54,14 +64,6 @@ def loop_block_average(emb, block):
         rows = emb[start : start + block]
         out.append(sum(rows) / len(rows))
     return np.array(out)
-
-
-def tglobal_dense_oracle(q, k, v, pattern, emb, kp, vp, scale=True):
-    averaged = loop_block_average(emb, pattern.block)
-    k_ext = np.vstack([k, averaged @ kp])
-    v_ext = np.vstack([v, averaged @ vp])
-    mask = build_mask(pattern).to_additive()
-    return dense_attention(q, k_ext, v_ext, mask, scale_by_sqrt_d=scale)
 
 
 class TestSparseMatchesDense:
@@ -142,7 +144,8 @@ class TestTGlobal:
         vp = g.normal(size=(d_model, 3))
         pattern = tglobal(l, r=r, block=block)
         got = tglobal_attention(q, k, v, pattern, emb, kp, vp)
-        want = tglobal_dense_oracle(q, k, v, pattern, emb, kp, vp)
+        averaged = loop_block_average(emb, block)
+        want = dense_oracle(q, np.vstack([k, averaged @ kp]), np.vstack([v, averaged @ vp]), pattern)
         assert np.abs(got - want).max() < 1e-9
 
     def test_single_block_wide_radius_sees_mean_token(self):
@@ -282,10 +285,10 @@ class TestBufferContract:
     def test_tglobal_buffers_never_square(self):
         g = rng(33)
         l = 512
-        q, k, v = make_qkv(g, l, 4)
-        emb = g.normal(size=(l, 4))
+        pattern = tglobal(l, r=8, block=16)
+        q, k, v = make_qkv(g, l, 4, side=pattern.side_keys)
         stats = KernelStats()
-        tglobal_attention(q, k, v, tglobal(l, r=8, block=16), emb, np.eye(4), np.eye(4), stats=stats)
+        sparse_attention(q, k, v, pattern, stats=stats)
         assert stats.peak_score_elements < l * l
 
 
@@ -354,8 +357,24 @@ class TestMaskCache:
 
 class TestValidation:
     def test_tglobal_pattern_rejected_by_sparse(self):
-        with pytest.raises(PatternError):
-            sparse_attention(np.ones((4, 2)), np.ones((4, 2)), np.ones((4, 2)), tglobal(4, r=1, block=2))
+        # a tglobal k and v without their side rows: the kernel names both row
+        # counts, and the oracle refuses them through the mask's shape
+        q, k, v = np.ones((4, 2)), np.ones((4, 2)), np.ones((4, 2))
+        pattern = tglobal(4, r=1, block=2)
+        with pytest.raises(ShapeError, match="4 query rows and 6 key rows, got 4 and 4"):
+            sparse_attention(q, k, v, pattern)
+        with pytest.raises(ShapeError):
+            dense_oracle(q, k, v, pattern)
+
+    @pytest.mark.parametrize("pattern", [full(4), local(4, r=1), prefix_global(4, k=1, r=1), tglobal(4, r=1, block=2)],
+                             ids=["full", "local", "prefix-global", "tglobal"])
+    def test_extra_key_rows_refused(self, pattern):
+        n_keys = 4 + pattern.side_keys
+        q, k, v = np.ones((4, 2)), np.ones((n_keys + 1, 2)), np.ones((n_keys + 1, 2))
+        with pytest.raises(ShapeError, match=f"{n_keys} key rows, got 4 and {n_keys + 1}"):
+            sparse_attention(q, k, v, pattern)
+        with pytest.raises(ShapeError):
+            dense_oracle(q, k, v, pattern)
 
     def test_non_tglobal_rejected_by_tglobal(self):
         with pytest.raises(PatternError):
@@ -371,6 +390,14 @@ class TestValidation:
     def test_q_k_width_mismatch(self):
         with pytest.raises(ShapeError):
             sparse_attention(np.ones((4, 3)), np.ones((4, 2)), np.ones((4, 2)), full(4))
+
+    @pytest.mark.parametrize("n_keys", [3, 5, 6], ids=["short", "long", "with-side-rows"])
+    def test_tglobal_attention_takes_token_rows_only(self, n_keys):
+        with pytest.raises(ShapeError, match=f"l=4 rows, without side rows, got {n_keys}"):
+            tglobal_attention(
+                np.ones((4, 2)), np.ones((n_keys, 2)), np.ones((n_keys, 2)), tglobal(4, r=1, block=2),
+                np.ones((4, 2)), np.eye(2), np.eye(2),
+            )
 
     def test_embedding_rows_mismatch(self):
         with pytest.raises(ShapeError):
@@ -394,9 +421,14 @@ class TestValidation:
                 np.ones((4, 3)), np.ones((3, 2)), np.eye(3),
             )
 
-    def test_zero_width_queries_and_keys_rejected(self):
+    @pytest.mark.parametrize("scale", [True, False], ids=["scaled", "unscaled"])
+    def test_zero_width_queries_and_keys_rejected(self, scale):
+        # the kernel and the oracle check operands in one place, so both refuse d = 0
+        q, k, v = np.ones((4, 0)), np.ones((4, 0)), np.ones((4, 2))
         with pytest.raises(ShapeError, match="d must be >= 1"):
-            sparse_attention(np.ones((4, 0)), np.ones((4, 0)), np.ones((4, 2)), full(4))
+            sparse_attention(q, k, v, full(4), scale_by_sqrt_d=scale)
+        with pytest.raises(ShapeError, match="d must be >= 1"):
+            dense_oracle(q, k, v, full(4), scale=scale)
 
     @pytest.mark.parametrize("side", ["keys", "values"])
     def test_non_finite_side_bank_refused(self, side):
@@ -414,7 +446,8 @@ class TestValidation:
             with pytest.raises(ValueError, match=f"side {side}"):
                 tglobal_attention(q, k, v, pattern, emb, kp, vp)
             with np.errstate(over="ignore"), pytest.raises(ValueError):
-                tglobal_dense_oracle(q, k, v, pattern, emb, kp, vp)
+                averaged = loop_block_average(emb, pattern.block)
+                dense_oracle(q, np.vstack([k, averaged @ kp]), np.vstack([v, averaged @ vp]), pattern)
 
     def test_nan_inputs_rejected(self):
         q = np.ones((4, 2))
@@ -426,21 +459,12 @@ class TestValidation:
     def test_overflowing_scores_refused_like_dense(self, kind):
         # finite inputs whose products overflow: q.k is about 1e320 > float64 max;
         # both paths refuse with ValueError and neither warns first
-        g = rng(40)
         l = 300
-        q, k, v = make_qkv(g, l, 8)
+        pattern = make_pattern(kind, l, r=5, k_len=20, block=16)
+        q, k, v = make_qkv(rng(40), l, 8, side=pattern.side_keys)
         q, k = q * 1e160, k * 1e160
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            if kind == "tglobal":
-                pattern = tglobal(l, r=5, block=16)
-                emb = g.normal(size=(l, 8))
-                with pytest.raises(ValueError, match="non-finite"):
-                    tglobal_attention(q, k, v, pattern, emb, np.eye(8), np.eye(8))
-                with pytest.raises(ValueError):
-                    tglobal_dense_oracle(q, k, v, pattern, emb, np.eye(8), np.eye(8))
-                return
-            pattern = {"full": full(l), "local": local(l, r=5), "prefix-global": prefix_global(l, k=20, r=5)}[kind]
             with pytest.raises(ValueError, match="non-finite"):
                 sparse_attention(q, k, v, pattern)
             with pytest.raises(ValueError):
@@ -455,7 +479,8 @@ def overflow_cases(draw):
     k = draw(st.one_of(st.just(0), st.just(l), st.integers(0, l)))
     block = draw(st.integers(1, 2 * l))
     d = draw(st.integers(2, 8))
-    i, j = draw(st.integers(0, l - 1)), draw(st.integers(0, l - 1))
+    n_keys = l + (-(-l // block) if kind == "tglobal" else 0)  # tglobal's side keys follow the l tokens
+    i, j = draw(st.integers(0, l - 1)), draw(st.integers(0, n_keys - 1))
     return kind, l, r, k, block, d, i, j
 
 
@@ -466,36 +491,24 @@ def overflow_cases(draw):
 @example(("prefix-global", 300, 2, 10, 1, 4, 200, 150), 0)  # a window row, a key in its band's tile
 @example(("prefix-global", 300, 2, 10, 1, 4, 200, 5), 0)  # a window row and a prefix key
 @example(("tglobal", 300, 2, 0, 16, 4, 0, 129), 0)
+@example(("tglobal", 300, 2, 0, 16, 4, 200, 310), 0)  # a side key, which every query sees
 def test_overflow_refused_exactly_on_allowed_pairs(case, seed):
     # q[i] . k[j] is about 1e320: the kernel and the dense oracle refuse it
     # when the pattern lets query i see key j, and otherwise agree
     kind, l, r, k_len, block, d, i, j = case
-    pattern = {
-        "full": lambda: full(l),
-        "local": lambda: local(l, r=r),
-        "tglobal": lambda: tglobal(l, r=r, block=block),
-        "prefix-global": lambda: prefix_global(l, k=k_len, r=r),
-    }[kind]()
-    g = rng(seed)
-    q, k, v = make_qkv(g, l, d)
+    pattern = make_pattern(kind, l, r, k_len, block)
+    q, k, v = make_qkv(rng(seed), l, d, side=pattern.side_keys)
     q[i] = k[j] = 0.0
     q[i, 0] = k[j, 0] = 1e160
-    if kind == "tglobal":
-        emb, kp, vp = g.normal(size=(l, 3)), g.normal(size=(3, d)), g.normal(size=(3, d))
-        run = lambda: tglobal_attention(q, k, v, pattern, emb, kp, vp)
-        oracle = lambda: tglobal_dense_oracle(q, k, v, pattern, emb, kp, vp)
-    else:
-        run = lambda: sparse_attention(q, k, v, pattern)
-        oracle = lambda: dense_oracle(q, k, v, pattern)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if j in build_mask(pattern).rows[i]:
             with pytest.raises(ValueError, match="non-finite"):
-                run()
+                sparse_attention(q, k, v, pattern)
             with pytest.raises(ValueError, match="non-finite"):
-                oracle()
+                dense_oracle(q, k, v, pattern)
         else:
-            assert np.abs(run() - oracle()).max() < 1e-9
+            assert np.abs(sparse_attention(q, k, v, pattern) - dense_oracle(q, k, v, pattern)).max() < 1e-9
 
 
 class SummingStats(KernelStats):
@@ -564,23 +577,11 @@ class TestBandGeometry:
     @example(("prefix-global", 700, 1, 129, 1, 4, 2), 11)
     def test_kernel_matches_dense_and_geometry(self, geometry, seed):
         kind, l, r, k_len, block, d, d_v = geometry
-        pattern = {
-            "full": lambda: full(l),
-            "local": lambda: local(l, r=r),
-            "tglobal": lambda: tglobal(l, r=r, block=block),
-            "prefix-global": lambda: prefix_global(l, k=k_len, r=r),
-        }[kind]()
-        g = rng(seed)
-        q, k, v = make_qkv(g, l, d, d_v=d_v)
+        pattern = make_pattern(kind, l, r, k_len, block)
+        q, k, v = make_qkv(rng(seed), l, d, d_v=d_v, side=pattern.side_keys)
         stats = SummingStats()
-        if kind == "tglobal":
-            emb = g.normal(size=(l, 5))
-            kp, vp = g.normal(size=(5, d)), g.normal(size=(5, d_v))
-            got = tglobal_attention(q, k, v, pattern, emb, kp, vp, stats=stats)
-            want = tglobal_dense_oracle(q, k, v, pattern, emb, kp, vp)
-        else:
-            got = sparse_attention(q, k, v, pattern, stats=stats)
-            want = dense_oracle(q, k, v, pattern)
+        got = sparse_attention(q, k, v, pattern, stats=stats)
+        want = dense_oracle(q, k, v, pattern)
         assert got.shape == (l, d_v)
         assert np.abs(got - want).max() < 1e-9
         assert stats.elements == geometry_pairs(pattern)
@@ -594,20 +595,6 @@ class TestBandGeometry:
 def with_workers(n):
     """Run the kernel as if the process had n usable cores."""
     return mock.patch.object(kernel, "_usable_cores", lambda: n)
-
-
-def attend(kind, l, r, k_len, block, q, k, v, g, stats=None):
-    pattern = {
-        "full": lambda: full(l),
-        "local": lambda: local(l, r=r),
-        "tglobal": lambda: tglobal(l, r=r, block=block),
-        "prefix-global": lambda: prefix_global(l, k=k_len, r=r),
-    }[kind]()
-    if kind == "tglobal":
-        emb = g.normal(size=(l, 5))
-        kp, vp = g.normal(size=(5, q.shape[1])), g.normal(size=(5, v.shape[1]))
-        return tglobal_attention(q, k, v, pattern, emb, kp, vp, stats=stats)
-    return sparse_attention(q, k, v, pattern, stats=stats)
 
 
 class CallLog(KernelStats):
@@ -640,12 +627,13 @@ class TestWorkers:
     @example(("prefix-global", 400, 0, 129, 1, 3, 5), 9)
     def test_worker_count_changes_no_bit(self, geometry, seed):
         kind, l, r, k_len, block, d, d_v = geometry
-        q, k, v = make_qkv(rng(seed), l, d, d_v=d_v)
+        pattern = make_pattern(kind, l, r, k_len, block)
+        q, k, v = make_qkv(rng(seed), l, d, d_v=d_v, side=pattern.side_keys)
         runs = []
         for n in (1, 2, 3):
             log = CallLog()
             with with_workers(n):
-                out = attend(kind, l, r, k_len, block, q, k, v, rng(seed + 1), stats=log)
+                out = sparse_attention(q, k, v, pattern, stats=log)
             runs.append((out.tobytes(), log.peak_score_elements, log.score_blocks, log.calls))
         assert runs[1] == runs[0] and runs[2] == runs[0]
         # every block is recorded by the calling thread, so a subclass never races

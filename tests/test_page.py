@@ -266,8 +266,9 @@ class TestMime:
     # an embedding_id is copied into a token run unchanged, so the model
     # refuses one that is not a str; a non-str url with no embedding_id
     # becomes one
-    @pytest.mark.parametrize("kw", [{"embedding_id": 7}, {"embedding_id": b"v"}, {"url": 7}, {"url": b"x.jpg"}],
-                             ids=["int-id", "bytes-id", "int-url", "bytes-url"])
+    @pytest.mark.parametrize("kw", [{"embedding_id": 7}, {"embedding_id": b"v"}, {"embedding_id": 0},
+                                    {"embedding_id": []}, {"embedding_id": None}, {"url": 7}, {"url": b"x.jpg"}],
+                             ids=["int-id", "bytes-id", "zero-id", "list-id", "none-id", "int-url", "bytes-url"])
     def test_non_str_embedding_id_refused(self, kw):
         with pytest.raises(CorpusError, match="embedding_id must be a str"):
             img(**kw)
