@@ -1,19 +1,22 @@
 """Block-sparse forward attention for the structured patterns.
 
-Every pattern compiles to a list of bands, and one executor runs them all. A
-band is a run of query rows [b0, b1) that scores its keys in one or more
-contiguous key tiles [lo, hi), optionally masked to the radius-r window
-|i - j| <= r. Its first tile also scores an optional global bank of
-(keys, values) that every row of the band sees unmasked. Every pattern
-follows one rule with g global rows (k for prefix-global, 0 for local and
-tglobal): rows [0, g) see every key, and every other row sees the first g
-keys, its window clipped below at g, and every side key. So the plan is
-ROW_BLOCK-row bands over rows [0, g), each tiling every key in tiles of
-ROW_BLOCK + 2r + g keys, then ROW_BLOCK-row window bands over rows [g, l),
-each one tile spanning its clipped window, banked on the first g keys and
-values or else on tglobal's block-averaged side keys. k and v carry the side
-keys and values as their last side_keys rows, the column order of the
-pattern's mask and of the dense oracle, and one operand check,
+Every pattern compiles to a list of bands, and one executor runs them all.
+The plan is built from the pattern alone, so it can be counted without
+running attention; only the executor reads k and v. A band is a run of
+query rows [b0, b1) that scores its keys in one or more key tiles, each the
+contiguous key rows [lo, hi) with the tile's radius-r window outside-mask,
+or with none where the band sees every key of the tile. Its first tile also
+scores the band's bank, a key range [lo, hi) that every row of the band
+sees unmasked. Every pattern follows one rule with g global rows (k for
+prefix-global, 0 for local and tglobal): rows [0, g) see every key, and
+every other row sees the first g keys, its window clipped below at g, and
+every side key. So the plan is ROW_BLOCK-row bands over rows [0, g), each
+tiling every key in tiles of ROW_BLOCK + 2r + g keys, then ROW_BLOCK-row
+window bands over rows [g, l), each one tile spanning its clipped window,
+banked on the key range [0, g), which is empty for local, or on tglobal's
+block-averaged side keys [l, l + side_keys). k and v carry the side keys
+and values as their last side_keys rows, the column order of the pattern's
+mask and of the dense oracle, and one operand check,
 numcore.attention_operands, serves both. No score block is wider
 than a window band, whatever l is. The exception is full (g = l), which has
 no sparsity to exploit: one band with one tile allocates the whole l x l grid
@@ -25,13 +28,18 @@ FlashAttention, Dao et al. 2022): each tile is scored, scaled in place by
 1/sqrt(d), masked, and exponentiated against the running row max; the
 running row sum and output are rescaled by exp(old max - new max) when a tile
 raises the max. The output is divided by the row sums once, at the end of the
-band, which costs rows x d_v divisions instead of rows x width.
+band, which costs rows x d_v divisions instead of rows x width. Before that
+division a row holds up to (keys) x max|v|, since no weight exceeds 1, so
+where that could pass the largest float64 the call runs on v scaled down by
+a power of two and scales the output back up, both exact; no ordinary input
+is scaled, so no ordinary output changes by a bit.
 
-A window's outside-mask depends only on the band geometry, so it is built
-once per (rows, b0 - lo, width, r) within a call: interior bands share one
-and only the edge bands differ. Masked positions are assigned -inf before the
-row max, so their weights are exactly 0.0 and a key outside a query's
-allowed set cannot change that query's output even at the bit level.
+A window's outside-mask depends only on the band geometry, so the plan
+builds it once per (rows, b0 - lo, width) within a call: interior bands
+share one and only the edge bands differ. Masked positions are assigned
+-inf before the row max, so their weights are exactly 0.0 and a key outside
+a query's allowed set cannot change that query's output even at the bit
+level.
 
 A call is refused with ValueError, without a RuntimeWarning, exactly when a
 scaled score that is not finite falls on a query-key pair the pattern allows,
@@ -90,15 +98,16 @@ class KernelStats:
 
 
 class _Band(NamedTuple):
-    """Rows [b0, b1) against each key tile [lo, hi) of `tiles` in turn, masked
-    to |i - j| <= r unless r is None. The first tile also scores every row of
-    `bank`, a (keys, values) pair seen unmasked."""
+    """Rows [b0, b1) against each key tile (lo, hi, outside) of `tiles` in
+    turn: rows [lo, hi) of k and v, with the scores where the boolean
+    (rows, hi - lo) array `outside` is True masked out, or none masked where
+    it is None. The first tile also scores the bank, rows [bank[0], bank[1])
+    of k and v, which every row of the band sees unmasked."""
 
     b0: int
     b1: int
     tiles: tuple
-    r: int | None = None
-    bank: tuple | None = None
+    bank: tuple = (0, 0)
 
 
 def _blocks(start: int, stop: int, size: int = ROW_BLOCK):
@@ -106,19 +115,28 @@ def _blocks(start: int, stop: int, size: int = ROW_BLOCK):
         yield b0, min(b0 + size, stop)
 
 
-def _bands(pattern: AttentionPattern, k, v) -> list:
-    """Prefix bands over the g global rows, then window bands banked on the
-    side keys and values, the rows of k and v past l, or else on the first g;
-    full is one band over the grid."""
+def _bands(pattern: AttentionPattern) -> list:
+    """The plan, from the pattern alone: prefix bands over the g global rows,
+    then window bands banked on the side keys' range [l, l + side_keys), or
+    else on [0, g). Each window tile carries its outside-mask, built once per
+    (rows, b0 - lo, width), so interior bands share one. Full is one band
+    over the grid."""
     l = pattern.l
     if pattern.kind is PatternKind.FULL:
-        return [_Band(0, l, ((0, l),))]
+        return [_Band(0, l, ((0, l, None),))]
     g, r = pattern.k or 0, pattern.r
     # global rows see every key, in tiles as wide as the widest window band
-    tiles = tuple(_blocks(0, l, ROW_BLOCK + 2 * r + g))
+    tiles = tuple((lo, hi, None) for lo, hi in _blocks(0, l, ROW_BLOCK + 2 * r + g))
     bands = [_Band(b0, b1, tiles) for b0, b1 in _blocks(0, g)]
-    bank = (k[l:], v[l:]) if pattern.side_keys else (k[:g], v[:g])
-    return bands + [_Band(b0, b1, ((max(g, b0 - r), min(l, b1 + r)),), r, bank) for b0, b1 in _blocks(g, l)]
+    bank = (l, l + pattern.side_keys) if pattern.side_keys else (0, g)
+    masks = {}
+    for b0, b1 in _blocks(g, l):
+        lo, hi = max(g, b0 - r), min(l, b1 + r)
+        geometry = (b1 - b0, b0 - lo, hi - lo)
+        if geometry not in masks:
+            masks[geometry] = np.abs(np.subtract.outer(np.arange(b0 - lo, b1 - lo), np.arange(hi - lo))) > r
+        bands.append(_Band(b0, b1, ((lo, hi, masks[geometry]),), bank))
+    return bands
 
 
 def _usable_cores() -> int:
@@ -130,26 +148,24 @@ def _usable_cores() -> int:
 
 
 def _attend(q, k, v, bands, scale_by_sqrt_d: bool, stats: KernelStats | None) -> np.ndarray:
-    """Plan in the calling thread, then run the bands on up to the usable
-    cores. The plan records every score block in band order, builds each
-    window's outside-mask once per (rows, b0 - lo, width, r), so interior
-    bands share one, and gives each worker a scratch buffer as wide as the
-    widest block. Workers pull bands from one shared iterator; each band
-    writes only its own rows of the output, so the worker count changes no
-    output bit."""
+    """Record the plan in the calling thread, then run the bands on up to
+    the usable cores. The plan's walk records every score block in band
+    order and sizes each worker's scratch buffer to the widest block; v is
+    scaled by a power of two first where its weighted sum could overflow.
+    Workers pull bands from one shared iterator; each band writes only its
+    own rows of the output, so the worker count changes no output bit."""
     inv_scale = 1.0 / math.sqrt(q.shape[1]) if scale_by_sqrt_d else 1.0
-    masks, widest, cols = {}, 0, 0
-    for b0, b1, tiles, r, bank in bands:
-        rows = b1 - b0
-        for t, (lo, hi) in enumerate(tiles):
-            n_cols = hi - lo + (0 if t or bank is None else bank[0].shape[0])
+    widest = cols = 0
+    for b0, b1, tiles, (bank_lo, bank_hi) in bands:
+        for t, (lo, hi, _) in enumerate(tiles):
+            n_cols = hi - lo + (0 if t else bank_hi - bank_lo)
             if stats is not None:
-                stats.record(rows * n_cols)
-            widest, cols = max(widest, rows * n_cols), max(cols, n_cols)
-            geometry = (rows, b0 - lo, hi - lo, r)
-            if r is not None and geometry not in masks:
-                offsets = np.subtract.outer(np.arange(b0 - lo, b1 - lo), np.arange(hi - lo))
-                masks[geometry] = np.abs(offsets) > r
+                stats.record((b1 - b0) * n_cols)
+            widest, cols = max(widest, (b1 - b0) * n_cols), max(cols, n_cols)
+    # a row's unnormalized output is at most (keys) x max|v|, since no weight exceeds 1:
+    # where that could pass DBL_MAX, run on v scaled by a power of two, which is exact
+    shift = max(0, math.frexp(max(v.max(initial=0.0), -v.min(initial=0.0)))[1] + k.shape[0].bit_length() - 1023)
+    v = np.ldexp(v, -shift) if shift else v
     out = np.empty((q.shape[0], v.shape[1]), dtype=np.float64)
     jobs = iter(enumerate(bands))  # next() on a list iterator is atomic under the GIL
     errors = {}  # band index -> the exception that band raised
@@ -162,7 +178,7 @@ def _attend(q, k, v, bands, scale_by_sqrt_d: bool, stats: KernelStats | None) ->
                 if errors:
                     return
                 try:
-                    _run_band(q, k, v, band, inv_scale, masks, scratch, ones, out)
+                    _run_band(q, k, v, band, inv_scale, scratch, ones, out)
                 except BaseException as exc:  # re-raised by the calling thread
                     errors[i] = exc
                     return
@@ -187,34 +203,32 @@ def _attend(q, k, v, bands, scale_by_sqrt_d: bool, stats: KernelStats | None) ->
     # its end, so this is the band a serial run would have refused on
     if errors:
         raise errors[min(errors)]
-    return out
+    return np.ldexp(out, shift, out=out) if shift else out
 
 
-def _run_band(q, k, v, band, inv_scale, masks, scratch, ones, out) -> None:
+def _run_band(q, k, v, band, inv_scale, scratch, ones, out) -> None:
     """One band as an online softmax over its key tiles: score the tile (and
     the bank, on the first tile) in one block, mask it to the window, and fold
     its unnormalized weights into a running row max, row sum and output. The
     output rows are divided by their row sums once, at the end."""
-    b0, b1, tiles, r, bank = band
+    b0, b1, tiles, (bank_lo, bank_hi) = band
     rows = b1 - b0
     row_sum = acc = 0.0
-    for t, (lo, hi) in enumerate(tiles):
+    for t, (lo, hi, outside) in enumerate(tiles):
         width = hi - lo
-        n_bank = 0 if t or bank is None else bank[0].shape[0]
+        n_bank = 0 if t else bank_hi - bank_lo
         scores = scratch[: rows * (width + n_bank)].reshape(rows, width + n_bank)
         np.matmul(q[b0:b1], k[lo:hi].T, out=scores[:, :width])
         if n_bank:
-            np.matmul(q[b0:b1], bank[0].T, out=scores[:, width:])
+            np.matmul(q[b0:b1], k[bank_lo:bank_hi].T, out=scores[:, width:])
         scores *= inv_scale
-        if r is not None:
-            outside = masks[(rows, b0 - lo, width, r)]
         if not np.isfinite(scores).all():
             refused = ~np.isfinite(scores)
-            if r is not None:  # a pair outside the window is masked below, not refused
+            if outside is not None:  # a pair outside the window is masked below, not refused
                 refused[:, :width] &= ~outside
             if refused.any():
                 raise ValueError(f"attention scores of rows {b0}..{b1 - 1} overflowed to non-finite values")
-        if r is not None:
+        if outside is not None:
             np.copyto(scores[:, :width], -np.inf, where=outside)
         # a window row keeps at least itself and a prefix tile is unmasked, so the max is finite
         new_max = scores.max(axis=1, keepdims=True)
@@ -229,7 +243,7 @@ def _run_band(q, k, v, band, inv_scale, masks, scratch, ones, out) -> None:
         row_sum += (scores @ ones[: scores.shape[1]])[:, None]  # faster than .sum(axis=1)
         acc += scores[:, :width] @ v[lo:hi]
         if n_bank:
-            acc += scores[:, width:] @ bank[1]
+            acc += scores[:, width:] @ v[bank_lo:bank_hi]
     np.divide(acc, row_sum, out=out[b0:b1])
 
 
@@ -254,7 +268,7 @@ def sparse_attention(
     if (q.shape[0], k.shape[0]) != (l, n_keys):
         raise ShapeError(f"{pattern.kind.value} attention needs {l} query rows and {n_keys} key rows, "
                          f"got {q.shape[0]} and {k.shape[0]}")
-    return _attend(q, k, v, _bands(pattern, k, v), scale_by_sqrt_d, stats)
+    return _attend(q, k, v, _bands(pattern), scale_by_sqrt_d, stats)
 
 
 def block_average(token_embeddings, block: int) -> np.ndarray:

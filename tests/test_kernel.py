@@ -1,6 +1,7 @@
 """Kernel equivalence against dense-masked oracles, locality at the bit level,
-the score-buffer contract, refusal of overflowing scores, property tests
-of the band geometry, and bands run on several threads changing no bit."""
+the score-buffer contract, refusal of overflowing scores, huge values
+summed without overflow, property tests of the band geometry and of the
+plan, and bands run on several threads changing no bit."""
 
 import sys
 import threading
@@ -340,6 +341,22 @@ class TestOnlineSoftmax:
             with pytest.raises(ValueError):
                 dense_oracle(q, k, v, pattern)
 
+    @pytest.mark.parametrize("pattern", [full(4), local(4, r=3), prefix_global(300, k=20, r=5),
+                                         tglobal(300, r=5, block=7)], ids=lambda p: p.kind.value)
+    def test_huge_values_do_not_overflow_the_weighted_sum(self, pattern):
+        # every weight is 1 before the division by the row sum, so summing
+        # (keys) x 1e308 would overflow; the output is an average of values
+        n_keys = pattern.l + pattern.side_keys
+        q, k = np.zeros((pattern.l, 3)), np.zeros((n_keys, 3))
+        mixed = rng(42).uniform(-1.0, 1.0, size=(n_keys, 2)) * 1.7e308
+        for v in (np.full((n_keys, 2), 1e308), mixed):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = sparse_attention(q, k, v, pattern)
+            want = dense_oracle(q, k, v, pattern)
+            assert np.isfinite(got).all()
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
 
 class TestMaskCache:
     @pytest.mark.parametrize("l", [100, 300])
@@ -590,6 +607,33 @@ class TestBandGeometry:
         elif kind == "prefix-global":
             assert stats.peak_score_elements <= kernel.ROW_BLOCK * (kernel.ROW_BLOCK + 2 * r + k_len)
         assert cost.mask_nnz(pattern) == build_mask(pattern).nnz()
+
+    @settings(max_examples=200, deadline=None)
+    @given(geometries())
+    @example(("prefix-global", 300, 7, 0, 1, 4, 4))
+    @example(("prefix-global", 300, 7, 300, 1, 4, 4))
+    @example(("prefix-global", 257, 300, 130, 1, 3, 6))
+    @example(("prefix-global", 700, 1, 129, 1, 4, 2))
+    @example(("local", 383, 400, 0, 1, 2, 7))
+    @example(("tglobal", 301, 520, 0, 13, 4, 2))
+    @example(("tglobal", 1, 0, 0, 1, 1, 3))
+    @example(("full", 129, 0, 0, 1, 3, 5))
+    def test_plan_covers_rows_once_and_counts_allowed_pairs(self, geometry):
+        # the plan alone, with no attention run: every query row is in one
+        # band, and its tiles, masks and banks admit exactly the pattern's pairs
+        kind, l, r, k_len, block, _, _ = geometry
+        pattern = make_pattern(kind, l, r, k_len, block)
+        bands = kernel._bands(pattern)
+        assert sorted(i for band in bands for i in range(band.b0, band.b1)) == list(range(l))
+        allowed = 0
+        for b0, b1, tiles, (bank_lo, bank_hi) in bands:
+            allowed += (b1 - b0) * (bank_hi - bank_lo)
+            for lo, hi, outside in tiles:
+                allowed += (b1 - b0) * (hi - lo)
+                if outside is not None:
+                    assert outside.shape == (b1 - b0, hi - lo)
+                    allowed -= int(outside.sum())
+        assert allowed == cost.mask_nnz(pattern)
 
 
 def with_workers(n):

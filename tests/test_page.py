@@ -502,6 +502,16 @@ class TestCorpusIO:
         _, report = build_dataset(items, Task.IMAGE_CAPTIONING)
         assert report.rejections[REASON_PARSE_ERROR] == 1
 
+    def test_image_entry_not_an_object_strict_and_lenient(self, tmp_path):
+        record = page_record()
+        record["sections"][0]["images"] = [7]
+        path = self.write(tmp_path, [json.dumps(record)])
+        message = "page https://e.org/wiki/Mill section 0 image 0: image entry must be an object"
+        with pytest.raises(CorpusError) as raised:
+            list(iter_corpus(path))
+        assert str(raised.value) == f"line 1: {message}"
+        assert list(iter_corpus(path, strict=False)) == [MalformedRecord(line_number=1, error=message)]
+
     def test_duplicate_urls_rejected(self, tmp_path):
         path = self.write(tmp_path, [json.dumps(page_record()), json.dumps(page_record())])
         with pytest.raises(CorpusError):
