@@ -9,6 +9,7 @@ reproduced from its own output.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -212,15 +213,11 @@ def build(corpus, task, out_dir, threshold, variant, lenient):
         routed, report = build_dataset(iter_corpus(corpus, strict=not lenient), Task(task),
                                        threshold=threshold, variant=PageDescPrefix(variant))
         out.mkdir(parents=True, exist_ok=True)
-        handles = {}
-        try:
-            for split, path in split_paths.items():
-                handles[split] = open(path, "w", encoding="utf-8")
+        with contextlib.ExitStack() as stack:
+            handles = {split: stack.enter_context(open(path, "w", encoding="utf-8"))
+                       for split, path in split_paths.items()}
             for r in routed:
                 handles[r.split].write(r.example.to_json_line() + "\n")
-        finally:
-            for fh in handles.values():
-                fh.close()
         payload = {
             "version": __version__,
             "config": {"task": task, "threshold": threshold, "variant": variant,

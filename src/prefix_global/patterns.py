@@ -36,7 +36,8 @@ DEFAULT_BLOCK = 16
 
 
 class PatternError(ValueError):
-    """Pattern parameters are invalid (l < 1, r < 0, k out of range, block < 1)."""
+    """Pattern parameters are invalid (an unknown kind, l < 1, r < 0, k out of
+    range, block < 1)."""
 
 
 class PatternKind(str, Enum):
@@ -72,7 +73,10 @@ class AttentionPattern:
     def __post_init__(self):
         if not _is_int(self.l) or self.l < 1:
             raise PatternError(f"l must be a positive int, got {self.l!r}")
-        kind = PatternKind(self.kind)
+        try:
+            kind = PatternKind(self.kind)
+        except ValueError:
+            raise PatternError(f"kind must be one of {[k.value for k in PatternKind]}, got {self.kind!r}") from None
         object.__setattr__(self, "kind", kind)
         given = {name: getattr(self, name) for name in ("r", "k", "block")}
         for name, value in given.items():
@@ -120,8 +124,8 @@ class AttentionMask:
     """Explicit mask: rows[i] is the sorted array of key columns query i sees.
 
     Columns 0..l-1 are token keys; columns l..l+side_keys-1 are side keys.
-    Rows that are one contiguous run of columns are slices of one shared
-    read-only array: writing into one raises ValueError.
+    Every row is read-only: writing into one raises ValueError. A row that
+    is one contiguous run of columns is a slice of one shared array.
     """
 
     pattern: AttentionPattern
@@ -171,7 +175,11 @@ def build_mask(pattern: AttentionPattern) -> AttentionMask:
         parts = [keys[:g], keys[lo:hi]] if g and lo else [keys[lo:hi]]
         if pattern.side_keys:
             parts.append(keys[l:])
-        rows.append(parts[0] if len(parts) == 1 else np.concatenate(parts))
+        row = parts[0]
+        if len(parts) > 1:
+            row = np.concatenate(parts)
+            row.setflags(write=False)  # a slice of `keys` is read-only already
+        rows.append(row)
     return AttentionMask(pattern, tuple(rows))
 
 

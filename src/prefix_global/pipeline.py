@@ -62,6 +62,24 @@ class RoutedExample(NamedTuple):
     example: TaskExample
 
 
+def _outcomes(item, task: Task, threshold: int, variant: PageDescPrefix) -> list:
+    """One corpus item's candidates for `task` in canonical order (the page,
+    its sections, or its images in section then image order), each as the
+    reason it is refused or its example, built only when its check gives
+    None. A MalformedRecord is one candidate, refused as parse_error. The
+    checks and builders are called as this module's globals, so a wrapper
+    installed on this module (the benchmark's tracer) sees every call."""
+    if isinstance(item, MalformedRecord):
+        return [REASON_PARSE_ERROR]
+    if task is Task.PAGE_DESCRIPTION:
+        return [check_page_description(item, threshold) or build_page_description_input(item, variant=variant)]
+    if task is Task.SECTION_SUMMARIZATION:
+        return [check_section_summarization(item, idx) or build_section_summarization_input(item, idx)
+                for idx in range(len(item.sections))]
+    return [check_image_caption(img) or build_image_caption_input(item, sec.index, pos)
+            for sec in item.sections for pos, img in enumerate(sec.images)]
+
+
 def build_dataset(
     source,
     task: Task,
@@ -72,9 +90,11 @@ def build_dataset(
 
     Returns routed examples in canonical order (page order, then section or
     image order within a page) and an accounting report. The source is
-    iterated once. Each candidate's check runs first; its example is built
-    only when the check finds no reason. A bad task, variant or threshold
-    (anything but an int >= 0) raises ValueError before the source is read.
+    iterated once, and each item goes through one per-item step that gives
+    its candidates as reasons or examples: a reason is counted as a
+    rejection, and an example is routed to its page's split. A bad task,
+    variant or threshold (anything but an int >= 0) raises ValueError before
+    the source is read.
     """
     task = Task(task)
     variant = PageDescPrefix(variant)
@@ -82,30 +102,17 @@ def build_dataset(
         raise ValueError(f"threshold must be an int >= 0, got {threshold!r}")
     report = FilterReport(task=task)
     routed = []
-
-    def consider(page, reason, build, *args, **kwargs):
-        report.candidates += 1
-        if reason is None:
-            routed.append(RoutedExample(page.split, build(page, *args, **kwargs)))
-            report.examples_out += 1
-            report.splits[page.split] += 1
-        else:
-            report.reject(reason)
-
-    for page in source:
-        if isinstance(page, MalformedRecord):
-            consider(page, REASON_PARSE_ERROR, None)
-            continue
-        report.pages_in += 1
-        if task is Task.PAGE_DESCRIPTION:
-            consider(page, check_page_description(page, threshold), build_page_description_input, variant=variant)
-        elif task is Task.SECTION_SUMMARIZATION:
-            for idx in range(len(page.sections)):
-                consider(page, check_section_summarization(page, idx), build_section_summarization_input, idx)
-        else:
-            for sec in page.sections:
-                for pos, img in enumerate(sec.images):
-                    consider(page, check_image_caption(img), build_image_caption_input, sec.index, pos)
+    for item in source:
+        if not isinstance(item, MalformedRecord):
+            report.pages_in += 1
+        for outcome in _outcomes(item, task, threshold, variant):
+            report.candidates += 1
+            if isinstance(outcome, str):
+                report.reject(outcome)
+            else:
+                routed.append(RoutedExample(item.split, outcome))
+                report.examples_out += 1
+                report.splits[item.split] += 1
     return routed, report
 
 

@@ -21,14 +21,15 @@ image's caption) or a list of images: one origin, which decides its kind (the
 two image origins make image runs, the rest text runs), and its values. It is
 a plain value, built only here from page fields that the corpus reader and
 the page model have checked, and kept on the page, so every example of that
-page shares it. A section's runs are built together, once, and its body run is
-its first sentence's tokens then the rest's: the split cuts just after a .!?
-that whitespace or the end follows, and no token spans whitespace, so that is
-exactly the tokens of the whole body. An example is its prefix runs and its
-context runs: the run the cap falls in is split into two runs of its origin,
-and every other run stays the page's shared object. Each run's JSON is encoded
-once and an example's JSON line joins them; a slot exists only as one JSON
-object in it.
+page shares it. Only content sections' runs are kept: each one's are built
+together, once, with the page's, and any other section's are built by the
+builder that reads them. A section's body run is its first sentence's tokens
+then the rest's: the split cuts just after a .!? that whitespace or the end
+follows, and no token spans whitespace, so that is exactly the tokens of the
+whole body. An example is its prefix runs and its context runs: the run the
+cap falls in is split into two runs of its origin, and every other run stays
+the page's shared object. Each run's JSON is encoded once and an example's
+JSON line joins them; a slot exists only as one JSON object in it.
 
 Each task's one eligibility rule is a check_* function that returns the reason
 a candidate is refused, or None; the builders lay out and check only indices.
@@ -136,7 +137,8 @@ def _image_run(images, origin: Origin) -> TokenRun:
 
 
 class SectionRuns:
-    """One section's runs, built once when the page's runs are. The body is
+    """One section's runs: a content section's are built once, with the
+    page's runs; any other section's only when a builder asks. The body is
     the first sentence's tokens then the rest's, so its text is tokenized
     once; see the module docstring for why that equals tokenizing it whole."""
 
@@ -154,19 +156,21 @@ class SectionRuns:
 
 
 class PageRuns:
-    """A page's URL and title runs and a SectionRuns per section."""
+    """A page's URL and title runs, and `content`: its content sections'
+    SectionRuns keyed by section index, in page order. Every task reads the
+    content sections, so only their runs are built with the page; a builder
+    that needs another section's runs builds them itself."""
 
     def __init__(self, page: Page):
         self.url = _text_run(page.url, Origin.PAGE_URL)
         self.title = _text_run(page.title, Origin.PAGE_TITLE)
-        self.sections = tuple(SectionRuns(sec) for sec in page.sections)
-        self.content = [self.sections[sec.index] for sec in page.content_sections()]
+        self.content = {sec.index: SectionRuns(sec) for sec in page.content_sections()}
 
     def local_context(self, skip: int) -> list:
         """Page URL, page title, then every content section but `skip`."""
         out = [self.url, self.title]
-        for sec in self.content:
-            if sec.section.index != skip:
+        for index, sec in self.content.items():
+            if index != skip:
                 out.extend(sec.layout)
         return out
 
@@ -273,15 +277,15 @@ def build_page_description_input(
     Precondition: check_page_description(page, threshold) returned None."""
     variant = PageDescPrefix(variant)
     runs = page_runs(page)
-    images = [img for sec in runs.content for img in sec.section.images][:PAGE_DESC_MAX_IMAGES]
+    images = [img for sec in runs.content.values() for img in sec.section.images][:PAGE_DESC_MAX_IMAGES]
     prefix = [_image_run(images, Origin.CONTEXT_IMAGE), runs.url, runs.title]
 
     if variant is PageDescPrefix.IN_ORDER:
-        stream = prefix + [run for sec in runs.content for run in sec.layout]
+        stream = prefix + [run for sec in runs.content.values() for run in sec.layout]
         return _assemble(Task.PAGE_DESCRIPTION, page, stream, [], page.raw_description)
 
     context = []
-    for sec in runs.content:
+    for sec in runs.content.values():
         prefix.append(sec.title)
         if variant is PageDescPrefix.TITLES_AND_FIRST_SENTENCES:
             prefix.append(sec.first_sentence)
@@ -312,7 +316,7 @@ def build_section_summarization_input(page: Page, target_index: int) -> TaskExam
     sentence. Precondition: check_section_summarization returned None."""
     target = _section(page, target_index)
     runs = page_runs(page)
-    own = runs.sections[target_index]
+    own = runs.content.get(target_index) or SectionRuns(target)
     images = _image_run(target.images[:SECTION_SUMM_MAX_IMAGES], Origin.CONTEXT_IMAGE)
     prefix = [images, own.marker, own.title, own.rest, *own.captions]
     return _assemble(Task.SECTION_SUMMARIZATION, page, prefix, runs.local_context(target_index),
@@ -341,7 +345,7 @@ def build_image_caption_input(page: Page, section_index: int, image_pos: int) ->
         raise IndexError(f"image_pos {image_pos} out of range")
     img = section.images[image_pos]
     runs = page_runs(page)
-    own = runs.sections[section_index]
+    own = runs.content.get(section_index) or SectionRuns(section)  # a table/list section's images
     prefix = [_image_run([img], Origin.TARGET_IMAGE), own.marker, own.title, own.body]
     prefix += (run for pos, run in enumerate(own.captions) if pos != image_pos)
     return _assemble(Task.IMAGE_CAPTIONING, page, prefix, runs.local_context(section_index),

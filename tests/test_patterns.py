@@ -151,6 +151,9 @@ class TestHandAuditedRows:
     (full(6), (0, 5)),
     (local(6, r=1), (0, 3, 5)),
     (prefix_global(12, k=3, r=2), (0, 4)),  # a global row, and a window that touches the prefix
+    (tglobal(6, r=1, block=4), (0, 3, 5)),  # every row joins its window and the side keys
+    # a window past the prefix joins the prefix keys and the window
+    pytest.param(prefix_global(8, k=2, r=1), (4, 5, 7), id="prefix-global-past-window"),
 ], ids=lambda p: getattr(p, "kind", "rows"))
 def test_shared_rows_are_read_only(pattern, rows):
     mask = build_mask(pattern)
@@ -179,6 +182,11 @@ class TestValidation:
     def test_block_must_be_positive(self):
         with pytest.raises(PatternError):
             tglobal(8, r=1, block=0)
+
+    def test_unknown_kind(self):
+        # the enum's own ValueError is not the PatternError callers catch
+        with pytest.raises(PatternError, match="prefix-global"):
+            AttentionPattern("diagonal", 8)
 
     @pytest.mark.parametrize("make", [
         lambda: full(True),

@@ -1,16 +1,18 @@
 """Builders: slot layout, budgets, exclusions, no-leakage, shared runs."""
 
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prefix_global.demo import demo_corpus_path
-from prefix_global.page import ImageRef, Mime, Page, Section, iter_corpus, parse_page, tokenize
+from prefix_global.page import ImageRef, MalformedRecord, Mime, Page, Section, iter_corpus, parse_page, tokenize
 from prefix_global.pipeline import build_dataset
 from prefix_global.sequence import (
     PREFIX_BUDGET,
+    REASON_PARSE_ERROR,
     Origin,
     PageDescPrefix,
     SectionRuns,
@@ -485,7 +487,7 @@ class TestTokenRuns:
 
     def test_json_line_when_the_cap_cuts_a_run(self):
         page = self.make_page(long_target=True)
-        own = page_runs(page).sections[1]
+        own = page_runs(page).content[1]
         for ex, cut in ((build_section_summarization_input(page, 1), own.rest),
                         (build_image_caption_input(page, 1, 0), own.body)):
             assert ex.prefix_len == PREFIX_BUDGET
@@ -604,18 +606,25 @@ def test_body_run_is_the_whole_body_tokenized(text):
 # raw; non-ASCII letters; and every sentence mark
 RECORD_ALPHABET = "aZ9é中 .!?,'\"\\\u2028\t\n"
 record_text = st.text(alphabet=RECORD_ALPHABET, max_size=30)
-# words then a sentence mark, or none: bodies of zero to seven sentences
-record_body = st.lists(st.tuples(record_text, st.sampled_from([".", "!", "?", "", "?!", '."'])), max_size=7).map(
+# now and then a sentence long enough that a page's prefix material passes
+# the 512-slot cap
+long_words = st.integers(60, 300).map(lambda n: " ".join(f"w{i}" for i in range(n)))
+# words then a sentence mark, or none: bodies of zero to eight sentences
+record_body = st.lists(st.tuples(st.one_of(record_text, long_words),
+                                 st.sampled_from([".", "!", "?", "", "?!", '."'])), max_size=8).map(
     lambda parts: " ".join(words + mark for words, mark in parts))
+# zero to five plain words, around the three a captioning target needs
+short_reference = st.lists(st.text(alphabet="aZé9", min_size=1, max_size=6), max_size=5).map(" ".join)
 
 
 @st.composite
 def raw_image(draw, n):
     image = {
         "section_image_url": f"https://img.example/{n}/" + draw(record_text),
-        "section_image_mime_type": draw(st.sampled_from(["image/jpeg", "image/png", "image/gif", None])),
-        "section_image_raw_ref_desc": draw(record_body),
-        "section_image_in_WIT": draw(st.booleans()),
+        "section_image_mime_type": draw(st.sampled_from(
+            ["image/jpeg", "image/jpg", "IMAGE/PNG", "image/png", "image/gif", "image/svg+xml", "", None])),
+        "section_image_raw_ref_desc": draw(st.one_of(short_reference, record_body)),
+        "section_image_in_WIT": draw(st.sampled_from([True, True, False, None])),
     }
     if draw(st.booleans()):
         image["embedding_id"] = draw(record_text)  # "" falls back to the url
@@ -624,21 +633,27 @@ def raw_image(draw, n):
 
 @st.composite
 def raw_record(draw):
-    """One corpus record as the reader sees it: zero to six sections, each
-    with a parent among the earlier ones or none, images with and without an
-    embedding_id, and table/list flags."""
+    """One corpus record as the reader sees it: zero to eight sections, each
+    with a parent among the earlier ones or none and a body of zero to eight
+    sentences; zero to nine images on the page, of varied mime, quality flag
+    and reference length, with and without an embedding_id; table/list
+    flags; list_of URLs; and now and then prefix material past 512 slots."""
+    n_sections = draw(st.integers(0, 8))
+    # the section of each of the page's images
+    owners = draw(st.lists(st.integers(0, n_sections - 1), max_size=9)) if n_sections else []
     sections = []
-    for i in range(draw(st.integers(0, 6))):
+    for i in range(n_sections):
         sections.append({
             "section_index": i,
             "section_title": draw(record_text),
             "section_text": draw(record_body),
             "section_parent_index": draw(st.one_of(st.none(), st.integers(0, i - 1))) if i else None,
             "section_contains_table_or_list": draw(st.booleans()),
-            "images": [draw(raw_image(f"{i}.{n}")) for n in range(draw(st.integers(0, 3)))],
+            "images": [draw(raw_image(f"{i}.{n}")) for n in range(owners.count(i))],
         })
     return {
-        "page_url": "https://e.org/wiki/" + draw(record_text),
+        "page_url": "https://e.org/wiki/" + draw(st.sampled_from(["", "", "", "List_of_", "list_of_"]))
+                    + draw(record_text),
         "page_title": draw(record_text),
         "raw_page_description": draw(record_body),
         "sections": sections,
@@ -669,6 +684,60 @@ def test_parsed_record_runs_hold_str_values(record):
                 assert all(type(v) is str for run in runs for v in run.values)
                 line = json.loads(ex.to_json_line())
                 assert line["prefix"] == slots_of(ex.prefix) and line["context"] == slots_of(ex.context)
+
+
+def checked_then_built(page, task, threshold, variant):
+    """The page's candidates for `task` in canonical order (the page, its
+    sections, or its images in section then image order), each its check's
+    reason or, when the check gives None, its example."""
+    if task is Task.PAGE_DESCRIPTION:
+        reason = check_page_description(page, threshold)
+        return [reason if reason is not None else build_page_description_input(page, variant=variant)]
+    out = []
+    for sec in page.sections:
+        if task is Task.SECTION_SUMMARIZATION:
+            reason = check_section_summarization(page, sec.index)
+            out.append(reason if reason is not None else build_section_summarization_input(page, sec.index))
+            continue
+        for pos, image in enumerate(sec.images):
+            reason = check_image_caption(image)
+            out.append(reason if reason is not None else build_image_caption_input(page, sec.index, pos))
+    return out
+
+
+def eligible_image(n):
+    return {"section_image_url": f"https://img.example/{n}.jpg", "section_image_mime_type": "image/jpeg",
+            "section_image_raw_ref_desc": f"a stone tower {n}", "section_image_in_WIT": True}
+
+
+@given(raw_record())
+@example({"page_url": "https://e.org/wiki/Many", "raw_page_description": "D.", "sections": [
+    {"section_index": 0, "section_text": "Root. Text.", "images": [eligible_image(0)]},
+    {"section_index": 1, "section_parent_index": 0, "section_text": "A. B. C. D. E. F.",
+     "images": [eligible_image(1), {"section_image_url": "https://img.example/x.gif"}, eligible_image(2)]},
+    {"section_index": 2, "section_contains_table_or_list": True, "section_text": "G. H. I. J. K.",
+     "images": [eligible_image(3), eligible_image(4)]},
+    {"section_index": 3, "section_text": "L. M. N. O. P. Q.", "images": [eligible_image(5)]},
+]})
+@settings(max_examples=100, deadline=None)
+def test_each_item_gives_its_candidates_in_order(record):
+    # build_dataset's per-item step: one candidate per page, section or image,
+    # counted from the raw record, plus one for the parse error; each checked,
+    # then built only if the check passes, in canonical order
+    page = parse_page(record)
+    counts = {Task.PAGE_DESCRIPTION: 1, Task.SECTION_SUMMARIZATION: len(record["sections"]),
+              Task.IMAGE_CAPTIONING: sum(len(sec["images"]) for sec in record["sections"])}
+    for task in Task:
+        for variant in PageDescPrefix:
+            routed, report = build_dataset([page, MalformedRecord(2, "x")], task, threshold=0, variant=variant)
+            assert report.pages_in == 1
+            assert report.candidates == counts[task] + 1
+            assert report.examples_out + sum(report.rejections.values()) == report.candidates
+            outcomes = checked_then_built(page, task, 0, variant)
+            assert [ex for _, ex in routed] == [out for out in outcomes if not isinstance(out, str)]
+            assert {split for split, _ in routed} <= {page.split}
+            reasons = Counter(out for out in outcomes if isinstance(out, str)) + Counter({REASON_PARSE_ERROR: 1})
+            assert report.rejections == dict(reasons)
 
 
 class TestLeakScan:

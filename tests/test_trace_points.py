@@ -10,6 +10,8 @@ import importlib.util
 import pathlib
 import sys
 
+import pytest
+
 from prefix_global import pipeline
 from prefix_global.demo import demo_corpus_path
 from prefix_global.page import iter_corpus
@@ -42,3 +44,22 @@ def test_every_wrap_point_exists():
     finally:
         tracer.unwrap_all()
     assert pipeline.build_dataset.__module__ == pipeline.__name__  # unwrapped for the other tests
+
+
+@pytest.mark.parametrize("task", list(Task), ids=lambda t: t.value)
+def test_every_check_and_build_is_traced(task):
+    # build_dataset calls each check_* and build_*_input as a pipeline global,
+    # so the benchmark's wrappers see one span per call; a step that bound
+    # them locally would leave these spans, and their metrics, at 0
+    worker = load_worker()
+    tracer = worker.Tracer()
+    try:
+        worker.install(tracer, False)
+        _, report = pipeline.build_dataset(iter_corpus(demo_corpus_path()), task)
+        spans = [span[0] for span in tracer.spans]
+        assert spans.count("sequence.build_input_s") == report.examples_out > 0
+        if task is not Task.PAGE_DESCRIPTION:  # the page-description check has no wrap point
+            assert spans.count("sequence.check_s") == report.candidates > report.examples_out
+    finally:
+        tracer.unwrap_all()
+    assert pipeline.build_dataset.__module__ == pipeline.__name__
