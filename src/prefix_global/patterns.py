@@ -15,13 +15,16 @@ token key, and every other query sees the first g keys, its radius-r window
 clipped below at g, and every side key. g is l for full, k for prefix-global
 and 0 for local and tglobal; only tglobal has side keys.
 
-Masks are kept as per-query sorted index arrays. Columns 0..l-1 are token
-keys; side key t sits at column l + t. Every query always attends to itself
-(r >= 0 keeps i in its own window), so no row is ever empty.
+A mask gives each query its keys as one sorted index array. Columns 0..l-1
+are token keys; side key t sits at column l + t. The mask stores each row as
+its 1-3 parts, slices of one shared arange, so the first g keys and the side
+keys are stored once per mask, not once per row. Every query always attends to
+itself (r >= 0 keeps i in its own window), so no row is ever empty.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -119,17 +122,59 @@ def prefix_global(l: int, k: int = DEFAULT_PREFIX, r: int = DEFAULT_RADIUS) -> A
     return AttentionPattern(PatternKind.PREFIX_GLOBAL, l, r=r, k=k)
 
 
-@dataclass(frozen=True)
+class MaskRows(Sequence):
+    """The rows of a mask. Each row is kept as its parts, read-only slices of
+    one shared arange: the first g keys and the side keys are one slice each,
+    shared by every row that uses them, and only the clipped window is a slice
+    of its own. Indexing and iteration give each row as one sorted, read-only
+    int64 array, joined from its parts when it is read; a slice of rows is
+    another MaskRows."""
+
+    def __init__(self, parts: tuple):
+        self._parts = parts  # per query, a tuple of 1-3 slices in column order
+
+    def __len__(self) -> int:
+        return len(self._parts)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return MaskRows(self._parts[i])
+        return _join(self._parts[i])
+
+    def __iter__(self):
+        return map(_join, self._parts)
+
+
+def _join(parts: tuple) -> np.ndarray:
+    if len(parts) == 1:
+        return parts[0]
+    row = np.concatenate(parts)
+    row.flags.writeable = False
+    return row
+
+
+@dataclass(frozen=True, eq=False)
 class AttentionMask:
     """Explicit mask: rows[i] is the sorted array of key columns query i sees.
 
     Columns 0..l-1 are token keys; columns l..l+side_keys-1 are side keys.
-    Every row is read-only: writing into one raises ValueError. A row that
-    is one contiguous run of columns is a slice of one shared array.
+    Every row is read-only: writing into one raises ValueError. Keys that many
+    rows share (the first g keys, the side keys) are stored once per mask, not
+    once per row; see MaskRows. Two masks are equal when their patterns and
+    every row's key columns are.
     """
 
     pattern: AttentionPattern
-    rows: tuple
+    rows: MaskRows
+
+    def __eq__(self, other):
+        if not isinstance(other, AttentionMask):
+            return NotImplemented
+        return (self.pattern == other.pattern and len(self.rows) == len(other.rows)
+                and all(np.array_equal(a, b) for a, b in zip(self.rows, other.rows)))
+
+    def __hash__(self):
+        return hash(self.pattern)
 
     @property
     def side_keys(self) -> int:
@@ -144,13 +189,14 @@ class AttentionMask:
         return self.pattern.l + self.side_keys
 
     def nnz(self) -> int:
-        return sum(row.size for row in self.rows)
+        return sum(part.size for parts in self.rows._parts for part in parts)
 
     def to_grid(self) -> np.ndarray:
         """Dense 0/1 uint8 grid, one row per query, one column per key."""
         grid = np.zeros((self.n_queries, self.n_keys), dtype=np.uint8)
-        for i, row in enumerate(self.rows):
-            grid[i, row] = 1
+        for i, parts in enumerate(self.rows._parts):
+            for part in parts:
+                grid[i, part] = 1
         return grid
 
     def to_additive(self) -> np.ndarray:
@@ -168,24 +214,28 @@ def build_mask(pattern: AttentionPattern) -> AttentionMask:
     r = pattern.r or 0  # full's rows are all global, so its radius is never read
     keys = np.arange(l + pattern.side_keys, dtype=np.int64)
     keys.flags.writeable = False
-    rows = [keys[:l]] * g
+    head = (keys[:g],) if g else ()
+    side = (keys[l:],) if pattern.side_keys else ()
+    rows = [(keys[:l],)] * g
     for i in range(g, l):
         # a window that reaches g continues the first g keys: one run from 0
         lo, hi = (i - r if i - r > g else 0), min(l, i + r + 1)
-        parts = [keys[:g], keys[lo:hi]] if g and lo else [keys[lo:hi]]
-        if pattern.side_keys:
-            parts.append(keys[l:])
-        row = parts[0]
-        if len(parts) > 1:
-            row = np.concatenate(parts)
-            row.setflags(write=False)  # a slice of `keys` is read-only already
-        rows.append(row)
-    return AttentionMask(pattern, tuple(rows))
+        rows.append((head if lo else ()) + (keys[lo:hi],) + side)
+    return AttentionMask(pattern, MaskRows(tuple(rows)))
 
 
 def _grid_text(mask: AttentionMask, sep: str) -> str:
-    """One line per query, its 0/1 cells joined by `sep`."""
-    return "".join(sep.join(map(str, row)) + "\n" for row in mask.to_grid().tolist())
+    """One line per query, its 0/1 cells joined by `sep`, rendered one row at
+    a time: cell j is character 2j of its line, followed by `sep` or, after
+    the last cell, a newline."""
+    line = np.full(2 * mask.n_keys, ord(sep), dtype=np.uint8)
+    line[-1] = ord("\n")
+    out = []
+    for row in mask.rows:
+        line[::2] = ord("0")
+        line[2 * row] = ord("1")
+        out.append(line.tobytes().decode("ascii"))
+    return "".join(out)
 
 
 def render_csv(mask: AttentionMask) -> str:

@@ -1,5 +1,7 @@
 """Mask construction checked against a set-union oracle and hand-audited rows."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -161,6 +163,51 @@ def test_shared_rows_are_read_only(pattern, rows):
         with pytest.raises(ValueError):
             mask.rows[i][-1] = 99
     assert [row.tolist() for row in mask.rows] == [row.tolist() for row in build_mask(pattern).rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_pattern())
+def test_nnz_grid_and_indexing_agree_with_rows(pattern):
+    # nnz and to_grid read each row's stored parts; readers see the joined rows
+    mask = build_mask(pattern)
+    rows = [row.tolist() for row in mask.rows]
+    assert mask.nnz() == sum(row.size for row in mask.rows)
+    grid = mask.to_grid()
+    assert grid.shape == (mask.n_queries, mask.n_keys)
+    for i, row in enumerate(rows):
+        assert np.flatnonzero(grid[i]).tolist() == row
+        assert mask.rows[i - pattern.l].tolist() == row
+    assert mask.rows[-1].tolist() == mask.rows[pattern.l - 1].tolist()
+    assert [row.tolist() for row in mask.rows[1:-1]] == rows[1:-1]
+
+
+def test_masks_compare_by_pattern_and_rows():
+    a, b = build_mask(local(300, r=2)), build_mask(local(300, r=2))
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != build_mask(local(300, r=3))
+    # the same rows under another pattern
+    assert a != build_mask(prefix_global(300, k=0, r=2))
+
+
+def _traced_peak(pattern):
+    tracemalloc.start()
+    try:
+        build_mask(pattern)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_shared_keys_are_stored_once_per_mask():
+    # local's rows are all slices of one arange; tglobal's side keys and
+    # prefix-global's first k keys are one slice per mask, so neither mask
+    # should take much more than local's. A copy of them in every row takes
+    # over 20 times as much at l=4096.
+    base = _traced_peak(local(4096))
+    assert _traced_peak(tglobal(4096)) <= 2 * base
+    assert _traced_peak(prefix_global(4096)) <= 2 * base
 
 
 class TestValidation:
