@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import pathlib
+import sys
 
 import click
 import numpy as np
@@ -30,9 +31,8 @@ from .patterns import (
     AttentionPattern,
     PatternError,
     PatternKind,
+    _grid_lines,
     build_mask,
-    render_csv,
-    render_pgm,
 )
 from .pipeline import DEFAULT_CONTENT_SECTION_THRESHOLD, build_dataset, corpus_stats
 from .sequence import PageDescPrefix, Task
@@ -43,7 +43,7 @@ ORACLE_LENGTH_CAP = 8192  # dense reference above this would allocate l*l floats
 
 def _pattern(kind: str, l: int, r: int, k: int, block: int) -> AttentionPattern:
     try:
-        return AttentionPattern(kind=PatternKind(kind), l=l, r=r, k=k, block=block)
+        return AttentionPattern(kind=kind, l=l, r=r, k=k, block=block)
     except PatternError as exc:
         raise click.UsageError(str(exc)) from exc
 
@@ -56,8 +56,12 @@ def _file_digest(path) -> str:
     return h.hexdigest()
 
 
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def _emit(payload: dict) -> None:
-    click.echo(json.dumps(payload, indent=2, sort_keys=True))
+    click.echo(_json(payload), nl=False)
 
 
 @click.group()
@@ -75,28 +79,31 @@ def main():
 @click.option("--block", type=int, default=DEFAULT_BLOCK, show_default=True)
 @click.option("--fmt", "--format", type=click.Choice(["summary", "csv", "pgm"]), default="summary", show_default=True)
 @click.option("--out", "-o", type=click.Path(dir_okay=False, writable=True), default=None,
-              help="Write rendered mask here instead of stdout.")
+              help="Write the output here instead of stdout.")
 def mask(kind, length, radius, prefix_k, block, fmt, out):
-    """Summarize one attention mask in closed form, or build and render it."""
+    """Summarize one attention mask in closed form, or build it and render it
+    as CSV or PGM. Every format is written a line at a time, to stdout or to
+    --out."""
     pattern = _pattern(kind, length, radius, prefix_k, block)
-    if fmt == "summary":
-        _emit({
+    if fmt == "summary":  # closed form: the summary builds no mask
+        lines = [_json({
             "version": __version__,
             "pattern": pattern.describe(),
             "nnz": mask_nnz(pattern),
             "accounted_pairs": accounted_pairs(pattern),
             "side_keys": pattern.side_keys,
-        })
-        return
-    built = build_mask(pattern)
-    rendered = render_csv(built) if fmt == "csv" else render_pgm(built)
-    if out is None:
-        click.echo(rendered, nl=False)
+        })]
     else:
-        try:
-            pathlib.Path(out).write_text(rendered, encoding="utf-8")
-        except OSError as exc:
-            raise click.ClickException(str(exc)) from exc
+        lines = _grid_lines(build_mask(pattern), fmt)
+    try:
+        with open(out, "w", encoding="utf-8") if out is not None else contextlib.nullcontext(sys.stdout) as fh:
+            fh.writelines(lines)
+            fh.flush()  # so a closed stdout fails here, inside click, not at interpreter exit
+    except OSError as exc:
+        if out is None:  # stdout closed early, as by `| head`: click exits 1 without a message
+            raise
+        raise click.ClickException(str(exc)) from exc
+    if out is not None:
         click.echo(f"wrote {fmt} mask to {out}")
 
 
@@ -118,9 +125,6 @@ def flops(lengths, kinds, radius, prefix_k, block, as_json):
     kind_list = [tok.strip() for tok in kinds.split(",") if tok.strip()]
     if not ls or not kind_list:
         raise click.UsageError("--lengths and --kinds each need at least one value")
-    for tok in kind_list:
-        if tok not in KIND_CHOICES:
-            raise click.UsageError(f"unknown kind {tok!r}; choose from {KIND_CHOICES}")
     patterns = [_pattern(kind, l, radius, prefix_k, block) for l in ls for kind in kind_list]
     reports = compare(patterns)
     if as_json:
@@ -150,6 +154,11 @@ def attend(kind, length, dim, radius, prefix_k, block, seed, scale, check_oracle
     """Run the sparse forward pass on seeded random inputs and fingerprint
     the output.
 
+    q, k and v are three seeded standard-normal length x dim draws, in that
+    order. For tglobal, the block averages of k and v are appended as the
+    side keys and values: LongT5 averages token embeddings and then projects
+    them, and averaging commutes with a linear projection.
+
     output_sha256, and its sameness across kernel worker counts, hold only
     at one BLAS thread count; to compare fingerprints, set
     OPENBLAS_NUM_THREADS=1, as perfbench does."""
@@ -159,19 +168,11 @@ def attend(kind, length, dim, radius, prefix_k, block, seed, scale, check_oracle
             f"--check-oracle builds an l x l dense mask; keep --length <= {ORACLE_LENGTH_CAP}"
         )
     rng = np.random.default_rng(seed)
+    q, k_mat, v_mat = (rng.standard_normal((length, dim)) for _ in range(3))
+    if pattern.side_keys:
+        k_mat = np.vstack([k_mat, block_average(k_mat, pattern.block)])
+        v_mat = np.vstack([v_mat, block_average(v_mat, pattern.block)])
     stats = KernelStats()
-    if pattern.kind is PatternKind.TGLOBAL:
-        emb = rng.standard_normal((length, dim))
-        key_proj = rng.standard_normal((dim, dim))
-        value_proj = rng.standard_normal((dim, dim))
-        q = rng.standard_normal((length, dim))
-        averaged = block_average(emb, pattern.block)
-        k_mat = np.vstack([emb @ key_proj, averaged @ key_proj])
-        v_mat = np.vstack([emb @ value_proj, averaged @ value_proj])
-    else:
-        q = rng.standard_normal((length, dim))
-        k_mat = rng.standard_normal((length, dim))
-        v_mat = rng.standard_normal((length, dim))
     out = sparse_attention(q, k_mat, v_mat, pattern, scale_by_sqrt_d=scale, stats=stats)
     payload = {
         "version": __version__,
@@ -210,8 +211,8 @@ def build(corpus, task, out_dir, threshold, variant, lenient):
             raise click.ClickException(f"corpus {corpus} is also an output file in {out_dir}; not overwriting it")
         digest = _file_digest(corpus)
         # a strict-mode CorpusError surfaces here, before any split file is opened
-        routed, report = build_dataset(iter_corpus(corpus, strict=not lenient), Task(task),
-                                       threshold=threshold, variant=PageDescPrefix(variant))
+        routed, report = build_dataset(iter_corpus(corpus, strict=not lenient), task,
+                                       threshold=threshold, variant=variant)
         out.mkdir(parents=True, exist_ok=True)
         with contextlib.ExitStack() as stack:
             handles = {split: stack.enter_context(open(path, "w", encoding="utf-8"))
@@ -225,8 +226,7 @@ def build(corpus, task, out_dir, threshold, variant, lenient):
             "input": {"path": os.fspath(corpus), "sha256": digest},
             "accounting": report.to_dict(),
         }
-        (out / "report.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                                         encoding="utf-8")
+        (out / "report.json").write_text(_json(payload), encoding="utf-8")
     except (CorpusError, OSError) as exc:
         raise click.ClickException(str(exc)) from exc
     _emit(payload)

@@ -20,6 +20,10 @@ are token keys; side key t sits at column l + t. The mask stores each row as
 its 1-3 parts, slices of one shared arange, so the first g keys and the side
 keys are stored once per mask, not once per row. Every query always attends to
 itself (r >= 0 keeps i in its own window), so no row is ever empty.
+
+The CSV and PGM renderings are made one line per query, each painted from
+that row's parts, so a grid can be written out a line at a time without
+joining a row or holding the whole text.
 """
 
 from __future__ import annotations
@@ -128,10 +132,16 @@ class MaskRows(Sequence):
     shared by every row that uses them, and only the clipped window is a slice
     of its own. Indexing and iteration give each row as one sorted, read-only
     int64 array, joined from its parts when it is read; a slice of rows is
-    another MaskRows."""
+    another MaskRows. `parts` gives every row's parts unjoined, for readers
+    that need no joined row."""
 
     def __init__(self, parts: tuple):
-        self._parts = parts  # per query, a tuple of 1-3 slices in column order
+        self._parts = parts
+
+    @property
+    def parts(self) -> tuple:
+        """Per query, a tuple of its 1-3 read-only key slices in column order."""
+        return self._parts
 
     def __len__(self) -> int:
         return len(self._parts)
@@ -189,12 +199,12 @@ class AttentionMask:
         return self.pattern.l + self.side_keys
 
     def nnz(self) -> int:
-        return sum(part.size for parts in self.rows._parts for part in parts)
+        return sum(part.size for parts in self.rows.parts for part in parts)
 
     def to_grid(self) -> np.ndarray:
         """Dense 0/1 uint8 grid, one row per query, one column per key."""
         grid = np.zeros((self.n_queries, self.n_keys), dtype=np.uint8)
-        for i, parts in enumerate(self.rows._parts):
+        for i, parts in enumerate(self.rows.parts):
             for part in parts:
                 grid[i, part] = 1
         return grid
@@ -224,25 +234,28 @@ def build_mask(pattern: AttentionPattern) -> AttentionMask:
     return AttentionMask(pattern, MaskRows(tuple(rows)))
 
 
-def _grid_text(mask: AttentionMask, sep: str) -> str:
-    """One line per query, its 0/1 cells joined by `sep`, rendered one row at
-    a time: cell j is character 2j of its line, followed by `sep` or, after
-    the last cell, a newline."""
-    line = np.full(2 * mask.n_keys, ord(sep), dtype=np.uint8)
+def _grid_lines(mask: AttentionMask, fmt: str):
+    """The csv or pgm text of `mask`, one line at a time: a pgm starts with
+    its header, then each query gives one line of 0/1 cells joined by a comma
+    (csv) or a space (pgm). Each line is painted from the row's parts, so no
+    row is joined: cell j is character 2j of its line, followed by the
+    separator or, after the last cell, a newline."""
+    if fmt == "pgm":
+        yield f"P2\n{mask.n_keys} {mask.n_queries}\n1\n"
+    line = np.full(2 * mask.n_keys, ord("," if fmt == "csv" else " "), dtype=np.uint8)
     line[-1] = ord("\n")
-    out = []
-    for row in mask.rows:
+    for parts in mask.rows.parts:
         line[::2] = ord("0")
-        line[2 * row] = ord("1")
-        out.append(line.tobytes().decode("ascii"))
-    return "".join(out)
+        for part in parts:
+            line[2 * part] = ord("1")
+        yield line.tobytes().decode("ascii")
 
 
 def render_csv(mask: AttentionMask) -> str:
     """Grid as CSV text: one line per query, cells 0 or 1."""
-    return _grid_text(mask, ",")
+    return "".join(_grid_lines(mask, "csv"))
 
 
 def render_pgm(mask: AttentionMask) -> str:
     """Grid as a plain-text PGM (P2) image, maxval 1, allowed cells white."""
-    return f"P2\n{mask.n_keys} {mask.n_queries}\n1\n" + _grid_text(mask, " ")
+    return "".join(_grid_lines(mask, "pgm"))

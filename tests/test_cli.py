@@ -1,15 +1,24 @@
 """CLI tests via click's CliRunner: output goldens, exit codes, report
-structure, and rerun determinism."""
+structure, and rerun determinism; one test starts the CLI as a process to
+close its stdout early."""
 
+import hashlib
 import json
 import os
 import pathlib
+import subprocess
+import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import prefix_global
 from prefix_global.cli import main
 from prefix_global.demo import demo_corpus_path
+from prefix_global.kernel import sparse_attention
+from prefix_global.patterns import AttentionPattern
 
 CORPUS = str(demo_corpus_path())
 
@@ -144,6 +153,50 @@ def test_mask_rejects_prefix_longer_than_sequence(runner):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("fmt", ["summary", "csv", "pgm"])
+@pytest.mark.parametrize("kind", ["full", "local", "tglobal", "prefix-global"])
+def test_mask_out_file_holds_the_stdout_bytes(runner, tmp_path, kind, fmt):
+    # --out once wrote no file for the summary, which went to stdout
+    args = ("mask", "--kind", kind, "-l", "37", "-r", "3", "-k", "5", "--block", "4", "--fmt", fmt)
+    res = invoke(runner, *args)
+    assert res.exit_code == 0, res.output
+    out = tmp_path / f"m.{fmt}"
+    to_file = invoke(runner, *args, "-o", str(out))
+    assert to_file.exit_code == 0, to_file.output
+    assert to_file.output == f"wrote {fmt} mask to {out}\n"
+    assert out.read_bytes() == res.stdout_bytes
+
+
+def test_mask_streams_its_output(runner, tmp_path):
+    # the whole text held at once, let alone twice, is 8 MB at this size
+    out = tmp_path / "m.csv"
+    tracemalloc.start()
+    try:
+        res = invoke(runner, "mask", "--kind", "prefix-global", "-l", "2048", "--fmt", "csv", "-o", str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.exit_code == 0, res.output
+    assert peak < out.stat().st_size / 4
+
+
+def test_mask_stdout_closed_early_ends_quietly():
+    # the grid is written a line at a time, so writes go on after the reader
+    # leaves; click ends a broken stdout pipe with exit 1 and no message
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(prefix_global.__file__).parents[1])}
+    proc = subprocess.Popen([sys.executable, "-m", "prefix_global.cli", "mask", "--kind", "local",
+                             "-l", "4096", "-r", "1", "--fmt", "csv"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"1,1," + b"0," * 4093 + b"0\n"
+    proc.stdout.close()
+    try:
+        stderr = proc.communicate(timeout=60)[1]
+    finally:
+        proc.kill()
+    assert stderr == b""
+    assert proc.returncode == 1
+
+
 # ---------------------------------------------------------------- attend
 
 
@@ -196,6 +249,25 @@ def test_attend_rejects_bad_dim_and_seed(runner, args):
 def test_attend_oracle_cap(runner):
     res = invoke(runner, "attend", "--kind", "full", "-l", "9000", "--check-oracle")
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("kind", ["full", "local", "tglobal", "prefix-global"])
+def test_attend_draws_q_k_v_and_averages_the_side_keys(runner, kind):
+    # the operands: three seeded l x d draws in the order q, k, v; tglobal's
+    # side keys and values are the block averages of the drawn k and v. A
+    # block of two rows (the last one short) rounds its average once in any
+    # summation order, so the loop below matches block_average bit for bit;
+    # over more rows numpy's reduceat may round in another order.
+    l, d, block, seed = 37, 4, 2, 9
+    blob = attend_json(runner, "--kind", kind, "-l", str(l), "-d", str(d), "-r", "3", "-k", "6",
+                       "--block", str(block), "--seed", str(seed))
+    g = np.random.default_rng(seed)
+    q, k, v = (g.standard_normal((l, d)) for _ in range(3))
+    pattern = AttentionPattern(kind, l, r=3, k=6, block=block)
+    if kind == "tglobal":
+        k, v = (np.vstack([m, [m[s:s + block].mean(axis=0) for s in range(0, l, block)]]) for m in (k, v))
+    out = sparse_attention(q, k, v, pattern)
+    assert blob["output_sha256"] == hashlib.sha256(out.tobytes()).hexdigest()
 
 
 # ----------------------------------------------------------------- build

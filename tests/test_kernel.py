@@ -3,6 +3,7 @@ the score-buffer contract, refusal of overflowing scores, huge values
 summed without overflow, property tests of the band geometry and of the
 plan, and bands run on several threads changing no bit."""
 
+import os
 import sys
 import threading
 import time
@@ -776,3 +777,11 @@ class TestWorkers:
         monkeypatch.setattr(threading.Thread, "start", refuse)
         with with_workers(3):
             assert sparse_attention(q, k, v, pattern).tobytes() == want
+
+    def test_usable_cores_without_an_affinity_call(self, monkeypatch):
+        # platforms without sched_getaffinity fall back to the core count
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert kernel._usable_cores() == (os.cpu_count() or 1)
+        q, k, v = make_qkv(rng(64), 300, 4)
+        pattern = local(300, r=3)
+        assert np.abs(sparse_attention(q, k, v, pattern) - dense_oracle(q, k, v, pattern)).max() < 1e-9

@@ -191,6 +191,10 @@ def test_masks_compare_by_pattern_and_rows():
     assert a != build_mask(prefix_global(300, k=0, r=2))
 
 
+def test_a_mask_is_not_equal_to_another_type():
+    assert build_mask(local(4, r=1)) != "mask"
+
+
 def _traced_peak(pattern):
     tracemalloc.start()
     try:
