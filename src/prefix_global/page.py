@@ -1,19 +1,25 @@
 """Webpage data model: pages, sections, images, taxonomy, corpus JSONL.
 
 Corpus format is one JSON object per line, one page per object, UTF-8.
-Page-level keys: page_url, page_title, raw_page_description, split (optional;
-a Page without one, parsed or not, gets its URL hash's split), sections. Each
-section object uses the same snake_case names: section_index, section_title,
-section_text, section_parent_index, section_depth,
+Page-level keys: page_url, page_title, raw_page_description, split, sections.
+Each section object uses the same snake_case names: section_index,
+section_title, section_text, section_parent_index, section_depth,
 section_contains_table_or_list, and an images list whose entries carry
 section_image_url, section_image_mime_type, section_image_alt_text_desc,
 section_image_raw_ref_desc, section_image_raw_attr_desc, section_image_in_WIT,
-embedding_id. The two flags, section_contains_table_or_list and
-section_image_in_WIT, are JSON booleans; absent or null is false. A string
-UTF-8 cannot encode (a lone surrogate, which JSON can escape) is refused.
-Unknown keys are ignored everywhere. first/rest sentence fields, if present in
-a record, are ignored too: both are always re-derived with the splitter below
-so the stored pair can never disagree with the stored text.
+embedding_id. One rule reads every field: absent or null gives the field's
+default, and any other value must have the field's JSON type (a string, an
+integer that is not true or false, a boolean for the two flags
+section_contains_table_or_list and section_image_in_WIT, a list for sections
+and images). page_url, section_index and section_image_url are required and
+have no default. The defaults are "" for the other strings, false for the
+flags, [] for the lists, no parent, the parent-chain length for
+section_depth, and for split the split of the URL's hash, which a Page built
+without one gets too. A string UTF-8 cannot encode (a lone surrogate, which
+JSON can escape) is refused. Unknown keys are ignored everywhere.
+first/rest sentence fields, if present in a record, are ignored too: both are
+always re-derived with the splitter below so the stored pair can never
+disagree with the stored text.
 
 Page input is checked here and nowhere downstream: the corpus reader checks
 each field's JSON type, and the model checks its invariants (a nonempty page
@@ -206,8 +212,16 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _require(obj: dict, key: str, kind, where: str):
+_REQUIRED = object()  # the default of a field a record must carry
+
+
+def _field(obj: dict, key: str, kind, where: str, default=_REQUIRED):
+    """The one rule for every corpus field: absent or null is `default` (a
+    required field has none and is refused); any other value must be a
+    `kind`. true/false are never ints, and a str must encode as UTF-8."""
     value = obj.get(key)
+    if value is None and default is not _REQUIRED:
+        return default
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise CorpusError(f"{where}: field {key!r} must be {kind.__name__}, got {type(value).__name__}")
     if kind is str:
@@ -218,67 +232,40 @@ def _require(obj: dict, key: str, kind, where: str):
     return value
 
 
-def _optional_str(obj: dict, key: str, where: str) -> str:
-    """The str at `key`; absent or null is ""."""
-    return "" if obj.get(key) is None else _require(obj, key, str, where)
-
-
-def _optional_bool(obj: dict, key: str, where: str) -> bool:
-    """A JSON true/false; absent or null is false. Strings such as "false"
-    and numbers such as 1 are refused rather than read by truthiness."""
-    value = obj.get(key)
-    if value is None:
-        return False
-    if not isinstance(value, bool):
-        raise CorpusError(f"{where}: field {key!r} must be true, false or null, got {type(value).__name__}")
-    return value
-
-
 def parse_image(obj: dict, where: str) -> ImageRef:
     if not isinstance(obj, dict):
         raise CorpusError(f"{where}: image entry must be an object")
     return ImageRef(
-        url=_require(obj, "section_image_url", str, where),
-        mime=parse_mime(_optional_str(obj, "section_image_mime_type", where)),
-        alt_text=_optional_str(obj, "section_image_alt_text_desc", where),
-        reference_desc=_optional_str(obj, "section_image_raw_ref_desc", where),
-        attribution_desc=_optional_str(obj, "section_image_raw_attr_desc", where),
-        in_quality_set=_optional_bool(obj, "section_image_in_WIT", where),
-        embedding_id=_optional_str(obj, "embedding_id", where),
+        url=_field(obj, "section_image_url", str, where),
+        mime=parse_mime(_field(obj, "section_image_mime_type", str, where, "")),
+        alt_text=_field(obj, "section_image_alt_text_desc", str, where, ""),
+        reference_desc=_field(obj, "section_image_raw_ref_desc", str, where, ""),
+        attribution_desc=_field(obj, "section_image_raw_attr_desc", str, where, ""),
+        in_quality_set=_field(obj, "section_image_in_WIT", bool, where, False),
+        embedding_id=_field(obj, "embedding_id", str, where, ""),
     )
 
 
 def parse_section(obj: dict, where: str, earlier: list) -> Section:
     """`earlier` holds the page's already-parsed sections, so a record that
-    omits section_depth gets it computed from its parent chain; a stated
-    depth is kept as-is and validated by Page."""
+    omits section_depth gets it computed from its parent chain (0 for a
+    parent out of range, which Page refuses); a stated depth is kept as-is
+    and validated by Page."""
     if not isinstance(obj, dict):
         raise CorpusError(f"{where}: section entry must be an object")
-    index = _require(obj, "section_index", int, where)
-    parent = obj.get("section_parent_index")
-    if parent is not None and not _is_int(parent):
-        raise CorpusError(f"{where}: section_parent_index must be an int or null")
-    images_raw = obj.get("images", [])
-    if not isinstance(images_raw, list):
-        raise CorpusError(f"{where}: images must be a list")
-    depth = obj.get("section_depth")
-    if depth is None:
-        if parent is None:
-            depth = 0
-        elif 0 <= parent < len(earlier):
-            depth = earlier[parent].depth + 1
-        else:
-            depth = 0  # bad parent reference; Page reports it properly
-    elif not _is_int(depth):
-        raise CorpusError(f"{where}: section_depth must be an int")
+    index = _field(obj, "section_index", int, where)
+    parent = _field(obj, "section_parent_index", int, where, None)
+    images = _field(obj, "images", list, where, [])
+    chained = earlier[parent].depth + 1 if parent is not None and 0 <= parent < len(earlier) else 0
+    # fields are read in argument order, so of several bad fields the first read is the one named
     return Section(
         index=index,
-        title=_optional_str(obj, "section_title", where),
-        body_text=_optional_str(obj, "section_text", where),
+        depth=_field(obj, "section_depth", int, where, chained),
+        title=_field(obj, "section_title", str, where, ""),
+        body_text=_field(obj, "section_text", str, where, ""),
         parent_index=parent,
-        depth=depth,
-        images=tuple(parse_image(i, f"{where} image {n}") for n, i in enumerate(images_raw)),
-        has_table_or_list=_optional_bool(obj, "section_contains_table_or_list", where),
+        images=tuple(parse_image(i, f"{where} image {n}") for n, i in enumerate(images)),
+        has_table_or_list=_field(obj, "section_contains_table_or_list", bool, where, False),
     )
 
 
@@ -286,20 +273,17 @@ def parse_page(obj: dict) -> Page:
     """Build a Page from one decoded JSONL object, validating invariants."""
     if not isinstance(obj, dict):
         raise CorpusError("page record must be a JSON object")
-    url = _require(obj, "page_url", str, "page")
+    url = _field(obj, "page_url", str, "page")
     where = f"page {url}"
-    sections_raw = obj.get("sections", [])
-    if not isinstance(sections_raw, list):
-        raise CorpusError(f"{where}: sections must be a list")
     sections = []
-    for n, raw in enumerate(sections_raw):
+    for n, raw in enumerate(_field(obj, "sections", list, where, [])):
         sections.append(parse_section(raw, f"{where} section {n}", sections))
     return Page(
         url=url,
-        title=_optional_str(obj, "page_title", where),
-        raw_description=_optional_str(obj, "raw_page_description", where),
+        title=_field(obj, "page_title", str, where, ""),
+        raw_description=_field(obj, "raw_page_description", str, where, ""),
         sections=tuple(sections),
-        split=obj.get("split"),
+        split=_field(obj, "split", str, where, None),
     )
 
 

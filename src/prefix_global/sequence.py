@@ -247,11 +247,11 @@ def _assemble(task: Task, page: Page, prefix_runs: list, context_runs: list, tar
                        tuple(run for run in overflow + context_runs if run), target, page.url)
 
 
-def _section(page: Page, index: int) -> Section:
-    """page.sections[index], but IndexError for a bool or any index outside, negatives too."""
-    if not _is_int(index) or not 0 <= index < len(page.sections):
-        raise IndexError(f"section index {index} out of range")
-    return page.sections[index]
+def _item(items: tuple, index: int, name: str):
+    """items[index], but IndexError for a bool or any index outside, negatives too."""
+    if not _is_int(index) or not 0 <= index < len(items):
+        raise IndexError(f"{name} {index} out of range")
+    return items[index]
 
 
 def check_page_description(page: Page, threshold: int) -> str | None:
@@ -298,7 +298,7 @@ def build_page_description_input(
 def check_section_summarization(page: Page, target_index: int) -> str | None:
     """Reason the section cannot be a summarization target, or None. An index
     outside the page's sections raises IndexError."""
-    section = _section(page, target_index)
+    section = _item(page.sections, target_index, "section index")
     if target_index == 0:
         return REASON_ROOT
     if section.has_table_or_list:
@@ -314,7 +314,7 @@ def build_section_summarization_input(page: Page, target_index: int) -> TaskExam
     removed, and its captions. Local context: page URL, page title, then
     every other content section in page order. Target: the removed first
     sentence. Precondition: check_section_summarization returned None."""
-    target = _section(page, target_index)
+    target = _item(page.sections, target_index, "section index")
     runs = page_runs(page)
     own = runs.content.get(target_index) or SectionRuns(target)
     images = _image_run(target.images[:SECTION_SUMM_MAX_IMAGES], Origin.CONTEXT_IMAGE)
@@ -340,10 +340,8 @@ def build_image_caption_input(page: Page, section_index: int, image_pos: int) ->
     The target's reference and attribution descriptions are both withheld.
     Local context: page URL, page title, then the other content sections.
     Precondition: check_image_caption returned None for the image."""
-    section = _section(page, section_index)
-    if not _is_int(image_pos) or not 0 <= image_pos < len(section.images):
-        raise IndexError(f"image_pos {image_pos} out of range")
-    img = section.images[image_pos]
+    section = _item(page.sections, section_index, "section index")
+    img = _item(section.images, image_pos, "image_pos")
     runs = page_runs(page)
     own = runs.content.get(section_index) or SectionRuns(section)  # a table/list section's images
     prefix = [_image_run([img], Origin.TARGET_IMAGE), own.marker, own.title, own.body]

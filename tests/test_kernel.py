@@ -785,3 +785,32 @@ class TestWorkers:
         q, k, v = make_qkv(rng(64), 300, 4)
         pattern = local(300, r=3)
         assert np.abs(sparse_attention(q, k, v, pattern) - dense_oracle(q, k, v, pattern)).max() < 1e-9
+
+
+class TestRowOracleAtPaperGeometry:
+    """Every row at the default geometry (k=512, r=127, block=16) and at
+    lengths past one 894-key prefix tile and past l = 4096, where bands
+    spread over workers, against a softmax over that row's mask columns."""
+
+    @staticmethod
+    def row_oracle(q, k, v, pattern):
+        out = np.empty((len(q), v.shape[1]))
+        for i, cols in enumerate(build_mask(pattern).rows):
+            scores = k[cols] @ q[i] / np.sqrt(q.shape[1])
+            weights = np.exp(scores - scores.max())
+            out[i] = weights @ v[cols] / weights.sum()
+        return out
+
+    @pytest.mark.parametrize("l", [16384, 20000])  # 20000 is not a multiple of the 128-row band
+    @pytest.mark.parametrize("make", [prefix_global, tglobal, local], ids=["prefix-global", "tglobal", "local"])
+    def test_every_row_matches(self, make, l):
+        pattern = make(l)
+        q, k, v = make_qkv(rng(l), l, 8)
+        if pattern.side_keys:
+            k = np.vstack([k, loop_block_average(k, pattern.block)])
+            v = np.vstack([v, loop_block_average(v, pattern.block)])
+        want = self.row_oracle(q, k, v, pattern)
+        for n in (1, 2):
+            with with_workers(n):
+                got = sparse_attention(q, k, v, pattern)
+            assert np.abs(got - want).max() < 1e-9, n

@@ -571,3 +571,98 @@ class TestParserFuzz:
         assert [type(i) for i in items] == [Page, Page if parsed else MalformedRecord, Page]
         if not parsed:
             assert items[1].line_number == 2
+
+
+# ------------------------------------------------------------ one field rule
+
+# every field the reader reads, as README's "Corpus format" states it: its
+# level, its JSON type, and whether it is required (no default)
+CORPUS_FIELDS = {
+    "page_url": ("page", "string", True),
+    "page_title": ("page", "string", False),
+    "raw_page_description": ("page", "string", False),
+    "split": ("page", "string", False),
+    "sections": ("page", "list", False),
+    "section_index": ("section", "integer", True),
+    "section_title": ("section", "string", False),
+    "section_text": ("section", "string", False),
+    "section_parent_index": ("section", "integer", False),
+    "section_depth": ("section", "integer", False),
+    "section_contains_table_or_list": ("section", "boolean", False),
+    "images": ("section", "list", False),
+    "section_image_url": ("image", "string", True),
+    "section_image_mime_type": ("image", "string", False),
+    "section_image_alt_text_desc": ("image", "string", False),
+    "section_image_raw_ref_desc": ("image", "string", False),
+    "section_image_raw_attr_desc": ("image", "string", False),
+    "section_image_in_WIT": ("image", "boolean", False),
+    "embedding_id": ("image", "string", False),
+}
+
+
+def json_type(value):
+    """The JSON type a decoded value has; bool is tested before int, its
+    superclass."""
+    for kind, name in ((bool, "boolean"), (int, "integer"), (float, "number"), (str, "string"),
+                       (list, "list"), (dict, "object")):
+        if isinstance(value, kind):
+            return name
+    assert value is None
+    return "null"
+
+
+def field_slots(field):
+    """(demo record index, path to the object holding `field`) for every
+    place `field` can appear in the demo records."""
+    level = CORPUS_FIELDS[field][0]
+    for r, record in enumerate(DEMO_RECORDS):
+        if level == "page":
+            yield r, ()
+        for s, section in enumerate(record["sections"]):
+            if level == "section":
+                yield r, ("sections", s)
+            elif level == "image":
+                yield from ((r, ("sections", s, "images", i)) for i in range(len(section["images"])))
+
+
+def parsed_with(r, path, field, value):
+    """parse_page of demo record `r` with `field` set to `value` (or removed
+    for _DELETE): the Page, or the CorpusError message."""
+    record = copy.deepcopy(DEMO_RECORDS[r])
+    obj = record
+    for step in path:
+        obj = obj[step]
+    if value is _DELETE:
+        obj.pop(field, None)
+    else:
+        obj[field] = value
+    try:
+        return parse_page(record)
+    except CorpusError as exc:
+        return str(exc)
+
+
+class TestOneFieldRule:
+    def test_the_table_matches_the_fuzzed_fields(self):
+        assert set(CORPUS_FIELDS) == set(PAGE_FIELDS + SECTION_FIELDS + IMAGE_FIELDS)
+        assert len(CORPUS_FIELDS) == 19
+        assert all(next(field_slots(f), None) for f in CORPUS_FIELDS)
+
+    @pytest.mark.parametrize("field", CORPUS_FIELDS)
+    def test_null_reads_as_absent(self, field):
+        for r, path in field_slots(field):
+            absent = parsed_with(r, path, field, _DELETE)
+            assert parsed_with(r, path, field, None) == absent
+            if CORPUS_FIELDS[field][2]:  # required: refused, null or absent
+                assert isinstance(absent, str) and f"field {field!r} must be " in absent, absent
+
+    @pytest.mark.parametrize("field", CORPUS_FIELDS)
+    def test_every_other_json_type_is_refused_naming_the_field(self, field):
+        kind = CORPUS_FIELDS[field][1]
+        wrong = [v for v in FUZZ_VALUES if json_type(v) not in (kind, "null")]
+        assert wrong
+        for r, path in field_slots(field):
+            for value in wrong:
+                got = parsed_with(r, path, field, value)
+                assert isinstance(got, str), (field, value)
+                assert f"field {field!r} must be " in got, got

@@ -6,6 +6,7 @@ import pathlib
 import re
 
 from prefix_global import demo_corpus_path
+from test_page import CORPUS_FIELDS
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -28,3 +29,8 @@ def test_readme_python_blocks_run():
     lines = printed(dataset).splitlines()
     assert len(lines) == 4 and "'candidates'" in lines[0]
     assert all(line.split()[0] in ("train", "val", "test") for line in lines[1:])
+
+
+def test_corpus_format_names_every_field():
+    section = README.read_text(encoding="utf-8").split("## Corpus format\n", 1)[1].split("\n## ", 1)[0]
+    assert [field for field in CORPUS_FIELDS if f"`{field}`" not in section] == []
