@@ -23,7 +23,7 @@ from . import __version__
 from .cost import accounted_pairs, compare, mask_nnz, render_table
 from .kernel import KernelStats, block_average, sparse_attention
 from .numcore import dense_attention
-from .page import SPLITS, CorpusError, MalformedRecord, iter_corpus
+from .page import SPLITS, CorpusError, iter_corpus
 from .patterns import (
     DEFAULT_BLOCK,
     DEFAULT_PREFIX,
@@ -119,10 +119,11 @@ def mask(kind, length, radius, prefix_k, block, fmt, out):
 def flops(lengths, kinds, radius, prefix_k, block, as_json):
     """Attention cost (accounted query-key pairs) per pattern and length."""
     try:
-        ls = [int(tok) for tok in lengths.split(",") if tok.strip()]
+        # each value once, in first-seen order, so the table, the cells and the config agree
+        ls = list(dict.fromkeys(int(tok) for tok in lengths.split(",") if tok.strip()))
     except ValueError as exc:
         raise click.UsageError(f"bad --lengths: {exc}") from exc
-    kind_list = [tok.strip() for tok in kinds.split(",") if tok.strip()]
+    kind_list = list(dict.fromkeys(tok.strip() for tok in kinds.split(",") if tok.strip()))
     if not ls or not kind_list:
         raise click.UsageError("--lengths and --kinds each need at least one value")
     patterns = [_pattern(kind, l, radius, prefix_k, block) for l in ls for kind in kind_list]
@@ -237,24 +238,14 @@ def build(corpus, task, out_dir, threshold, variant, lenient):
 @click.option("--lenient", is_flag=True, help="Skip malformed records instead of failing.")
 def stats(corpus, lenient):
     """Corpus statistics: section taxonomy counts and size distributions."""
-    malformed = 0
-
-    def pages():
-        nonlocal malformed
-        for item in iter_corpus(corpus, strict=not lenient):
-            if isinstance(item, MalformedRecord):
-                malformed += 1
-            else:
-                yield item
-
     try:
-        summary = corpus_stats(pages())
+        summary = corpus_stats(iter_corpus(corpus, strict=not lenient))
     except (CorpusError, OSError) as exc:
         raise click.ClickException(str(exc)) from exc
     _emit({
         "version": __version__,
         "input": {"path": os.fspath(corpus), "sha256": _file_digest(corpus)},
-        "malformed_records": malformed,
+        "malformed_records": summary.pop("malformed_records"),
         "stats": summary,
     })
 

@@ -1,29 +1,27 @@
 """Attention cost accounting: query-key pairs per layer, closed form.
 
-Every pattern follows one key-set rule with g global rows (l for full, k for
-prefix-global, 0 for local and tglobal): the first g queries see every token
-key, and every other query sees the first g keys, its radius-r window clipped
-below at g, and every side key. Two counts per pattern, both first-class:
+Every pattern follows the one key-set rule that
+patterns.AttentionPattern.global_rows states, with g global rows and
+pattern.side_keys side keys. Two counts per pattern, both first-class:
 
 - accounted_pairs: the budgeting convention used when patterns are compared
   by hand. Each non-global query is charged a fixed 2r-wide window with no
   clipping at the sequence edges and no deduplication against global keys;
   global keys (side bank, prefix) are charged in full.
 
-    full:          l * l
-    local:         true pair count (the convention adds nothing here)
-    tglobal:       l * (2r + ceil(l / block))
-    prefix-global: (l - k) * (2r + k)  +  k * l
+    every kind but local:  (l - g) * (2r + g)  +  g * l  +  l * side_keys
+    local:                 true pair count (the convention adds nothing here)
 
-  tglobal's is prefix-global's at k = 0 plus its l * side_keys side pairs.
+  So full is l * l, tglobal is l * (2r + ceil(l / block)), and
+  prefix-global is (l - k) * (2r + k) + k * l.
 
 - mask_nnz: the exact number of allowed pairs in the realized mask (windows
   clipped at the edges, prefix/window overlap deduplicated, self included).
   W(n, r) = n*(2m+1) - m*(m+1), m = min(r, n-1), counts the clipped radius-r
-  windows of n rows. full is l * l, and every other kind is k*l + (l-k)*k +
-  W(l-k, r) + l * side_keys with k = 0 for local and tglobal: the k prefix
-  rows see every key, and each later row sees the k prefix keys, its window
-  over the l-k tokens after the prefix, and every side key.
+  windows of n rows (0 for n = 0). Every kind allows g*l + (l-g)*g +
+  W(l-g, r) + l * side_keys pairs: the g global rows see every key, and each
+  later row sees the g global keys, its window over the l-g tokens after
+  them, and every side key.
 
 The convention over-charges edge clipping and prefix/window overlap but omits
 the self key, so the two counts can land on either side of each other in
@@ -49,19 +47,16 @@ def _window_total(n: int, r: int) -> int:
 
 
 def accounted_pairs(pattern: AttentionPattern) -> int:
-    if pattern.kind in (PatternKind.FULL, PatternKind.LOCAL):
+    if pattern.kind is PatternKind.LOCAL:
         return mask_nnz(pattern)  # the convention is the exact count
-    l, k = pattern.l, pattern.k or 0
-    return (l - k) * (2 * pattern.r + k) + k * l + l * pattern.side_keys
+    l, g, r = pattern.l, pattern.global_rows, pattern.r or 0  # full has no windowed rows
+    return (l - g) * (2 * r + g) + g * l + l * pattern.side_keys
 
 
 def mask_nnz(pattern: AttentionPattern) -> int:
     """Exact allowed-pair count, computed without materializing the mask."""
-    l = pattern.l
-    if pattern.kind is PatternKind.FULL:
-        return l * l
-    k = pattern.k or 0
-    return k * l + (l - k) * k + _window_total(l - k, pattern.r) + l * pattern.side_keys
+    l, g, r = pattern.l, pattern.global_rows, pattern.r or 0  # full has no windowed rows
+    return g * l + (l - g) * g + _window_total(l - g, r) + l * pattern.side_keys
 
 
 @dataclass(frozen=True)

@@ -7,18 +7,16 @@ query rows [b0, b1) that scores its keys in one or more key tiles, each the
 contiguous key rows [lo, hi) with the tile's radius-r window outside-mask,
 or with none where the band sees every key of the tile. Its first tile also
 scores the band's bank, a key range [lo, hi) that every row of the band
-sees unmasked. Every pattern follows one rule with g global rows (k for
-prefix-global, 0 for local and tglobal): rows [0, g) see every key, and
-every other row sees the first g keys, its window clipped below at g, and
-every side key. So the plan is ROW_BLOCK-row bands over rows [0, g), each
-tiling every key in tiles of ROW_BLOCK + 2r + g keys, then ROW_BLOCK-row
-window bands over rows [g, l), each one tile spanning its clipped window,
-banked on the key range [0, g), which is empty for local, or on tglobal's
-block-averaged side keys [l, l + side_keys). k and v carry the side keys
-and values as their last side_keys rows, the column order of the pattern's
-mask and of the dense oracle, and one operand check,
-numcore.attention_operands, serves both. No score block is wider
-than a window band, whatever l is. The exception is full (g = l), which has
+sees unmasked. Every pattern follows the one key-set rule that
+AttentionPattern.global_rows states, with g global rows. So the plan is
+ROW_BLOCK-row bands over rows [0, g), each tiling every key in tiles of
+ROW_BLOCK + 2r + g keys, then ROW_BLOCK-row window bands over rows [g, l),
+each one tile spanning its clipped window, banked on the key range [0, g),
+which is empty for local, or on tglobal's block-averaged side keys
+[l, n_keys). k and v carry the side keys and values as their last side_keys
+rows, the column order of the pattern's mask and of the dense oracle, and
+one operand check, numcore.attention_operands, serves both. No score block
+is wider than a window band, whatever l is. The exception is full, which has
 no sparsity to exploit: one band with one tile allocates the whole l x l grid
 in one block, and its instrumented buffer size is the baseline the sparse
 patterns are measured against.
@@ -116,19 +114,19 @@ def _blocks(start: int, stop: int, size: int = ROW_BLOCK):
 
 
 def _bands(pattern: AttentionPattern) -> list:
-    """The plan, from the pattern alone: prefix bands over the g global rows,
-    then window bands banked on the side keys' range [l, l + side_keys), or
-    else on [0, g). Each window tile carries its outside-mask, built once per
-    (rows, b0 - lo, width), so interior bands share one. Full is one band
-    over the grid."""
+    """The plan, from the pattern alone: prefix bands over the pattern's
+    global rows (AttentionPattern.global_rows), then window bands banked on
+    the side keys' range [l, n_keys), or else on [0, g). Each window tile
+    carries its outside-mask, built once per (rows, b0 - lo, width), so
+    interior bands share one. Full is one band over the grid."""
     l = pattern.l
     if pattern.kind is PatternKind.FULL:
         return [_Band(0, l, ((0, l, None),))]
-    g, r = pattern.k or 0, pattern.r
+    g, r = pattern.global_rows, pattern.r
     # global rows see every key, in tiles as wide as the widest window band
     tiles = tuple((lo, hi, None) for lo, hi in _blocks(0, l, ROW_BLOCK + 2 * r + g))
     bands = [_Band(b0, b1, tiles) for b0, b1 in _blocks(0, g)]
-    bank = (l, l + pattern.side_keys) if pattern.side_keys else (0, g)
+    bank = (l, pattern.n_keys) if pattern.side_keys else (0, g)
     masks = {}
     for b0, b1 in _blocks(g, l):
         lo, hi = max(g, b0 - r), min(l, b1 + r)
@@ -264,7 +262,7 @@ def sparse_attention(
     observe buffer sizes.
     """
     q, k, v = attention_operands(q, k, v)
-    l, n_keys = pattern.l, pattern.l + pattern.side_keys
+    l, n_keys = pattern.l, pattern.n_keys
     if (q.shape[0], k.shape[0]) != (l, n_keys):
         raise ShapeError(f"{pattern.kind.value} attention needs {l} query rows and {n_keys} key rows, "
                          f"got {q.shape[0]} and {k.shape[0]}")

@@ -10,10 +10,11 @@ Four patterns over a length-l token sequence:
 - prefix-global: the first k tokens attend to and are attended by everything;
   the remaining tokens attend to the prefix plus their local window.
 
-All four follow one rule with g global rows: the first g queries see every
-token key, and every other query sees the first g keys, its radius-r window
-clipped below at g, and every side key. g is l for full, k for prefix-global
-and 0 for local and tglobal; only tglobal has side keys.
+All four follow one key-set rule, stated once, in
+AttentionPattern.global_rows: with g global rows, the first g queries see
+every token key, and every other query sees the first g keys, its radius-r
+window clipped below at g, and every side key. g is l for full, k for
+prefix-global and 0 for local and tglobal; only tglobal has side keys.
 
 A mask gives each query its keys as one sorted index array. Columns 0..l-1
 are token keys; side key t sits at column l + t. The mask stores each row as
@@ -101,6 +102,20 @@ class AttentionPattern:
         """Number of averaged side keys (0 for every kind but tglobal)."""
         return -(-self.l // self.block) if self.kind is PatternKind.TGLOBAL else 0
 
+    @property
+    def global_rows(self) -> int:
+        """g, the number of global rows, which decides every pattern's key
+        sets: the first g queries see every token key, and every other query
+        sees the first g keys, its radius-r window clipped below at g, and
+        every side key. g is l for full, k for prefix-global and 0 for local
+        and tglobal."""
+        return self.l if self.kind is PatternKind.FULL else self.k or 0
+
+    @property
+    def n_keys(self) -> int:
+        """Key columns: the l token keys, then the side keys."""
+        return self.l + self.side_keys
+
     def describe(self) -> dict:
         out = {"kind": self.kind.value, "l": self.l}
         for name in ("r", "k", "block"):
@@ -186,24 +201,12 @@ class AttentionMask:
     def __hash__(self):
         return hash(self.pattern)
 
-    @property
-    def side_keys(self) -> int:
-        return self.pattern.side_keys
-
-    @property
-    def n_queries(self) -> int:
-        return self.pattern.l
-
-    @property
-    def n_keys(self) -> int:
-        return self.pattern.l + self.side_keys
-
     def nnz(self) -> int:
         return sum(part.size for parts in self.rows.parts for part in parts)
 
     def to_grid(self) -> np.ndarray:
         """Dense 0/1 uint8 grid, one row per query, one column per key."""
-        grid = np.zeros((self.n_queries, self.n_keys), dtype=np.uint8)
+        grid = np.zeros((self.pattern.l, self.pattern.n_keys), dtype=np.uint8)
         for i, parts in enumerate(self.rows.parts):
             for part in parts:
                 grid[i, part] = 1
@@ -216,13 +219,11 @@ class AttentionMask:
 
 
 def build_mask(pattern: AttentionPattern) -> AttentionMask:
-    """Enumerate the key set of every query under `pattern`: the first g rows
-    see every token key, and every other row sees the first g keys, its
-    radius-r window clipped below at g, and every side key."""
-    l = pattern.l
-    g = l if pattern.kind is PatternKind.FULL else pattern.k or 0
+    """Enumerate the key set of every query under `pattern`, by the rule
+    that AttentionPattern.global_rows states."""
+    l, g = pattern.l, pattern.global_rows
     r = pattern.r or 0  # full's rows are all global, so its radius is never read
-    keys = np.arange(l + pattern.side_keys, dtype=np.int64)
+    keys = np.arange(pattern.n_keys, dtype=np.int64)
     keys.flags.writeable = False
     head = (keys[:g],) if g else ()
     side = (keys[l:],) if pattern.side_keys else ()
@@ -241,8 +242,8 @@ def _grid_lines(mask: AttentionMask, fmt: str):
     row is joined: cell j is character 2j of its line, followed by the
     separator or, after the last cell, a newline."""
     if fmt == "pgm":
-        yield f"P2\n{mask.n_keys} {mask.n_queries}\n1\n"
-    line = np.full(2 * mask.n_keys, ord("," if fmt == "csv" else " "), dtype=np.uint8)
+        yield f"P2\n{mask.pattern.n_keys} {mask.pattern.l}\n1\n"
+    line = np.full(2 * mask.pattern.n_keys, ord("," if fmt == "csv" else " "), dtype=np.uint8)
     line[-1] = ord("\n")
     for parts in mask.rows.parts:
         line[::2] = ord("0")

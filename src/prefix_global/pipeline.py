@@ -140,34 +140,34 @@ def _distribution(values) -> dict:
     }
 
 
-def corpus_stats(pages) -> dict:
-    """Taxonomy counts, image counts, and per-page distributions. A
-    section's class depends on whether it has children, which is worked out
-    here from the parent indices of its page's sections."""
+def corpus_stats(source) -> dict:
+    """Taxonomy counts, image counts, and per-page distributions over a
+    stream of Page | MalformedRecord items, as iter_corpus yields them; each
+    MalformedRecord is counted in malformed_records. A section's class
+    depends on whether it has children, which is worked out here from the
+    parent indices of its page's sections."""
     class_counts = {c.value: 0 for c in SectionClass}
     sections_per_page, content_per_page, images_per_page = [], [], []
     images_per_section = []
     unique_images = set()
-    total_images = 0
-    n_pages = 0
-    for page in pages:
-        n_pages += 1
+    malformed = 0
+    for page in source:
+        if isinstance(page, MalformedRecord):
+            malformed += 1
+            continue
         sections_per_page.append(len(page.sections))
         content_per_page.append(len(page.content_sections()))
-        page_images = 0
         parents = {s.parent_index for s in page.sections}
         for sec in page.sections:
             class_counts[classify_section(sec, sec.index in parents).value] += 1
             images_per_section.append(len(sec.images))
-            page_images += len(sec.images)
-            for img in sec.images:
-                unique_images.add(img.url)
-        total_images += page_images
-        images_per_page.append(page_images)
+            unique_images.update(img.url for img in sec.images)
+        images_per_page.append(sum(len(sec.images) for sec in page.sections))
     return {
-        "pages": n_pages,
+        "pages": len(sections_per_page),
+        "malformed_records": malformed,
         "sections": {**class_counts, "total": sum(class_counts.values())},
-        "images": {"total": total_images, "unique": len(unique_images)},
+        "images": {"total": sum(images_per_page), "unique": len(unique_images)},
         "per_page": {
             "sections": _distribution(sections_per_page),
             "content_sections": _distribution(content_per_page),

@@ -76,6 +76,19 @@ def test_flops_json_cells(runner):
     assert blob["version"]
 
 
+def test_flops_keeps_each_repeated_value_once(runner):
+    # --lengths 8,8 once printed one table row but two identical JSON cells
+    args = ("--lengths", "8,16,8", "--kinds", "full,local,full", "-r", "2")
+    table = invoke(runner, "flops", *args)
+    assert table.exit_code == 0
+    assert table.output == invoke(runner, "flops", "--lengths", "8,16", "--kinds", "full,local", "-r", "2").output
+    assert len(table.output.strip().split("\n")) == 1 + 2  # the header, then one row per length
+    blob = json.loads(invoke(runner, "flops", "--json", *args).output)
+    assert [(c["pattern"]["l"], c["pattern"]["kind"]) for c in blob["cells"]] == [
+        (8, "local"), (8, "full"), (16, "local"), (16, "full")]
+    assert (blob["config"]["lengths"], blob["config"]["kinds"]) == ([8, 16], ["full", "local"])
+
+
 def test_flops_rejects_bad_length(runner):
     res = invoke(runner, "flops", "--lengths", "10,abc")
     assert res.exit_code == 2

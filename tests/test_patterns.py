@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from prefix_global import patterns
+from prefix_global import cost, patterns
 from prefix_global.kernel import block_average
 from prefix_global.numcore import MASKED
 from prefix_global.patterns import (
@@ -99,6 +99,21 @@ def test_rows_match_set_oracle_property(pattern):
         assert set(got) == oracle_key_set(pattern, i), f"row {i} wrong"
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 60).flatmap(lambda l: st.tuples(st.just(l), st.integers(0, 2 * l))))
+@example((1, 0))
+@example((40, 3))
+def test_prefix_global_at_k_l_is_full_and_at_k_0_is_local(l_and_r):
+    # the key-set rule's two identities, checked against the definitions
+    # of full and local attention, not against the rule itself
+    l, r = l_and_r
+    for pg, other in ((prefix_global(l, k=l, r=r), full(l)), (prefix_global(l, k=0, r=r), local(l, r=r))):
+        want = [sorted(oracle_key_set(other, i)) for i in range(l)]
+        assert [row.tolist() for row in build_mask(pg).rows] == want
+        assert [row.tolist() for row in build_mask(other).rows] == want
+        assert cost.mask_nnz(pg) == cost.mask_nnz(other) == sum(map(len, want))
+
+
 @pytest.mark.parametrize("pattern", sample_patterns(), ids=lambda p: str(p.describe()))
 def test_no_degenerate_rows_and_self_always_present(pattern):
     mask = build_mask(pattern)
@@ -121,8 +136,8 @@ class TestHandAuditedRows:
 
     def test_tglobal_32_1_16(self):
         mask = build_mask(tglobal(32, r=1, block=16))
-        assert mask.side_keys == 2
-        assert mask.n_keys == 34
+        assert mask.pattern.side_keys == 2
+        assert mask.pattern.n_keys == 34
         assert mask.rows[0].tolist() == [0, 1, 32, 33]
         assert mask.rows[31].tolist() == [30, 31, 32, 33]
         assert mask.nnz() == 94 + 64
@@ -130,7 +145,7 @@ class TestHandAuditedRows:
     def test_tglobal_ragged_final_block(self):
         # l=33, block=16 -> 3 side keys, the last covering a single token
         mask = build_mask(tglobal(33, r=0, block=16))
-        assert mask.side_keys == 3
+        assert mask.pattern.side_keys == 3
         assert mask.rows[5].tolist() == [5, 33, 34, 35]
 
     def test_full_is_all_ones(self):
@@ -173,7 +188,7 @@ def test_nnz_grid_and_indexing_agree_with_rows(pattern):
     rows = [row.tolist() for row in mask.rows]
     assert mask.nnz() == sum(row.size for row in mask.rows)
     grid = mask.to_grid()
-    assert grid.shape == (mask.n_queries, mask.n_keys)
+    assert grid.shape == (pattern.l, pattern.n_keys)
     for i, row in enumerate(rows):
         assert np.flatnonzero(grid[i]).tolist() == row
         assert mask.rows[i - pattern.l].tolist() == row
@@ -290,7 +305,7 @@ class TestRendering:
     def test_grid_round_trips_rows(self, pattern):
         mask = build_mask(pattern)
         grid = mask.to_grid()
-        assert grid.shape == (mask.n_queries, mask.n_keys)
+        assert grid.shape == (pattern.l, pattern.n_keys)
         for i, row in enumerate(mask.rows):
             assert np.flatnonzero(grid[i]).tolist() == row.tolist()
         assert int(grid.sum()) == mask.nnz()
@@ -333,8 +348,8 @@ def test_side_keys_property():
 def test_mask_side_keys_are_its_patterns():
     for pattern in (tglobal(33, r=1, block=16), patterns.local(4, r=1), prefix_global(8, k=2, r=1)):
         mask = build_mask(pattern)
-        assert mask.side_keys == pattern.side_keys
-        assert mask.n_keys == pattern.l + pattern.side_keys
+        assert mask.pattern.n_keys == pattern.l + pattern.side_keys
+        assert mask.to_grid().shape == (pattern.l, pattern.l + pattern.side_keys)
     # the count cannot be given apart from the pattern
     local4 = patterns.local(4, r=1)
     with pytest.raises(TypeError):

@@ -7,8 +7,10 @@ program output.
 """
 
 import hashlib
+import importlib.util
 import json
 import os
+import pathlib
 
 import pytest
 
@@ -299,7 +301,7 @@ def test_nearest_rank_refuses_bool(pct):
 
 def test_corpus_stats_golden():
     stats = corpus_stats(corpus_items())
-    assert stats["pages"] == 20
+    assert (stats["pages"], stats["malformed_records"]) == (20, 0)
     assert stats["sections"] == {
         "structural": 1,
         "heading": 4,
@@ -324,6 +326,31 @@ def test_corpus_stats_empty():
     assert stats["pages"] == 0
     assert stats["sections"]["total"] == 0
     assert stats["per_page"]["sections"] == {"median": 0, "mean": 0.0, "max": 0, "p90": 0}
+
+
+def load_bench_corpus():
+    """perfbench/corpus.py, the benchmark's corpus generator, which uses the
+    standard library only."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_corpus_stats_agrees_with_build_dataset_on_a_lenient_stream(tmp_path):
+    # the benchmark's seed-3 corpus holds a duplicate page_url and a truncated
+    # line: two malformed records, which build_dataset counts as parse_error
+    bench = load_bench_corpus()
+    path = tmp_path / "seed3.jsonl"
+    tally = bench.generate(path, 3, 1, bench.vocabulary(demo_corpus_path()))
+    assert tally["malformed"] == 2
+    stats = corpus_stats(iter_corpus(path, strict=False))
+    assert (stats["pages"], stats["malformed_records"]) == (tally["pages"], tally["malformed"])
+    for task in Task:
+        _, report = build_dataset(iter_corpus(path, strict=False), task)
+        assert stats["malformed_records"] == report.rejections["parse_error"]
+        assert stats["pages"] == report.pages_in
 
 
 def test_report_serializes():

@@ -766,5 +766,53 @@ class TestLeakScan:
         assert not leaks_target(_example([marker], "S3"))
 
 
+class TestTargetFieldIsWithheld:
+    """The builders keep each example's target field out of its slots, but
+    the same words can reach the input through another field of the page,
+    and leaks_target then finds them. Changing the target field changes no
+    slot: the words come from the other field, not from the target."""
+
+    BODY = "Gulls nest on the rocks. They rest. They feed. They fly. They sleep."
+
+    @staticmethod
+    def page(description="Gulls nest on the rocks.", first="The keeper lit the lamp.", ref="a gull on a rock"):
+        return Page(url="https://e.org/wiki/Echo", raw_description=description, sections=(
+            Section(0, title="Echo", body_text=TestTargetFieldIsWithheld.BODY),
+            Section(1, title="Keeper", body_text=first + " He slept. He woke. He ate. He left.",
+                    images=(img(1, ref=ref, attr=ref), img(2))),
+            Section(2, title="Lamp", body_text="The keeper lit the lamp. It burned all night."),
+        ))
+
+    @pytest.mark.parametrize("variant", list(PageDescPrefix), ids=lambda v: v.value)
+    def test_page_description_repeated_by_the_first_section(self, variant):
+        # the first section's text starts with the page description
+        page = self.page()
+        assert check_page_description(page, 2) is None
+        ex = build_page_description_input(page, variant=variant)
+        assert leaks_target(ex)
+        other = build_page_description_input(self.page(description="A storm came in."), variant=variant)
+        assert not leaks_target(other)
+        assert (other.prefix, other.context) == (ex.prefix, ex.context)
+
+    def test_section_summary_repeated_by_another_section(self):
+        # section 2 repeats the target section's first sentence
+        page = self.page()
+        assert check_section_summarization(page, 1) is None
+        ex = build_section_summarization_input(page, 1)
+        assert ex.target_text == "The keeper lit the lamp."
+        assert leaks_target(ex)
+        other = build_section_summarization_input(self.page(first="A storm came in."), 1)
+        assert not leaks_target(other)
+        assert (other.prefix, other.context) == (ex.prefix, ex.context)
+
+    def test_image_descriptions_never_enter_the_slots(self):
+        page = self.page()
+        ex = build_image_caption_input(page, 1, 0)
+        other = build_image_caption_input(self.page(ref="waves under a grey sky"), 1, 0)
+        assert (ex.target_text, other.target_text) == ("a gull on a rock", "waves under a grey sky")
+        assert (other.prefix, other.context) == (ex.prefix, ex.context)
+        assert not leaks_target(ex) and not leaks_target(other)
+
+
 def _example(runs, target):
     return _assemble(Task.PAGE_DESCRIPTION, Page(url="https://e.org/wiki/X"), list(runs), [], target)
