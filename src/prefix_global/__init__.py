@@ -35,10 +35,9 @@ from .patterns import (
     PatternKind,
     build_mask,
     full,
+    grid_lines,
     local,
     prefix_global,
-    render_csv,
-    render_pgm,
     tglobal,
 )
 from .pipeline import (
@@ -63,8 +62,7 @@ __all__ = [
     # patterns
     "AttentionMask", "AttentionPattern", "PatternError", "PatternKind",
     "DEFAULT_BLOCK", "DEFAULT_PREFIX", "DEFAULT_RADIUS",
-    "build_mask", "full", "local", "prefix_global", "tglobal",
-    "render_csv", "render_pgm",
+    "build_mask", "full", "local", "prefix_global", "tglobal", "grid_lines",
     # cost
     "CostReport", "accounted_pairs", "mask_nnz", "report", "compare", "render_table",
     # numerics

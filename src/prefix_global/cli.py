@@ -31,8 +31,8 @@ from .patterns import (
     AttentionPattern,
     PatternError,
     PatternKind,
-    _grid_lines,
     build_mask,
+    grid_lines,
 )
 from .pipeline import DEFAULT_CONTENT_SECTION_THRESHOLD, build_dataset, corpus_stats
 from .sequence import PageDescPrefix, Task
@@ -94,7 +94,7 @@ def mask(kind, length, radius, prefix_k, block, fmt, out):
             "side_keys": pattern.side_keys,
         })]
     else:
-        lines = _grid_lines(build_mask(pattern), fmt)
+        lines = grid_lines(build_mask(pattern), fmt)
     try:
         with open(out, "w", encoding="utf-8") if out is not None else contextlib.nullcontext(sys.stdout) as fh:
             fh.writelines(lines)
@@ -203,23 +203,20 @@ def attend(kind, length, dim, radius, prefix_k, block, seed, scale, check_oracle
               help="Count malformed records as parse_error rejections instead of failing.")
 def build(corpus, task, out_dir, threshold, variant, lenient):
     """Build one task dataset from a JSONL corpus: train/val/test example
-    files plus an accounting report."""
+    files plus an accounting report. Each file is written to <name>.tmp and
+    the four are renamed over their targets only once every write has
+    succeeded, so a failed run leaves the previous outputs as they were."""
     out = pathlib.Path(out_dir)
-    split_paths = {split: out / f"{split}.jsonl" for split in SPLITS}
+    names = [f"{split}.jsonl" for split in SPLITS] + ["report.json"]
+    tmp = {name: out / f"{name}.tmp" for name in names}
     try:
         if any(path.exists() and os.path.samefile(corpus, path)
-               for path in [*split_paths.values(), out / "report.json"]):
+               for name in names for path in (out / name, tmp[name])):
             raise click.ClickException(f"corpus {corpus} is also an output file in {out_dir}; not overwriting it")
         digest = _file_digest(corpus)
-        # a strict-mode CorpusError surfaces here, before any split file is opened
+        # a strict-mode CorpusError surfaces here, before any output file is opened
         routed, report = build_dataset(iter_corpus(corpus, strict=not lenient), task,
                                        threshold=threshold, variant=variant)
-        out.mkdir(parents=True, exist_ok=True)
-        with contextlib.ExitStack() as stack:
-            handles = {split: stack.enter_context(open(path, "w", encoding="utf-8"))
-                       for split, path in split_paths.items()}
-            for r in routed:
-                handles[r.split].write(r.example.to_json_line() + "\n")
         payload = {
             "version": __version__,
             "config": {"task": task, "threshold": threshold, "variant": variant,
@@ -227,7 +224,19 @@ def build(corpus, task, out_dir, threshold, variant, lenient):
             "input": {"path": os.fspath(corpus), "sha256": digest},
             "accounting": report.to_dict(),
         }
-        (out / "report.json").write_text(_json(payload), encoding="utf-8")
+        out.mkdir(parents=True, exist_ok=True)
+        try:
+            with contextlib.ExitStack() as stack:
+                handles = {split: stack.enter_context(open(tmp[f"{split}.jsonl"], "w", encoding="utf-8"))
+                           for split in SPLITS}
+                for r in routed:
+                    handles[r.split].write(r.example.to_json_line() + "\n")
+            tmp["report.json"].write_text(_json(payload), encoding="utf-8")
+            for name in names:
+                os.replace(tmp[name], out / name)
+        finally:  # after the renames there is nothing left to remove
+            for path in tmp.values():
+                path.unlink(missing_ok=True)
     except (CorpusError, OSError) as exc:
         raise click.ClickException(str(exc)) from exc
     _emit(payload)

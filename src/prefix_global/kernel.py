@@ -72,7 +72,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .numcore import ShapeError, as_matrix, attention_operands
-from .page import _is_int
 from .patterns import AttentionPattern, PatternError, PatternKind
 
 ROW_BLOCK = 128  # band height; bounds every sparse score buffer at 128 rows
@@ -273,7 +272,7 @@ def block_average(token_embeddings, block: int) -> np.ndarray:
     """Mean of each consecutive `block` rows; the final group may be shorter.
     Returns ceil(l / block) rows."""
     emb = as_matrix(token_embeddings, "token_embeddings")
-    if not _is_int(block) or block < 1:
+    if type(block) is not int or block < 1:
         raise PatternError(f"block must be an int >= 1, got {block!r}")
     l = emb.shape[0]
     starts = np.arange(0, l, block)

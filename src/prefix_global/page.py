@@ -8,11 +8,14 @@ section_contains_table_or_list, and an images list whose entries carry
 section_image_url, section_image_mime_type, section_image_alt_text_desc,
 section_image_raw_ref_desc, section_image_raw_attr_desc, section_image_in_WIT,
 embedding_id. One rule reads every field: absent or null gives the field's
-default, and any other value must have the field's JSON type (a string, an
-integer that is not true or false, a boolean for the two flags
+default, and any other value must have exactly the field's JSON type,
+type(value) is kind: a str, an int, a bool for the two flags
 section_contains_table_or_list and section_image_in_WIT, a list for sections
-and images). page_url, section_index and section_image_url are required and
-have no default. The defaults are "" for the other strings, false for the
+and images. So true and false are not ints; JSON decoding makes no other
+subclass. The integer arguments of the sequence builders (a section index,
+an image_pos) and build_dataset's threshold follow the same exact-type rule.
+page_url, section_index and section_image_url are required and have no
+default. The defaults are "" for the other strings, false for the
 flags, [] for the lists, no parent, the parent-chain length for
 section_depth, and for split the split of the URL's hash, which a Page built
 without one gets too. A string UTF-8 cannot encode (a lone surrogate, which
@@ -206,23 +209,17 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text)
 
 
-def _is_int(value) -> bool:
-    """An int that is not a bool: bool is an int subclass, but true/false are
-    not indices, lengths or sizes."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 _REQUIRED = object()  # the default of a field a record must carry
 
 
 def _field(obj: dict, key: str, kind, where: str, default=_REQUIRED):
     """The one rule for every corpus field: absent or null is `default` (a
-    required field has none and is refused); any other value must be a
-    `kind`. true/false are never ints, and a str must encode as UTF-8."""
+    required field has none and is refused); any other value must be exactly
+    a `kind`, and a str must encode as UTF-8."""
     value = obj.get(key)
     if value is None and default is not _REQUIRED:
         return default
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+    if type(value) is not kind:
         raise CorpusError(f"{where}: field {key!r} must be {kind.__name__}, got {type(value).__name__}")
     if kind is str:
         try:

@@ -22,9 +22,14 @@ its 1-3 parts, slices of one shared arange, so the first g keys and the side
 keys are stored once per mask, not once per row. Every query always attends to
 itself (r >= 0 keeps i in its own window), so no row is ever empty.
 
-The CSV and PGM renderings are made one line per query, each painted from
-that row's parts, so a grid can be written out a line at a time without
-joining a row or holding the whole text.
+Every integer parameter (l, r, k, block) must be an exact int, type(x) is
+int: True and False, numpy integers and int subclasses such as an IntEnum
+member are refused with PatternError, as kernel.block_average refuses them
+for its block.
+
+grid_lines is the one CSV and PGM renderer. It makes one line per query,
+painted from that row's parts, so a grid can be written out a line at a time
+without joining a row or holding the whole text.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ from enum import Enum
 import numpy as np
 
 from .numcore import MASKED
-from .page import _is_int
 
 DEFAULT_RADIUS = 127
 DEFAULT_PREFIX = 512
@@ -79,7 +83,7 @@ class AttentionPattern:
     block: int | None = None
 
     def __post_init__(self):
-        if not _is_int(self.l) or self.l < 1:
+        if type(self.l) is not int or self.l < 1:
             raise PatternError(f"l must be a positive int, got {self.l!r}")
         try:
             kind = PatternKind(self.kind)
@@ -90,11 +94,11 @@ class AttentionPattern:
         for name, value in given.items():
             default = _PARAMS[kind].get(name)  # None for a parameter the kind does not use
             object.__setattr__(self, name, default if default is None or value is None else value)
-        if self.r is not None and (not _is_int(self.r) or self.r < 0):
+        if self.r is not None and (type(self.r) is not int or self.r < 0):
             raise PatternError(f"r must be an int >= 0, got {given['r']!r}")
-        if self.k is not None and (not _is_int(self.k) or not 0 <= self.k <= self.l):
+        if self.k is not None and (type(self.k) is not int or not 0 <= self.k <= self.l):
             raise PatternError(f"k must satisfy 0 <= k <= l={self.l}, got {given['k']!r}")
-        if self.block is not None and (not _is_int(self.block) or self.block < 1):
+        if self.block is not None and (type(self.block) is not int or self.block < 1):
             raise PatternError(f"block must be an int >= 1, got {given['block']!r}")
 
     @property
@@ -235,12 +239,15 @@ def build_mask(pattern: AttentionPattern) -> AttentionMask:
     return AttentionMask(pattern, MaskRows(tuple(rows)))
 
 
-def _grid_lines(mask: AttentionMask, fmt: str):
-    """The csv or pgm text of `mask`, one line at a time: a pgm starts with
-    its header, then each query gives one line of 0/1 cells joined by a comma
-    (csv) or a space (pgm). Each line is painted from the row's parts, so no
-    row is joined: cell j is character 2j of its line, followed by the
-    separator or, after the last cell, a newline."""
+def grid_lines(mask: AttentionMask, fmt: str):
+    """The "csv" or "pgm" text of `mask`, one line at a time; join them for
+    the whole text. A pgm is a plain-text P2 image, maxval 1, allowed cells
+    white, and starts with its header; then each query gives one line of 0/1
+    cells joined by a comma (csv) or a space (pgm). Each line is painted from
+    the row's parts, so no row is joined: cell j is character 2j of its line,
+    followed by the separator or, after the last cell, a newline."""
+    if fmt not in ("csv", "pgm"):
+        raise ValueError(f"fmt must be 'csv' or 'pgm', got {fmt!r}")
     if fmt == "pgm":
         yield f"P2\n{mask.pattern.n_keys} {mask.pattern.l}\n1\n"
     line = np.full(2 * mask.pattern.n_keys, ord("," if fmt == "csv" else " "), dtype=np.uint8)
@@ -250,13 +257,3 @@ def _grid_lines(mask: AttentionMask, fmt: str):
         for part in parts:
             line[2 * part] = ord("1")
         yield line.tobytes().decode("ascii")
-
-
-def render_csv(mask: AttentionMask) -> str:
-    """Grid as CSV text: one line per query, cells 0 or 1."""
-    return "".join(_grid_lines(mask, "csv"))
-
-
-def render_pgm(mask: AttentionMask) -> str:
-    """Grid as a plain-text PGM (P2) image, maxval 1, allowed cells white."""
-    return "".join(_grid_lines(mask, "pgm"))

@@ -14,7 +14,7 @@ import statistics
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .page import SPLITS, MalformedRecord, SectionClass, _is_int, classify_section
+from .page import SPLITS, MalformedRecord, SectionClass, classify_section
 from .sequence import (
     REASON_PARSE_ERROR,
     PageDescPrefix,
@@ -98,7 +98,7 @@ def build_dataset(
     """
     task = Task(task)
     variant = PageDescPrefix(variant)
-    if not _is_int(threshold) or threshold < 0:
+    if type(threshold) is not int or threshold < 0:
         raise ValueError(f"threshold must be an int >= 0, got {threshold!r}")
     report = FilterReport(task=task)
     routed = []

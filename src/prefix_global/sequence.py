@@ -43,7 +43,7 @@ from enum import Enum
 from functools import cached_property
 from json.encoder import encode_basestring as _json_str  # a str as a JSON string, as json.dumps writes it
 
-from .page import Mime, Page, Section, _is_int, count_sentences, tokenize
+from .page import Mime, Page, Section, count_sentences, tokenize
 
 PREFIX_BUDGET = 512
 PAGE_DESC_MAX_IMAGES = 6
@@ -248,8 +248,9 @@ def _assemble(task: Task, page: Page, prefix_runs: list, context_runs: list, tar
 
 
 def _item(items: tuple, index: int, name: str):
-    """items[index], but IndexError for a bool or any index outside, negatives too."""
-    if not _is_int(index) or not 0 <= index < len(items):
+    """items[index], but IndexError for anything but an exact int (so for a
+    bool) and for any index outside, negatives too."""
+    if type(index) is not int or not 0 <= index < len(items):
         raise IndexError(f"{name} {index} out of range")
     return items[index]
 
@@ -272,25 +273,24 @@ def build_page_description_input(
 ) -> TaskExample:
     """Global prefix: up to PAGE_DESC_MAX_IMAGES page images, URL, title,
     then each content section's title and first sentence. Local context: each
-    content section's index marker, remaining body text, and captions. The
-    raw page description is the target and never enters the slots.
+    content section's index marker, remaining body text, and captions. That
+    is the default variant; titles-only keeps each whole body in the context,
+    and in-order puts each section's whole layout in the prefix, so its
+    context is only what the cap leaves over. The raw page description is
+    the target and never enters the slots.
     Precondition: check_page_description(page, threshold) returned None."""
     variant = PageDescPrefix(variant)
     runs = page_runs(page)
     images = [img for sec in runs.content.values() for img in sec.section.images][:PAGE_DESC_MAX_IMAGES]
-    prefix = [_image_run(images, Origin.CONTEXT_IMAGE), runs.url, runs.title]
-
-    if variant is PageDescPrefix.IN_ORDER:
-        stream = prefix + [run for sec in runs.content.values() for run in sec.layout]
-        return _assemble(Task.PAGE_DESCRIPTION, page, stream, [], page.raw_description)
-
-    context = []
+    prefix, context = [_image_run(images, Origin.CONTEXT_IMAGE), runs.url, runs.title], []
     for sec in runs.content.values():
-        prefix.append(sec.title)
-        if variant is PageDescPrefix.TITLES_AND_FIRST_SENTENCES:
-            prefix.append(sec.first_sentence)
+        if variant is PageDescPrefix.IN_ORDER:  # one stream: the cap leaves its tail to the context
+            prefix += sec.layout
+        elif variant is PageDescPrefix.TITLES_AND_FIRST_SENTENCES:
+            prefix += (sec.title, sec.first_sentence)
             context += (sec.marker, sec.rest) + sec.captions
         else:  # TITLES_ONLY: whole body stays local
+            prefix.append(sec.title)
             context += (sec.marker, sec.body) + sec.captions
     return _assemble(Task.PAGE_DESCRIPTION, page, prefix, context, page.raw_description)
 

@@ -2,6 +2,7 @@
 structure, and rerun determinism; one test starts the CLI as a process to
 close its stdout early."""
 
+import errno
 import hashlib
 import json
 import os
@@ -315,6 +316,60 @@ def test_build_rerun_byte_identical(runner, tmp_path):
         outs.append(b"".join((out / f"{s}.jsonl").read_bytes()
                              for s in ("train", "val", "test")))
     assert outs[0] == outs[1]
+
+
+def build_outputs(out) -> dict:
+    return {name: (out / name).read_bytes() for name in ("train.jsonl", "val.jsonl", "test.jsonl", "report.json")}
+
+
+def test_build_rebuild_over_its_outputs_writes_the_same_bytes(runner, tmp_path):
+    out = tmp_path / "out"
+    args = ("build", CORPUS, "--task", "section_summarization", "--out-dir", str(out))
+    assert invoke(runner, *args).exit_code == 0
+    first = build_outputs(out)
+    res = invoke(runner, *args)
+    assert res.exit_code == 0, res.output
+    assert build_outputs(out) == first
+    assert sorted(p.name for p in out.iterdir()) == sorted(first)
+
+
+def test_build_failed_write_leaves_the_previous_outputs(runner, tmp_path, monkeypatch):
+    # the split files were opened, and so truncated, before the first line
+    # was written: a disk-full error left train.jsonl cut short and the
+    # other splits empty, beside the previous run's report.json
+    out = tmp_path / "out"
+    args = ("build", CORPUS, "--task", "section_summarization", "--out-dir", str(out))
+    assert invoke(runner, *args).exit_code == 0
+    first = build_outputs(out)
+    real, calls = prefix_global.TaskExample.to_json_line, []
+
+    def to_json_line(self):
+        calls.append(self)
+        if len(calls) == 4:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real(self)
+
+    monkeypatch.setattr(prefix_global.TaskExample, "to_json_line", to_json_line)
+    res = invoke(runner, *args)
+    assert res.exit_code == 1
+    assert "No space left on device" in res.output
+    assert len(calls) == 4
+    assert build_outputs(out) == first
+    assert sorted(p.name for p in out.iterdir()) == sorted(first)
+
+
+@pytest.mark.parametrize("name", ["train.jsonl.tmp", "val.jsonl.tmp", "test.jsonl.tmp", "report.json.tmp"])
+def test_build_refuses_a_corpus_that_is_a_temp_output(runner, tmp_path, name):
+    out = tmp_path / "out"
+    out.mkdir()
+    corpus = out / name
+    body = pathlib.Path(CORPUS).read_bytes()
+    corpus.write_bytes(body)
+    res = invoke(runner, "build", str(corpus), "--task", "page_description", "--out-dir", str(out))
+    assert res.exit_code == 1
+    assert "is also an output file" in res.output
+    assert corpus.read_bytes() == body
+    assert [p.name for p in out.iterdir()] == [name]
 
 
 def test_build_examples_are_valid_json(runner, tmp_path):

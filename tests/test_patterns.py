@@ -1,5 +1,6 @@
 """Mask construction checked against a set-union oracle and hand-audited rows."""
 
+import enum
 import tracemalloc
 
 import numpy as np
@@ -17,12 +18,15 @@ from prefix_global.patterns import (
     PatternKind,
     build_mask,
     full,
+    grid_lines,
     local,
     prefix_global,
-    render_csv,
-    render_pgm,
     tglobal,
 )
+
+
+class _Four(enum.IntEnum):
+    FOUR = 4
 
 
 def oracle_key_set(pattern, i):
@@ -263,8 +267,21 @@ class TestValidation:
         lambda: prefix_global(8, k=False, r=1),
         lambda: prefix_global(8, k=True, r=1),
         lambda: prefix_global(True, k=False, r=True),
+        # an int subclass other than bool is refused too: every int parameter is an exact int
+        lambda: full(_Four.FOUR),
+        lambda: local(_Four.FOUR, r=0),
+        lambda: local(8, r=_Four.FOUR),
+        lambda: tglobal(_Four.FOUR, r=1),
+        lambda: tglobal(8, r=_Four.FOUR),
+        lambda: tglobal(8, r=1, block=_Four.FOUR),
+        lambda: prefix_global(_Four.FOUR, k=0, r=1),
+        lambda: prefix_global(8, k=1, r=_Four.FOUR),
+        lambda: prefix_global(8, k=_Four.FOUR, r=1),
     ], ids=["full_l", "local_l", "local_r_true", "local_r_false", "tglobal_block",
-            "prefix_k_false", "prefix_k_true", "prefix_all"])
+            "prefix_k_false", "prefix_k_true", "prefix_all",
+            "full_l_intenum", "local_l_intenum", "local_r_intenum", "tglobal_l_intenum",
+            "tglobal_r_intenum", "tglobal_block_intenum", "prefix_l_intenum", "prefix_r_intenum",
+            "prefix_k_intenum"])
     def test_bool_is_not_an_int(self, make):
         with pytest.raises(PatternError):
             make()
@@ -312,7 +329,7 @@ class TestRendering:
 
     def test_csv_round_trip(self):
         mask = build_mask(prefix_global(16, k=4, r=2))
-        text = render_csv(mask)
+        text = "".join(grid_lines(mask, "csv"))
         parsed = np.array(
             [[int(c) for c in line.split(",")] for line in text.strip().split("\n")]
         )
@@ -320,13 +337,17 @@ class TestRendering:
 
     def test_pgm_round_trip(self):
         mask = build_mask(tglobal(32, r=1, block=16))
-        text = render_pgm(mask)
+        text = "".join(grid_lines(mask, "pgm"))
         lines = text.strip().split("\n")
         assert lines[0] == "P2"
         assert lines[1] == "34 32"
         assert lines[2] == "1"
         parsed = np.array([[int(c) for c in line.split()] for line in lines[3:]])
         assert np.array_equal(parsed, mask.to_grid())
+
+    def test_grid_lines_refuses_an_unknown_format(self):
+        with pytest.raises(ValueError, match="csv"):
+            next(grid_lines(build_mask(full(2)), "summary"))
 
     def test_additive_mask_values(self):
         mask = build_mask(local(4, r=0))
