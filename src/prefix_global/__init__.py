@@ -12,7 +12,6 @@ from .numcore import (
     DegenerateRowError,
     ShapeError,
     dense_attention,
-    row_softmax,
 )
 from .page import (
     CorpusError,
@@ -66,7 +65,7 @@ __all__ = [
     # cost
     "CostReport", "accounted_pairs", "mask_nnz", "report", "compare", "render_table",
     # numerics
-    "MASKED", "ShapeError", "DegenerateRowError", "row_softmax", "dense_attention",
+    "MASKED", "ShapeError", "DegenerateRowError", "dense_attention",
     # kernels
     "KernelStats", "sparse_attention", "tglobal_attention", "block_average",
     # page model

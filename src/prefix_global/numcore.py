@@ -1,4 +1,4 @@
-"""Float64 numerical core: validated matmul, masked row softmax, dense attention.
+"""Float64 numerical core: the dense attention reference and its operand checks.
 
 Everything here is the reference ("materialize the full score matrix") path.
 The block-sparse implementations in `kernel` are checked against this module;
@@ -6,9 +6,9 @@ this module is in turn checked against scalar loops in the tests. Both paths
 check q, k and v with `attention_operands`, so they refuse the same operands.
 
 Masking is additive. A disallowed position carries the `MASKED` sentinel, the
-most negative finite float64. The softmax replaces sentinel entries with -inf
-*before* the row max is taken, so masked positions come out exactly 0.0 and no
-overflow or NaN can leak out of an exposed call. Finite bias values (relative
+most negative finite float64. `dense_attention` replaces sentinel entries with
+-inf *before* the row max is taken, so masked positions come out exactly 0.0
+and no overflow or NaN can leak out of it. Finite bias values (relative
 position terms and the like) pass through the same argument unchanged.
 """
 
@@ -44,54 +44,6 @@ def as_matrix(a, name: str = "operand") -> np.ndarray:
     return m
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with shape validation and a finite-output check."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions differ: {a.shape} @ {b.shape}")
-    # overflow is refused with ValueError, so numpy need not warn first
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = a @ b
-        if not np.isfinite(out).all():
-            raise ValueError("matmul overflowed to non-finite values")
-    return out
-
-
-def row_softmax(m, additive_mask) -> np.ndarray:
-    """Row-wise stable softmax of `m + additive_mask`.
-
-    `additive_mask` must have the same shape as `m`. Entries equal to MASKED
-    mark disallowed positions (exact 0.0 in the result); all other entries are
-    finite additive biases. A row with every position masked raises
-    DegenerateRowError rather than returning NaNs.
-    """
-    m = as_matrix(m, "m")
-    # The mask holds MASKED, so validate shape/rank but not finiteness range:
-    # MASKED itself is finite, and as_matrix enforces exactly that.
-    mask = as_matrix(additive_mask, "additive_mask")
-    if mask.shape != m.shape:
-        raise ShapeError(f"mask shape {mask.shape} != input shape {m.shape}")
-
-    disallowed = mask == MASKED
-    dead = disallowed.all(axis=1)
-    if dead.any():
-        rows = np.flatnonzero(dead)[:8].tolist()
-        raise DegenerateRowError(f"rows with every position masked: {rows}")
-
-    # overflow is refused with ValueError, so numpy need not warn first
-    with np.errstate(over="ignore", invalid="ignore"):
-        logits = m + np.where(disallowed, 0.0, mask)
-        # Assignment, not addition: adding anything to MASKED would overflow.
-        logits[disallowed] = -np.inf
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        weights = np.exp(shifted)
-        out = weights / weights.sum(axis=1, keepdims=True)
-        if not np.isfinite(out).all():
-            raise ValueError("softmax produced non-finite values")
-    return out
-
-
 def attention_operands(q, k, v):
     """q, k and v as float64 matrices, checked as every attention call needs
     them: q and k share a width d >= 1, and k and v have one row per key.
@@ -112,23 +64,41 @@ def dense_attention(q, k, v, additive_mask, scale_by_sqrt_d: bool = True) -> np.
     """Full scaled dot-product attention with an additive mask.
 
     q: (n_q, d), k: (n_k, d), v: (n_k, d_v), additive_mask: (n_q, n_k).
-    Scores are q @ k.T, scaled by 1/sqrt(d) unless disabled. Masked positions
-    contribute exactly nothing to the output (their weight is bitwise 0.0).
-    A scaled score that is not finite raises ValueError where the mask allows
-    its position; a masked position is never refused, whatever its score.
+    Scores are q @ k.T, scaled by 1/sqrt(d) unless disabled. A mask entry
+    equal to MASKED disallows its position, which then contributes exactly
+    nothing to the output (its weight is bitwise 0.0); any other finite entry
+    is a bias added to its score before a row-wise stable softmax.
+
+    Refusals, in the order they are checked: operands that `attention_operands`
+    refuses (ShapeError or ValueError); a mask whose shape is not
+    (n_q, n_k) (ShapeError); a scaled score that is not finite where the mask
+    allows its position (ValueError; a masked position is never refused,
+    whatever its score); a row with every position masked
+    (DegenerateRowError); weights that are not finite, as when a score plus
+    its bias overflows (ValueError); and an output that is not finite, as when
+    the weighted sum of v overflows (ValueError).
     """
     q, k, v = attention_operands(q, k, v)
     mask = as_matrix(additive_mask, "additive_mask")
     if mask.shape != (q.shape[0], k.shape[0]):
         raise ShapeError(f"mask shape {mask.shape} != score shape {(q.shape[0], k.shape[0])}")
+    allowed = mask != MASKED
     # overflow is refused with ValueError, so numpy need not warn first
     with np.errstate(over="ignore", invalid="ignore"):
-        scores = q @ k.T
-        if scale_by_sqrt_d:
-            scores = scores / math.sqrt(q.shape[1])
-    allowed = mask != MASKED
-    if not np.isfinite(scores[allowed]).all():
-        raise ValueError("attention scores overflowed to non-finite values")
-    # row_softmax zeroes a masked position whatever it holds, but it needs a finite one
-    weights = row_softmax(np.where(allowed, scores, 0.0), mask)
-    return matmul(weights, v)
+        scale = math.sqrt(q.shape[1]) if scale_by_sqrt_d else 1.0
+        scores = (q @ k.T) / scale  # x / 1.0 is x, bit for bit
+        if not np.isfinite(scores[allowed]).all():
+            raise ValueError("attention scores overflowed to non-finite values")
+        dead = ~allowed.any(axis=1)
+        if dead.any():
+            raise DegenerateRowError(f"rows with every position masked: {np.flatnonzero(dead)[:8].tolist()}")
+        # -inf, not score + MASKED, so a masked weight is exactly 0.0 whatever its score
+        logits = np.where(allowed, scores + mask, -np.inf)
+        weights = np.exp(logits - logits.max(axis=1, keepdims=True))
+        weights = weights / weights.sum(axis=1, keepdims=True)
+        if not np.isfinite(weights).all():
+            raise ValueError("attention weights overflowed to non-finite values")
+        out = weights @ v
+        if not np.isfinite(out).all():
+            raise ValueError("attention output overflowed to non-finite values")
+    return out

@@ -140,6 +140,10 @@ class Page:
         sections = tuple(self.sections)
         object.__setattr__(self, "sections", sections)
         for pos, sec in enumerate(sections):
+            # exact ints: True == 1, and the marker run copies the index into a token
+            for name, value in (("index", sec.index), ("parent_index", sec.parent_index), ("depth", sec.depth)):
+                if type(value) is not int and not (name == "parent_index" and value is None):
+                    raise CorpusError(f"section in slot {pos}: {name} must be an int, got {type(value).__name__}")
             if sec.index != pos:
                 raise CorpusError(f"section indices must be 0..n-1 in order; slot {pos} has index {sec.index}")
             if sec.parent_index is not None and not 0 <= sec.parent_index < sec.index:

@@ -1,8 +1,10 @@
 """Page model: taxonomy, splitter, tokenizer, JSONL ingest."""
 
 import copy
+import enum
 import json
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -198,6 +200,24 @@ class TestPageInvariants:
             sections=(sec(0), sec(1, parent_index=0, depth=1), sec(2, parent_index=1, depth=2)),
         )
         assert page.sections[2].depth == 2
+
+    class One(enum.IntEnum):
+        ONE = 1
+
+    @pytest.mark.parametrize("field, section", [
+        ("index", sec(True)),
+        ("index", sec(np.int64(1))),
+        ("index", sec(One.ONE)),
+        ("parent_index", sec(1, parent_index=True, depth=1)),
+        ("parent_index", sec(1, parent_index=0.0, depth=1)),
+        ("depth", sec(1, parent_index=0, depth=True)),
+        ("depth", sec(1, depth=0.0)),
+    ])
+    def test_non_int_section_index_parent_or_depth_refused(self, field, section):
+        # each equals the int it stands for, so only the exact-type rule
+        # keeps "[STrue]" out of a marker token
+        with pytest.raises(CorpusError, match=f"slot 1: {field} must be an int"):
+            Page(url="u", sections=(sec(0), section))
 
     def test_empty_url_rejected(self):
         with pytest.raises(CorpusError):
