@@ -48,6 +48,7 @@ from .pipeline import (
 from .sequence import (
     Origin,
     PageDescPrefix,
+    PageRuns,
     Task,
     TaskExample,
     build_image_caption_input,
@@ -72,7 +73,7 @@ __all__ = [
     "CorpusError", "MalformedRecord", "Page", "Section", "ImageRef", "SectionClass",
     "parse_page", "iter_corpus", "assign_split",
     # sequences
-    "Task", "Origin", "PageDescPrefix", "TaskExample", "build_page_description_input",
+    "Task", "Origin", "PageDescPrefix", "TaskExample", "PageRuns", "build_page_description_input",
     "build_section_summarization_input", "build_image_caption_input", "leaks_target",
     # pipeline
     "FilterReport", "RoutedExample", "build_dataset", "corpus_stats",

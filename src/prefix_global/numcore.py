@@ -76,7 +76,8 @@ def dense_attention(q, k, v, additive_mask, scale_by_sqrt_d: bool = True) -> np.
     whatever its score); a row with every position masked
     (DegenerateRowError); weights that are not finite, as when a score plus
     its bias overflows (ValueError); and an output that is not finite, as when
-    the weighted sum of v overflows (ValueError).
+    the weighted sum of v overflows (ValueError). No queries give a (0, d_v)
+    output, with keys or without.
     """
     q, k, v = attention_operands(q, k, v)
     mask = as_matrix(additive_mask, "additive_mask")
@@ -94,7 +95,8 @@ def dense_attention(q, k, v, additive_mask, scale_by_sqrt_d: bool = True) -> np.
             raise DegenerateRowError(f"rows with every position masked: {np.flatnonzero(dead)[:8].tolist()}")
         # -inf, not score + MASKED, so a masked weight is exactly 0.0 whatever its score
         logits = np.where(allowed, scores + mask, -np.inf)
-        weights = np.exp(logits - logits.max(axis=1, keepdims=True))
+        # initial: a max over no rows and no keys; every row left has an allowed key
+        weights = np.exp(logits - logits.max(axis=1, keepdims=True, initial=-np.inf))
         weights = weights / weights.sum(axis=1, keepdims=True)
         if not np.isfinite(weights).all():
             raise ValueError("attention weights overflowed to non-finite values")

@@ -28,7 +28,8 @@ Page input is checked here and nowhere downstream: the corpus reader checks
 each field's JSON type, and the model checks its invariants (a nonempty page
 URL, section order and parent chains, an image's embedding_id being a str).
 The sequence builders copy checked fields into token runs and check nothing
-again.
+again. A Page is its five constructor fields and nothing more: the token runs
+that the builders share live in a sequence.PageRuns, not on the page.
 
 The sentence splitter is deliberately naive: the first ., ! or ? followed by
 whitespace (or end of text) ends the first sentence. No abbreviation guard.
@@ -125,10 +126,6 @@ class Page:
     raw_description: str = ""
     sections: tuple = ()
     split: str | None = None  # None: the split of the URL's hash
-    # what later stages derive from this page and keep for as long as the
-    # page lives (the sequence builders keep its token runs here); it takes
-    # no part in construction, repr or comparison
-    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.url:

@@ -18,6 +18,7 @@ from .page import SPLITS, MalformedRecord, SectionClass, classify_section
 from .sequence import (
     REASON_PARSE_ERROR,
     PageDescPrefix,
+    PageRuns,
     Task,
     TaskExample,
     build_image_caption_input,
@@ -66,17 +67,20 @@ def _outcomes(item, task: Task, threshold: int, variant: PageDescPrefix) -> list
     """One corpus item's candidates for `task` in canonical order (the page,
     its sections, or its images in section then image order), each as the
     reason it is refused or its example, built only when its check gives
-    None. A MalformedRecord is one candidate, refused as parse_error. The
-    checks and builders are called as this module's globals, so a wrapper
-    installed on this module (the benchmark's tracer) sees every call."""
+    None. The page's runs are built once here and every example of the item
+    shares them; a refused page-description candidate builds none. A
+    MalformedRecord is one candidate, refused as parse_error. The checks and
+    builders are called as this module's globals, so a wrapper installed on
+    this module (the benchmark's tracer) sees every call."""
     if isinstance(item, MalformedRecord):
         return [REASON_PARSE_ERROR]
     if task is Task.PAGE_DESCRIPTION:
-        return [check_page_description(item, threshold) or build_page_description_input(item, variant=variant)]
+        return [check_page_description(item, threshold) or build_page_description_input(PageRuns(item), variant=variant)]
+    runs = PageRuns(item)
     if task is Task.SECTION_SUMMARIZATION:
-        return [check_section_summarization(item, idx) or build_section_summarization_input(item, idx)
+        return [check_section_summarization(item, idx) or build_section_summarization_input(runs, idx)
                 for idx in range(len(item.sections))]
-    return [check_image_caption(img) or build_image_caption_input(item, sec.index, pos)
+    return [check_image_caption(img) or build_image_caption_input(runs, sec.index, pos)
             for sec in item.sections for pos, img in enumerate(sec.images)]
 
 

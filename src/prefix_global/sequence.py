@@ -20,19 +20,22 @@ URL or title; a section's marker, title, body, first sentence or rest; one
 image's caption) or a list of images: one origin, which decides its kind (the
 two image origins make image runs, the rest text runs), and its values. It is
 a plain value, built only here from page fields that the corpus reader and
-the page model have checked, and kept on the page, so every example of that
-page shares it. Only content sections' runs are kept: each one's are built
-together, once, with the page's, and any other section's are built by the
-builder that reads them. A section's body run is its first sentence's tokens
-then the rest's: the split cuts just after a .!? that whitespace or the end
-follows, and no token spans whitespace, so that is exactly the tokens of the
-whole body. An example is its prefix runs and its context runs: the run the
-cap falls in is split into two runs of its origin, and every other run stays
-the page's shared object. Each run's JSON is encoded once and an example's
+the page model have checked. A page's runs are one PageRuns, which the
+caller builds once and passes to each builder in place of the page, so every
+example built from it shares them; nothing is stored on the Page. Only
+content sections' runs are in it: each one's are built together, once, with
+the page's, and any other section's are built by the builder that reads
+them. A section's body run is its first sentence's tokens then the rest's:
+the split cuts just after a .!? that whitespace or the end follows, and no
+token spans whitespace, so that is exactly the tokens of the whole body. An
+example is its prefix runs and its context runs: the run the cap falls in is
+split into two runs of its origin, and every other run stays the PageRuns'
+shared object. Each run's JSON is encoded once and an example's
 JSON line joins them; a slot exists only as one JSON object in it.
 
-Each task's one eligibility rule is a check_* function that returns the reason
-a candidate is refused, or None; the builders lay out and check only indices.
+Each task's one eligibility rule is a check_* function that takes the Page and
+returns the reason a candidate is refused, or None; the builders lay out and
+check only indices.
 """
 
 from __future__ import annotations
@@ -97,12 +100,12 @@ class PageDescPrefix(str, Enum):
 @dataclass(frozen=True)
 class TokenRun:
     """The text tokens or image embedding ids of one piece of a page, such as
-    a section's title or one image's caption, all of one origin. The
-    builders make each run once per page and share it between the page's
-    examples; only a run that the prefix cap cuts is replaced, in its
-    example, by its two parts. Runs are built only in this module, from
-    checked page fields (tokenize output, a marker, image embedding ids, or
-    parts of other runs), so a run checks nothing itself."""
+    a section's title or one image's caption, all of one origin. A PageRuns
+    makes each run once, and the examples built from it share it; only a run
+    that the prefix cap cuts is replaced, in its example, by its two parts.
+    Runs are built only in this module, from checked page fields (tokenize
+    output, a marker, image embedding ids, or parts of other runs), so a run
+    checks nothing itself."""
 
     origin: Origin
     values: tuple = ()
@@ -156,12 +159,15 @@ class SectionRuns:
 
 
 class PageRuns:
-    """A page's URL and title runs, and `content`: its content sections'
+    """A page, its URL and title runs, and `content`: its content sections'
     SectionRuns keyed by section index, in page order. Every task reads the
     content sections, so only their runs are built with the page; a builder
-    that needs another section's runs builds them itself."""
+    that needs another section's runs builds them itself. Build one per page
+    and pass it to each builder of that page's examples, which then share
+    its runs."""
 
     def __init__(self, page: Page):
+        self.page = page
         self.url = _text_run(page.url, Origin.PAGE_URL)
         self.title = _text_run(page.title, Origin.PAGE_TITLE)
         self.content = {sec.index: SectionRuns(sec) for sec in page.content_sections()}
@@ -173,15 +179,6 @@ class PageRuns:
             if index != skip:
                 out.extend(sec.layout)
         return out
-
-
-def page_runs(page: Page) -> PageRuns:
-    """The page's runs, made on the first call and kept on the page, so they
-    live exactly as long as the page does."""
-    runs = page.derived.get("runs")
-    if runs is None:
-        runs = page.derived["runs"] = PageRuns(page)
-    return runs
 
 
 @dataclass(frozen=True)
@@ -269,7 +266,7 @@ def check_page_description(page: Page, threshold: int) -> str | None:
 
 
 def build_page_description_input(
-    page: Page, variant: PageDescPrefix = PageDescPrefix.TITLES_AND_FIRST_SENTENCES
+    runs: PageRuns, variant: PageDescPrefix = PageDescPrefix.TITLES_AND_FIRST_SENTENCES
 ) -> TaskExample:
     """Global prefix: up to PAGE_DESC_MAX_IMAGES page images, URL, title,
     then each content section's title and first sentence. Local context: each
@@ -278,9 +275,8 @@ def build_page_description_input(
     and in-order puts each section's whole layout in the prefix, so its
     context is only what the cap leaves over. The raw page description is
     the target and never enters the slots.
-    Precondition: check_page_description(page, threshold) returned None."""
+    Precondition: check_page_description(runs.page, threshold) returned None."""
     variant = PageDescPrefix(variant)
-    runs = page_runs(page)
     images = [img for sec in runs.content.values() for img in sec.section.images][:PAGE_DESC_MAX_IMAGES]
     prefix, context = [_image_run(images, Origin.CONTEXT_IMAGE), runs.url, runs.title], []
     for sec in runs.content.values():
@@ -292,7 +288,7 @@ def build_page_description_input(
         else:  # TITLES_ONLY: whole body stays local
             prefix.append(sec.title)
             context += (sec.marker, sec.body) + sec.captions
-    return _assemble(Task.PAGE_DESCRIPTION, page, prefix, context, page.raw_description)
+    return _assemble(Task.PAGE_DESCRIPTION, runs.page, prefix, context, runs.page.raw_description)
 
 
 def check_section_summarization(page: Page, target_index: int) -> str | None:
@@ -308,18 +304,17 @@ def check_section_summarization(page: Page, target_index: int) -> str | None:
     return None
 
 
-def build_section_summarization_input(page: Page, target_index: int) -> TaskExample:
+def build_section_summarization_input(runs: PageRuns, target_index: int) -> TaskExample:
     """Global prefix: up to SECTION_SUMM_MAX_IMAGES of the target section's
     images, its index marker, title, body text with the first sentence
     removed, and its captions. Local context: page URL, page title, then
     every other content section in page order. Target: the removed first
     sentence. Precondition: check_section_summarization returned None."""
-    target = _item(page.sections, target_index, "section index")
-    runs = page_runs(page)
+    target = _item(runs.page.sections, target_index, "section index")
     own = runs.content.get(target_index) or SectionRuns(target)
     images = _image_run(target.images[:SECTION_SUMM_MAX_IMAGES], Origin.CONTEXT_IMAGE)
     prefix = [images, own.marker, own.title, own.rest, *own.captions]
-    return _assemble(Task.SECTION_SUMMARIZATION, page, prefix, runs.local_context(target_index),
+    return _assemble(Task.SECTION_SUMMARIZATION, runs.page, prefix, runs.local_context(target_index),
                      target.first_sentence)
 
 
@@ -334,19 +329,18 @@ def check_image_caption(img) -> str | None:
     return None
 
 
-def build_image_caption_input(page: Page, section_index: int, image_pos: int) -> TaskExample:
+def build_image_caption_input(runs: PageRuns, section_index: int, image_pos: int) -> TaskExample:
     """Global prefix: the target image slot, then its section's index marker,
     title, full body text, and the captions of the section's OTHER images.
     The target's reference and attribution descriptions are both withheld.
     Local context: page URL, page title, then the other content sections.
     Precondition: check_image_caption returned None for the image."""
-    section = _item(page.sections, section_index, "section index")
+    section = _item(runs.page.sections, section_index, "section index")
     img = _item(section.images, image_pos, "image_pos")
-    runs = page_runs(page)
     own = runs.content.get(section_index) or SectionRuns(section)  # a table/list section's images
     prefix = [_image_run([img], Origin.TARGET_IMAGE), own.marker, own.title, own.body]
     prefix += (run for pos, run in enumerate(own.captions) if pos != image_pos)
-    return _assemble(Task.IMAGE_CAPTIONING, page, prefix, runs.local_context(section_index),
+    return _assemble(Task.IMAGE_CAPTIONING, runs.page, prefix, runs.local_context(section_index),
                      img.reference_desc)
 
 

@@ -14,6 +14,7 @@ from prefix_global.page import ImageRef, Page, Section
 from prefix_global.patterns import PatternError, full, local, prefix_global, tglobal
 from prefix_global.pipeline import build_dataset
 from prefix_global.sequence import (
+    PageRuns,
     Task,
     build_image_caption_input,
     build_section_summarization_input,
@@ -42,11 +43,11 @@ SITES = {
     "check_section_summarization.target_index":
         (lambda v: check_section_summarization(two_section_page(), v), IndexError),
     "build_section_summarization_input.target_index":
-        (lambda v: build_section_summarization_input(two_section_page(), v), IndexError),
+        (lambda v: build_section_summarization_input(PageRuns(two_section_page()), v), IndexError),
     "build_image_caption_input.section_index":
-        (lambda v: build_image_caption_input(two_section_page(), v, 0), IndexError),
+        (lambda v: build_image_caption_input(PageRuns(two_section_page()), v, 0), IndexError),
     "build_image_caption_input.image_pos":
-        (lambda v: build_image_caption_input(two_section_page(), 1, v), IndexError),
+        (lambda v: build_image_caption_input(PageRuns(two_section_page()), 1, v), IndexError),
 }
 
 PATTERN_SITES = {

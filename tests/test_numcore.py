@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prefix_global import numcore
@@ -22,8 +22,7 @@ from prefix_global.numcore import (
 
 
 def loop_matmul(a, b):
-    n, inner = len(a), len(a[0])
-    m = len(b[0])
+    n, inner, m = np.shape(a)[0], np.shape(b)[0], np.shape(b)[1]
     out = [[0.0] * m for _ in range(n)]
     for i in range(n):
         for j in range(m):
@@ -31,7 +30,7 @@ def loop_matmul(a, b):
             for t in range(inner):
                 acc += a[i][t] * b[t][j]
             out[i][j] = acc
-    return np.array(out)
+    return np.array(out).reshape(n, m)
 
 
 def loop_softmax_row(row, mask_row):
@@ -160,13 +159,15 @@ class TestSoftmax:
 
 @st.composite
 def attention_cases(draw):
-    n_q, n_k = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    # no queries or no keys too: a row with no key is fully masked, and no
+    # queries give an empty output
+    n_q, n_k = draw(st.integers(0, 6)), draw(st.integers(0, 8))
     d, d_v = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     g = rng(draw(st.integers(0, 2**32 - 1)))
     q, k, v = g.normal(size=(n_q, d)), g.normal(size=(n_k, d)), g.normal(size=(n_k, d_v))
     bias = g.normal(size=(n_q, n_k)) * draw(st.sampled_from([0.0, 1.0, 30.0]))
     mask = np.where(g.random(size=(n_q, n_k)) < draw(st.floats(0.0, 1.0)), MASKED, bias)
-    for row in draw(st.lists(st.integers(0, n_q - 1), max_size=2)):
+    for row in draw(st.lists(st.integers(0, max(n_q - 1, 0)), max_size=2 if n_q else 0)):
         mask[row] = MASKED
     return q, k, v, mask, draw(st.booleans())
 
@@ -174,6 +175,9 @@ def attention_cases(draw):
 class TestDenseAttention:
     @settings(max_examples=200, deadline=None)
     @given(attention_cases())
+    @example((np.zeros((0, 1)), np.zeros((0, 1)), np.zeros((0, 2)), np.zeros((0, 0)), True))
+    @example((np.zeros((0, 1)), np.zeros((3, 1)), np.zeros((3, 2)), np.zeros((0, 3)), False))
+    @example((np.zeros((2, 1)), np.zeros((0, 1)), np.zeros((0, 2)), np.zeros((2, 0)), True))
     def test_matches_composed_oracle(self, case):
         # refused exactly when some row has no allowed key, else the scalar loops' answer
         q, k, v, mask, scale = case
@@ -185,6 +189,7 @@ class TestDenseAttention:
         weights = np.array([loop_softmax_row(s, m) for s, m in zip(scores, mask)])
         expected = loop_matmul(weights, v)
         got = dense_attention(q, k, v, mask, scale_by_sqrt_d=scale)
+        assert got.shape == (len(q), v.shape[1])
         np.testing.assert_allclose(got, expected, atol=1e-12, rtol=0)
 
     def test_no_scaling_flag(self):

@@ -1,5 +1,7 @@
 """Builders: slot layout, budgets, exclusions, no-leakage, shared runs."""
 
+import copy
+import dataclasses
 import json
 from collections import Counter
 
@@ -15,6 +17,7 @@ from prefix_global.sequence import (
     REASON_PARSE_ERROR,
     Origin,
     PageDescPrefix,
+    PageRuns,
     SectionRuns,
     Task,
     TaskExample,
@@ -27,7 +30,6 @@ from prefix_global.sequence import (
     check_page_description,
     check_section_summarization,
     leaks_target,
-    page_runs,
 )
 
 
@@ -118,7 +120,7 @@ def two_section_page():
 
 class TestPageDescription:
     def test_canonical_layout_two_sections(self):
-        ex = build_page_description_input(two_section_page())
+        ex = build_page_description_input(PageRuns(two_section_page()))
         assert ex.task is Task.PAGE_DESCRIPTION
         url_t = ["https", ":", "/", "/", "e", ".", "org", "/", "wiki", "/", "Model_Page"]
         assert [s["token"] for s in prefix_of(ex)] == url_t + ["Model", "Page", "A", "a", ".", "B", "b", "."]
@@ -147,7 +149,7 @@ class TestPageDescription:
         sections = [Section(index=0, body_text="intro here.")]
         sections.append(Section(index=1, title="Pics", images=tuple(img(n) for n in range(9))))
         page = Page(url="https://e.org/wiki/Pics", title="Pics", raw_description="Nine image page.", sections=tuple(sections))
-        ex = build_page_description_input(page)
+        ex = build_page_description_input(PageRuns(page))
         image_slots = [s for s in prefix_of(ex) if s["kind"] == "image"]
         assert len(image_slots) == 6
         assert [s["image"] for s in image_slots] == [f"vec-{n}" for n in range(6)]
@@ -160,7 +162,7 @@ class TestPageDescription:
             for i in range(12)
         ]
         page = Page(url="https://e.org/wiki/Long", title="Long", raw_description="Long page.", sections=tuple(sections))
-        ex = build_page_description_input(page)
+        ex = build_page_description_input(PageRuns(page))
         assert ex.prefix_len == PREFIX_BUDGET
         # nothing dropped: every prefix-material token either global or context
         first_sent_tokens = sum(len(s.first_sentence.split()) + 1 for s in sections)
@@ -178,7 +180,7 @@ class TestPageDescription:
                 Section(index=3, title="Kept", body_text="more kept."),
             ),
         )
-        ex = build_page_description_input(page)
+        ex = build_page_description_input(PageRuns(page))
         stream = toks(ex.slots)
         assert "Tabled" not in stream
         assert "Heading" not in stream
@@ -195,23 +197,23 @@ class TestPageDescription:
                 Section(index=1, title="Shots", body_text="beta two.", images=(img(1, ref="gray cat asleep"),)),
             ),
         )
-        ex = build_page_description_input(page)
+        ex = build_page_description_input(PageRuns(page))
         assert "gray" not in toks(prefix_of(ex))
         assert ["gray", "cat", "asleep"] == toks(context_of(ex), Origin.CAPTION)
 
     def test_titles_only_variant(self):
-        ex = build_page_description_input(two_section_page(), variant=PageDescPrefix.TITLES_ONLY)
+        ex = build_page_description_input(PageRuns(two_section_page()), variant=PageDescPrefix.TITLES_ONLY)
         assert [s["token"] for s in prefix_of(ex)][-2:] == ["A", "B"]
         assert [s["token"] for s in context_of(ex)] == ["[S0]", "a", ".", "rest", "a", ".", "[S1]", "b", ".", "rest", "b", "."]
 
     @pytest.mark.parametrize("variant", list(PageDescPrefix), ids=lambda v: v.value)
     def test_variant_given_as_its_string(self, variant):
         # "in-order" as a string once built the titles-only layout
-        by_str = build_page_description_input(two_section_page(), variant.value)
-        assert by_str == build_page_description_input(two_section_page(), variant)
+        by_str = build_page_description_input(PageRuns(two_section_page()), variant.value)
+        assert by_str == build_page_description_input(PageRuns(two_section_page()), variant)
 
     def test_in_order_variant_is_one_stream(self):
-        ex = build_page_description_input(two_section_page(), variant=PageDescPrefix.IN_ORDER)
+        ex = build_page_description_input(PageRuns(two_section_page()), variant=PageDescPrefix.IN_ORDER)
         assert ex.prefix_len == len(ex.slots)  # under budget: everything global
         stream = [s["token"] for s in ex.slots]
         assert stream.index("[S0]") < stream.index("A") < stream.index("a")
@@ -231,7 +233,7 @@ class TestSectionSummarization:
         )
 
     def test_first_sentence_removed_and_targeted(self):
-        ex = build_section_summarization_input(self.make_page(), 1)
+        ex = build_section_summarization_input(PageRuns(self.make_page()), 1)
         assert ex.target_text == "s1 one."
         body = toks(prefix_of(ex), Origin.SECTION_BODY)
         assert body[:3] == ["s2", "two", "."]
@@ -240,7 +242,7 @@ class TestSectionSummarization:
 
     def test_prefix_order_and_image_cap(self):
         page = self.make_page(images=(img(1), img(2), img(3)))
-        ex = build_section_summarization_input(page, 1)
+        ex = build_section_summarization_input(PageRuns(page), 1)
         prefix = prefix_of(ex)
         assert prefix[0]["kind"] == "image"
         assert prefix[0]["image"] == "vec-1"
@@ -251,7 +253,7 @@ class TestSectionSummarization:
         assert origins.index("section_body") < origins.index("caption")
 
     def test_context_is_url_title_then_other_sections(self):
-        ex = build_section_summarization_input(self.make_page(), 1)
+        ex = build_section_summarization_input(PageRuns(self.make_page()), 1)
         ctx = [s["origin"] for s in context_of(ex)]
         assert ctx[0] == "page_url"
         assert "page_title" in ctx
@@ -269,7 +271,7 @@ class TestSectionSummarization:
                 Section(index=1, title="T", body_text="a one. b two. c three. d four. e five."),
             ),
         )
-        ex = build_section_summarization_input(page, 1)
+        ex = build_section_summarization_input(PageRuns(page), 1)
         assert {s["origin"] for s in context_of(ex)} == {"page_url", "page_title"}
 
     def test_rejections(self):
@@ -293,7 +295,7 @@ class TestSectionSummarization:
         )
         assert check_section_summarization(short_tabled, 1) == "table_or_list"
         with pytest.raises(IndexError):
-            build_section_summarization_input(page, 9)
+            build_section_summarization_input(PageRuns(page), 9)
 
     @pytest.mark.parametrize("index", [-1, 3, True], ids=["negative", "past_end", "bool"])
     def test_index_out_of_range(self, index):
@@ -303,7 +305,7 @@ class TestSectionSummarization:
         with pytest.raises(IndexError):
             check_section_summarization(page, index)
         with pytest.raises(IndexError):
-            build_section_summarization_input(page, index)
+            build_section_summarization_input(PageRuns(page), index)
 
 
 class TestImageCaptioning:
@@ -327,7 +329,7 @@ class TestImageCaptioning:
         )
 
     def test_target_caption_excluded_nontarget_kept(self):
-        ex = build_image_caption_input(self.make_page(), 1, 0)
+        ex = build_image_caption_input(PageRuns(self.make_page()), 1, 0)
         assert ex.target_text == "lighthouse across the bay"
         prefix = prefix_of(ex)
         captions = toks(prefix, Origin.CAPTION)
@@ -338,11 +340,11 @@ class TestImageCaptioning:
         assert prefix[0]["image"] == "vec-1"
 
     def test_attribution_never_in_inputs(self):
-        ex = build_image_caption_input(self.make_page(), 1, 1)
+        ex = build_image_caption_input(PageRuns(self.make_page()), 1, 1)
         assert "credit" not in toks(ex.slots)
 
     def test_full_body_in_prefix(self):
-        ex = build_image_caption_input(self.make_page(), 1, 0)
+        ex = build_image_caption_input(PageRuns(self.make_page()), 1, 0)
         assert toks(prefix_of(ex), Origin.SECTION_BODY) == ["scene", ".", "setting", "."]
 
     def test_single_image_page_bare_context(self):
@@ -351,7 +353,7 @@ class TestImageCaptioning:
             title="One",
             sections=(Section(index=0, title="S", body_text="text here.", images=(img(5),)),),
         )
-        ex = build_image_caption_input(page, 0, 0)
+        ex = build_image_caption_input(PageRuns(page), 0, 0)
         assert {s["origin"] for s in context_of(ex)} == {"page_url", "page_title"}
 
     def test_rejections(self):
@@ -366,16 +368,16 @@ class TestImageCaptioning:
         assert check_image_caption(img(1, mime=Mime.OTHER, ref="red car", wit=False)) == "not_in_quality_set"
         assert check_image_caption(img(1, mime=Mime.OTHER, ref="red car")) == "mime"
         with pytest.raises(IndexError):
-            build_image_caption_input(base, 1, 5)
+            build_image_caption_input(PageRuns(base), 1, 5)
         with pytest.raises(IndexError):
-            build_image_caption_input(base, 1, True)
+            build_image_caption_input(PageRuns(base), 1, True)
         with pytest.raises(IndexError):
-            build_image_caption_input(base, 7, 0)
+            build_image_caption_input(PageRuns(base), 7, 0)
 
 
 class TestTaskExample:
     def test_serialization_shape(self):
-        ex = build_page_description_input(two_section_page())
+        ex = build_page_description_input(PageRuns(two_section_page()))
         d = ex.to_dict()
         assert sorted(d) == ["context", "page_url", "prefix", "target", "task"]
         assert d["task"] == "page_description"
@@ -385,8 +387,8 @@ class TestTaskExample:
         assert ex.slots == d["prefix"] + d["context"]
 
     def test_json_line_deterministic(self):
-        a = build_page_description_input(two_section_page()).to_json_line()
-        b = build_page_description_input(two_section_page()).to_json_line()
+        a = build_page_description_input(PageRuns(two_section_page())).to_json_line()
+        b = build_page_description_input(PageRuns(two_section_page())).to_json_line()
         assert a == b
 
     def test_slot_validation(self):
@@ -454,26 +456,40 @@ class TestTokenRuns:
         )
 
     def test_examples_of_one_page_share_runs(self):
-        page = self.make_page()
-        a = build_section_summarization_input(page, 1)
-        b = build_section_summarization_input(page, 2)
-        c = build_image_caption_input(page, 1, 0)
+        runs = PageRuns(self.make_page())
+        a = build_section_summarization_input(runs, 1)
+        b = build_section_summarization_input(runs, 2)
+        c = build_image_caption_input(runs, 1, 0)
         section3 = [[run for run in ex.prefix + ex.context if run.origin is Origin.SECTION_BODY][-1] for ex in (a, b, c)]
         assert section3[0].values == tuple(tokenize("a. b. c. d. e. f."))
         assert section3[0] is section3[1] is section3[2]
 
     def test_runs_belong_to_their_page(self):
-        # two equal pages parsed apart share no run objects: the runs live on
-        # the page, not in a process-wide cache
-        a = build_section_summarization_input(self.make_page(), 1)
-        b = build_section_summarization_input(self.make_page(), 1)
+        # the runs of two equal pages share no run objects: they live in each
+        # page's PageRuns, not in a process-wide cache
+        a = build_section_summarization_input(PageRuns(self.make_page()), 1)
+        b = build_section_summarization_input(PageRuns(self.make_page()), 1)
         assert a == b
         assert not any(x is y for x, y in zip(a.prefix + a.context, b.prefix + b.context))
 
+    def test_building_leaves_the_page_unchanged(self):
+        # a page's runs are passed to the builders, not stored: a Page is its
+        # five constructor fields, and building every task's examples of it
+        # under every page-description variant writes nothing on it
+        assert [(f.name, f.init) for f in dataclasses.fields(Page)] == [
+            (name, True) for name in ("url", "title", "raw_description", "sections", "split")]
+        page = self.make_page(long_target=True)
+        before = copy.deepcopy(vars(page))
+        for task in Task:
+            for variant in PageDescPrefix:
+                routed, _ = build_dataset([page], task, threshold=0, variant=variant)
+                assert routed
+        assert vars(page) == before
+
     def test_runs_hold_the_slots(self):
-        page = self.make_page()
-        for ex in (build_page_description_input(page), build_section_summarization_input(page, 2),
-                   build_image_caption_input(page, 1, 2)):
+        runs = PageRuns(self.make_page())
+        for ex in (build_page_description_input(runs), build_section_summarization_input(runs, 2),
+                   build_image_caption_input(runs, 1, 2)):
             assert all(ex.prefix) and all(ex.context)
             for runs, slots in ((ex.prefix, prefix_of(ex)), (ex.context, context_of(ex))):
                 slots = iter(slots)
@@ -487,9 +503,10 @@ class TestTokenRuns:
 
     def test_json_line_when_the_cap_cuts_a_run(self):
         page = self.make_page(long_target=True)
-        own = page_runs(page).content[1]
-        for ex, cut in ((build_section_summarization_input(page, 1), own.rest),
-                        (build_image_caption_input(page, 1, 0), own.body)):
+        runs = PageRuns(page)
+        own = runs.content[1]
+        for ex, cut in ((build_section_summarization_input(runs, 1), own.rest),
+                        (build_image_caption_input(runs, 1, 0), own.body)):
             assert ex.prefix_len == PREFIX_BUDGET
             # the cap falls inside a run: its two parts end the prefix and start the context
             head, tail = ex.prefix[-1], ex.context[0]
@@ -501,9 +518,9 @@ class TestTokenRuns:
 
     @pytest.mark.parametrize("variant", list(PageDescPrefix), ids=lambda v: v.value)
     def test_json_line_matches_reference(self, variant):
-        page = self.make_page(long_target=True)
-        examples = [build_page_description_input(page, variant=variant),
-                    build_section_summarization_input(page, 3), build_image_caption_input(page, 2, 0)]
+        runs = PageRuns(self.make_page(long_target=True))
+        examples = [build_page_description_input(runs, variant=variant),
+                    build_section_summarization_input(runs, 3), build_image_caption_input(runs, 2, 0)]
         for ex in examples:
             assert ex.to_json_line() == reference_line(ex)
 
@@ -546,9 +563,9 @@ class TestTokenRuns:
         assert ex.prefix == (ab,) and ex.context == (c,)
 
     def test_slots_are_derived_not_stored(self):
-        page = self.make_page(long_target=True)
-        for ex in (build_page_description_input(page), build_section_summarization_input(page, 1),
-                   build_image_caption_input(page, 1, 0)):
+        runs = PageRuns(self.make_page(long_target=True))
+        for ex in (build_page_description_input(runs), build_section_summarization_input(runs, 1),
+                   build_image_caption_input(runs, 1, 0)):
             ex.to_json_line()
             assert "slots" not in vars(ex)
             line = json.loads(reference_line(ex))
@@ -689,19 +706,21 @@ def test_parsed_record_runs_hold_str_values(record):
 def checked_then_built(page, task, threshold, variant):
     """The page's candidates for `task` in canonical order (the page, its
     sections, or its images in section then image order), each its check's
-    reason or, when the check gives None, its example."""
+    reason or, when the check gives None, its example, built from one PageRuns
+    of the page."""
+    runs = PageRuns(page)
     if task is Task.PAGE_DESCRIPTION:
         reason = check_page_description(page, threshold)
-        return [reason if reason is not None else build_page_description_input(page, variant=variant)]
+        return [reason if reason is not None else build_page_description_input(runs, variant=variant)]
     out = []
     for sec in page.sections:
         if task is Task.SECTION_SUMMARIZATION:
             reason = check_section_summarization(page, sec.index)
-            out.append(reason if reason is not None else build_section_summarization_input(page, sec.index))
+            out.append(reason if reason is not None else build_section_summarization_input(runs, sec.index))
             continue
         for pos, image in enumerate(sec.images):
             reason = check_image_caption(image)
-            out.append(reason if reason is not None else build_image_caption_input(page, sec.index, pos))
+            out.append(reason if reason is not None else build_image_caption_input(runs, sec.index, pos))
     return out
 
 
@@ -788,9 +807,9 @@ class TestTargetFieldIsWithheld:
         # the first section's text starts with the page description
         page = self.page()
         assert check_page_description(page, 2) is None
-        ex = build_page_description_input(page, variant=variant)
+        ex = build_page_description_input(PageRuns(page), variant=variant)
         assert leaks_target(ex)
-        other = build_page_description_input(self.page(description="A storm came in."), variant=variant)
+        other = build_page_description_input(PageRuns(self.page(description="A storm came in.")), variant=variant)
         assert not leaks_target(other)
         assert (other.prefix, other.context) == (ex.prefix, ex.context)
 
@@ -798,17 +817,17 @@ class TestTargetFieldIsWithheld:
         # section 2 repeats the target section's first sentence
         page = self.page()
         assert check_section_summarization(page, 1) is None
-        ex = build_section_summarization_input(page, 1)
+        ex = build_section_summarization_input(PageRuns(page), 1)
         assert ex.target_text == "The keeper lit the lamp."
         assert leaks_target(ex)
-        other = build_section_summarization_input(self.page(first="A storm came in."), 1)
+        other = build_section_summarization_input(PageRuns(self.page(first="A storm came in.")), 1)
         assert not leaks_target(other)
         assert (other.prefix, other.context) == (ex.prefix, ex.context)
 
     def test_image_descriptions_never_enter_the_slots(self):
         page = self.page()
-        ex = build_image_caption_input(page, 1, 0)
-        other = build_image_caption_input(self.page(ref="waves under a grey sky"), 1, 0)
+        ex = build_image_caption_input(PageRuns(page), 1, 0)
+        other = build_image_caption_input(PageRuns(self.page(ref="waves under a grey sky")), 1, 0)
         assert (ex.target_text, other.target_text) == ("a gull on a rock", "waves under a grey sky")
         assert (other.prefix, other.context) == (ex.prefix, ex.context)
         assert not leaks_target(ex) and not leaks_target(other)
