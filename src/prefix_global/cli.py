@@ -203,8 +203,10 @@ def attend(kind, length, dim, radius, prefix_k, block, seed, scale, check_oracle
               help="Count malformed records as parse_error rejections instead of failing.")
 def build(corpus, task, out_dir, threshold, variant, lenient):
     """Build one task dataset from a JSONL corpus: train/val/test example
-    files plus an accounting report. Each file is written to <name>.tmp and
-    the four are renamed over their targets only once every write has
+    files plus an accounting report. An example is one line of its split's
+    file: TaskExample.to_json_line, then a newline written on its own so
+    the line is not copied to append it. Each file is written to <name>.tmp
+    and the four are renamed over their targets only once every write has
     succeeded, so a failed run leaves the previous outputs as they were."""
     out = pathlib.Path(out_dir)
     names = [f"{split}.jsonl" for split in SPLITS] + ["report.json"]
@@ -230,7 +232,9 @@ def build(corpus, task, out_dir, threshold, variant, lenient):
                 handles = {split: stack.enter_context(open(tmp[f"{split}.jsonl"], "w", encoding="utf-8"))
                            for split in SPLITS}
                 for r in routed:
-                    handles[r.split].write(r.example.to_json_line() + "\n")
+                    fh = handles[r.split]
+                    fh.write(r.example.to_json_line())
+                    fh.write("\n")
             tmp["report.json"].write_text(_json(payload), encoding="utf-8")
             for name in names:
                 os.replace(tmp[name], out / name)

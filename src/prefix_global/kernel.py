@@ -32,12 +32,13 @@ where that could pass the largest float64 the call runs on v scaled down by
 a power of two and scales the output back up, both exact; no ordinary input
 is scaled, so no ordinary output changes by a bit.
 
-A window's outside-mask depends only on the band geometry, so the plan
-builds it once per (rows, b0 - lo, width) within a call: interior bands
-share one and only the edge bands differ. Masked positions are assigned
--inf before the row max, so their weights are exactly 0.0 and a key outside
-a query's allowed set cannot change that query's output even at the bit
-level.
+Every window tile's outside-mask is a view of one mask per call, of
+ROW_BLOCK rows and ROW_BLOCK + 2 min(r, l) keys, taken at column offset
+min(r, l) - (b0 - lo). So a plan holds one mask whatever r is, though once
+r >= l every band's tile has a geometry of its own. Masked positions are
+assigned -inf before the row max, so their weights are exactly 0.0 and a
+key outside a query's allowed set cannot change that query's output even at
+the bit level.
 
 A call is refused with ValueError, without a RuntimeWarning, exactly when a
 scaled score that is not finite falls on a query-key pair the pattern allows,
@@ -116,8 +117,8 @@ def _bands(pattern: AttentionPattern) -> list:
     """The plan, from the pattern alone: prefix bands over the pattern's
     global rows (AttentionPattern.global_rows), then window bands banked on
     the side keys' range [l, n_keys), or else on [0, g). Each window tile
-    carries its outside-mask, built once per (rows, b0 - lo, width), so
-    interior bands share one. Full is one band over the grid."""
+    carries its outside-mask, a view of the call's one window mask. Full is
+    one band over the grid."""
     l = pattern.l
     if pattern.kind is PatternKind.FULL:
         return [_Band(0, l, ((0, l, None),))]
@@ -126,13 +127,15 @@ def _bands(pattern: AttentionPattern) -> list:
     tiles = tuple((lo, hi, None) for lo, hi in _blocks(0, l, ROW_BLOCK + 2 * r + g))
     bands = [_Band(b0, b1, tiles) for b0, b1 in _blocks(0, g)]
     bank = (l, pattern.n_keys) if pattern.side_keys else (0, g)
-    masks = {}
+    # row i, column c of the window mask is outside when |i + w - c| > r, so key
+    # lo + j of a band's tile is its column w + lo - b0 + j; a tile reaches at most w keys past its rows
+    w = min(r, l)
+    rows, cols = np.arange(w, ROW_BLOCK + w)[:, None], np.arange(ROW_BLOCK + 2 * w)
+    window = (cols < rows - r) | (cols > rows + r)
+    window.setflags(write=False)  # every window tile is a view of it
     for b0, b1 in _blocks(g, l):
         lo, hi = max(g, b0 - r), min(l, b1 + r)
-        geometry = (b1 - b0, b0 - lo, hi - lo)
-        if geometry not in masks:
-            masks[geometry] = np.abs(np.subtract.outer(np.arange(b0 - lo, b1 - lo), np.arange(hi - lo))) > r
-        bands.append(_Band(b0, b1, ((lo, hi, masks[geometry]),), bank))
+        bands.append(_Band(b0, b1, ((lo, hi, window[: b1 - b0, w + lo - b0 : w + hi - b0]),), bank))
     return bands
 
 

@@ -206,8 +206,21 @@ def count_sentences(text: str) -> int:
 
 
 def tokenize(text: str) -> list[str]:
-    """Whitespace-plus-punctuation split; the token unit for every budget."""
-    return _TOKEN_RE.findall(text)
+    r"""Whitespace-plus-punctuation split; the token unit for every budget.
+
+    The tokens are re.findall(r"\w+|[^\w\s]", text), found whitespace
+    first: text.split() cuts the text into chunks, a chunk for which
+    isalnum() holds is one token, and any other chunk goes through the
+    regex. That equals the regex on the whole text: no token spans
+    whitespace, re's \s is str.isspace() and its \w is isalnum() or "_" on
+    every code point, so an alphanumeric chunk is exactly one \w+ match."""
+    out = []
+    for chunk in text.split():
+        if chunk.isalnum():
+            out.append(chunk)
+        else:
+            out += _TOKEN_RE.findall(chunk)
+    return out
 
 
 _REQUIRED = object()  # the default of a field a record must carry

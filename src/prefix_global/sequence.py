@@ -217,13 +217,18 @@ class TaskExample:
         return json.loads(self.to_json_line())
 
     def to_json_line(self) -> str:
-        """The example as one compact JSON object, joined from each run's encoding."""
-        prefix = ",".join([run.json for run in self.prefix if run])
-        context = ",".join([run.json for run in self.context if run])
-        return (
-            f'{{"task":{_json_str(self.task.value)},"page_url":{_json_str(self.source_page_url)},'
-            f'"prefix":[{prefix}],"context":[{context}],"target":{_json_str(self.target_text)}}}'
-        )
+        """The example as one compact JSON object: one join of the header,
+        each non-empty run's cached encoding with its separators, and the tail."""
+        parts = ['{"task":', _json_str(self.task.value), ',"page_url":', _json_str(self.source_page_url)]
+        for opener, runs in ((',"prefix":[', self.prefix), ('],"context":[', self.context)):
+            parts.append(opener)
+            sep = ""
+            for run in runs:
+                if run:
+                    parts += (sep, run.json)
+                    sep = ","
+        parts += ('],"target":', _json_str(self.target_text), "}")
+        return "".join(parts)
 
 
 def _assemble(task: Task, page: Page, prefix_runs: list, context_runs: list, target: str) -> TaskExample:

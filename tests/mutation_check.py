@@ -39,6 +39,7 @@ ROOT = Path(__file__).resolve().parent.parent
 ROW_ORACLE = "tests/test_kernel.py::TestRowOracleAtPaperGeometry"
 LAYOUT_ORACLE = "tests/test_layout_oracle.py::test_examples_and_report_match_the_reference"
 DENSE_TESTS = "tests/test_numcore.py"
+TOKENIZER_TESTS = "tests/test_page.py::TestTokenize"
 
 
 class Mutant(NamedTuple):
@@ -59,8 +60,8 @@ MUTANTS = (
            "tiles = tuple((lo, hi - (hi == l), None) for lo, hi in",
            (ROW_ORACLE,)),
     Mutant("kernel-bank-one-key-short-past-4096", "kernel.py",
-           "bands.append(_Band(b0, b1, ((lo, hi, masks[geometry]),), bank))",
-           "bands.append(_Band(b0, b1, ((lo, hi, masks[geometry]),),"
+           "bands.append(_Band(b0, b1, ((lo, hi, window[: b1 - b0, w + lo - b0 : w + hi - b0]),), bank))",
+           "bands.append(_Band(b0, b1, ((lo, hi, window[: b1 - b0, w + lo - b0 : w + hi - b0]),),"
            " bank if b0 < 4096 else (bank[0], max(bank[0], bank[1] - 1))))",
            (ROW_ORACLE,)),
     # every task's layout against the reference that restates it from raw JSONL
@@ -71,6 +72,16 @@ MUTANTS = (
            "prefix += (run for pos, run in enumerate(own.captions) if pos != image_pos)",
            "prefix += own.captions",
            (LAYOUT_ORACLE,)),
+    # the whitespace-first tokenizer against the regex it restates, and every layout
+    Mutant("tokenize-takes-non-alphanumeric-chunk-whole", "page.py",
+           "if chunk.isalnum():", "if chunk.isascii():",
+           (TOKENIZER_TESTS, LAYOUT_ORACLE)),
+    Mutant("tokenize-drops-findall-fallback", "page.py",
+           "        else:\n            out += _TOKEN_RE.findall(chunk)\n", "",
+           (TOKENIZER_TESTS, LAYOUT_ORACLE)),
+    Mutant("json-line-loses-separator-between-runs", "sequence.py",
+           '                    sep = ","\n', "",
+           (LAYOUT_ORACLE, "tests/test_sequence.py::TestTokenRuns")),
     Mutant("count-sentences-one-more", "page.py",
            "return n + bool(text[end:].strip())", "return n + bool(text[end:].strip()) + 1",
            (LAYOUT_ORACLE,)),

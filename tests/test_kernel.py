@@ -7,6 +7,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -362,8 +363,8 @@ class TestOnlineSoftmax:
 class TestMaskCache:
     @pytest.mark.parametrize("l", [100, 300])
     def test_calls_share_no_state(self, l):
-        # window masks are cached per band geometry within one call; a cache
-        # that outlived a call, or was keyed without r, would mask these
+        # window masks are views of one mask built per call; a mask that
+        # outlived a call, or was built without r, would mask these
         # wrongly (at l=100 every pattern is one band of l rows and l keys)
         q, k, v = make_qkv(rng((50, l)), l, 4)
         for pattern in (local(l, r=3), local(l, r=5), prefix_global(l, k=20, r=3), prefix_global(l, k=l // 2, r=3)):
@@ -371,6 +372,22 @@ class TestMaskCache:
             assert np.abs(got - dense_oracle(q, k, v, pattern)).max() < 1e-9
         pattern = prefix_global(l, k=20, r=3)
         assert sparse_attention(q, k, v, pattern).tobytes() == sparse_attention(q, k, v, pattern).tobytes()
+
+    @pytest.mark.parametrize("pattern", [local(4096, r=4096), prefix_global(4096, k=512, r=4096)],
+                             ids=["local", "prefix-global"])
+    def test_window_masks_take_less_than_a_score_block(self, pattern):
+        # every window tile's mask is a view of one mask per call; one mask per
+        # band geometry gave each band its own once r >= l, 16 MB at l = 4096
+        q, k, v = make_qkv(rng(0), pattern.l, 4)
+        stats = KernelStats()
+        with with_workers(1):
+            tracemalloc.start()
+            try:
+                sparse_attention(q, k, v, pattern, stats=stats)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 2 * 8 * stats.peak_score_elements  # twice the one float64 score buffer
 
 
 class TestValidation:

@@ -3,6 +3,7 @@
 import copy
 import enum
 import json
+import re
 
 import numpy as np
 import pytest
@@ -132,6 +133,25 @@ class TestTokenize:
         assert tokenize("https://e.org/wiki/Tidal_Mill") == [
             "https", ":", "/", "/", "e", ".", "org", "/", "wiki", "/", "Tidal_Mill",
         ]
+
+    # every code point, lone surrogates too, with whitespace and "_" drawn often
+    # enough that most texts hold several chunks and some hold only whitespace
+    @given(st.text(st.one_of(st.characters(exclude_categories=()), st.sampled_from(" \t\n_.\x1c\x85\xa0\u3000"))))
+    @example("_")
+    @example("a_b")
+    @example("\u00b7")  # middle dot: not alphanumeric, so not \w
+    @example("e\u0301")  # a combining acute accent is not alphanumeric either
+    @example("a\x1cb")  # the file separator is whitespace to str.split and to \s
+    @example("a\x85b")
+    @example("a\xa0b")
+    @example("a\u3000b")
+    @example("\U0001d400\U0001f600")  # astral: a mathematical letter, then an emoji
+    @example("")
+    @example(" \t\n\x1c\u3000")
+    @settings(max_examples=500, deadline=None)
+    def test_whitespace_first_equals_the_regex(self, text):
+        # the regex written out again, not imported, and run on the whole text
+        assert tokenize(text) == re.findall(r"\w+|[^\w\s]", text)
 
 
 class TestClassification:
