@@ -20,13 +20,17 @@ flags, [] for the lists, no parent, the parent-chain length for
 section_depth, and for split the split of the URL's hash, which a Page built
 without one gets too. A string UTF-8 cannot encode (a lone surrogate, which
 JSON can escape) is refused. Unknown keys are ignored everywhere.
-first/rest sentence fields, if present in a record, are ignored too: both are
-always re-derived with the splitter below so the stored pair can never
-disagree with the stored text.
+first/rest sentence fields, if present in a record, are ignored too: the
+sequence layer splits the section text with the splitter below, so no stored
+pair can disagree with the text. A Section keeps only its seven constructor
+fields.
 
 Page input is checked here and nowhere downstream: the corpus reader checks
 each field's JSON type, and the model checks its invariants (a nonempty page
-URL, section order and parent chains, an image's embedding_id being a str).
+URL, section order and parent chains) and the exact types that only a model
+built directly can break: a section's index, parent and depth are ints and
+its flag a bool, and an image's flag is a bool, its mime a Mime member and
+its embedding_id a str.
 The sequence builders copy checked fields into token runs and check nothing
 again. A Page is its five constructor fields and nothing more: the token runs
 that the builders share live in a sequence.PageRuns, not on the page.
@@ -41,7 +45,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 SPLITS = ("train", "val", "test")
@@ -94,9 +98,11 @@ class ImageRef:
             raise CorpusError("image url must be nonempty")
         if self.embedding_id == "":
             object.__setattr__(self, "embedding_id", self.url)
-        # the one outside value a token run copies unchanged
-        if not isinstance(self.embedding_id, str):
-            raise CorpusError(f"image embedding_id must be a str, got {type(self.embedding_id).__name__}")
+        # exact types: a token run copies embedding_id unchanged, and "no" or a
+        # mime that is not a Mime member would pass the captioning check
+        for name, kind in (("mime", Mime), ("in_quality_set", bool), ("embedding_id", str)):
+            if type(value := getattr(self, name)) is not kind:
+                raise CorpusError(f"image {name} must be a {kind.__name__}, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -108,14 +114,9 @@ class Section:
     depth: int = 0
     images: tuple = ()
     has_table_or_list: bool = False
-    first_sentence: str = field(init=False, default="")
-    rest_sentences: str = field(init=False, default="")
 
     def __post_init__(self):
         object.__setattr__(self, "body_text", self.body_text.strip())
-        first, rest = split_first_sentence(self.body_text)
-        object.__setattr__(self, "first_sentence", first)
-        object.__setattr__(self, "rest_sentences", rest)
         object.__setattr__(self, "images", tuple(self.images))
 
 
@@ -137,10 +138,12 @@ class Page:
         sections = tuple(self.sections)
         object.__setattr__(self, "sections", sections)
         for pos, sec in enumerate(sections):
-            # exact ints: True == 1, and the marker run copies the index into a token
-            for name, value in (("index", sec.index), ("parent_index", sec.parent_index), ("depth", sec.depth)):
-                if type(value) is not int and not (name == "parent_index" and value is None):
-                    raise CorpusError(f"section in slot {pos}: {name} must be an int, got {type(value).__name__}")
+            # exact types: True == 1, the marker run copies the index into a token,
+            # and a flag of "false" is truthy
+            for name, kind in (("index", int), ("parent_index", int), ("depth", int), ("has_table_or_list", bool)):
+                if type(value := getattr(sec, name)) is not kind and not (name == "parent_index" and value is None):
+                    raise CorpusError(f"section in slot {pos}: {name} must be {'an' if kind is int else 'a'} "
+                                      f"{kind.__name__}, got {type(value).__name__}")
             if sec.index != pos:
                 raise CorpusError(f"section indices must be 0..n-1 in order; slot {pos} has index {sec.index}")
             if sec.parent_index is not None and not 0 <= sec.parent_index < sec.index:

@@ -25,13 +25,16 @@ caller builds once and passes to each builder in place of the page, so every
 example built from it shares them; nothing is stored on the Page. Only
 content sections' runs are in it: each one's are built together, once, with
 the page's, and any other section's are built by the builder that reads
-them. A section's body run is its first sentence's tokens then the rest's:
-the split cuts just after a .!? that whitespace or the end follows, and no
-token spans whitespace, so that is exactly the tokens of the whole body. An
-example is its prefix runs and its context runs: the run the cap falls in is
-split into two runs of its origin, and every other run stays the PageRuns'
-shared object. Each run's JSON is encoded once and an example's
-JSON line joins them; a slot exists only as one JSON object in it.
+them. The page model stores a section's text only: SectionRuns splits it
+with page.split_first_sentence, and the summarization builder takes its
+target from the same split. A section's body run is its first sentence's
+tokens then the rest's: the split cuts just after a .!? that whitespace or
+the end follows, and no token spans whitespace, so that is exactly the
+tokens of the whole body. An example is its prefix runs and its context
+runs: the run the cap falls in is split into two runs of its origin, and
+every other run stays the PageRuns' shared object. Each run's JSON is encoded
+once and an example's JSON line joins them; a slot exists only as one JSON
+object in it.
 
 Each task's one eligibility rule is a check_* function that takes the Page and
 returns the reason a candidate is refused, or None; the builders lay out and
@@ -46,7 +49,7 @@ from enum import Enum
 from functools import cached_property
 from json.encoder import encode_basestring as _json_str  # a str as a JSON string, as json.dumps writes it
 
-from .page import Mime, Page, Section, count_sentences, tokenize
+from .page import Mime, Page, Section, count_sentences, split_first_sentence, tokenize
 
 PREFIX_BUDGET = 512
 PAGE_DESC_MAX_IMAGES = 6
@@ -141,16 +144,18 @@ def _image_run(images, origin: Origin) -> TokenRun:
 
 class SectionRuns:
     """One section's runs: a content section's are built once, with the
-    page's runs; any other section's only when a builder asks. The body is
-    the first sentence's tokens then the rest's, so its text is tokenized
-    once; see the module docstring for why that equals tokenizing it whole."""
+    page's runs; any other section's only when a builder asks. The body text
+    is split here, with split_first_sentence, and each part tokenized once;
+    the body run is the first sentence's tokens then the rest's. See the
+    module docstring for why that equals tokenizing the body whole."""
 
     def __init__(self, section: Section):
         self.section = section
         self.marker = TokenRun(Origin.SECTION_INDEX, (f"[S{section.index}]",))
         self.title = _text_run(section.title, Origin.SECTION_TITLE)
-        self.first_sentence = _text_run(section.first_sentence, Origin.SECTION_FIRST_SENTENCE)
-        self.rest = _text_run(section.rest_sentences, Origin.SECTION_BODY)
+        first, rest = split_first_sentence(section.body_text)
+        self.first_sentence = _text_run(first, Origin.SECTION_FIRST_SENTENCE)
+        self.rest = _text_run(rest, Origin.SECTION_BODY)
         self.body = TokenRun(Origin.SECTION_BODY, self.first_sentence.values + self.rest.values)
         # one caption run per image, in image order; empty without a reference description
         self.captions = tuple(_text_run(img.reference_desc, Origin.CAPTION) for img in section.images)
@@ -320,7 +325,7 @@ def build_section_summarization_input(runs: PageRuns, target_index: int) -> Task
     images = _image_run(target.images[:SECTION_SUMM_MAX_IMAGES], Origin.CONTEXT_IMAGE)
     prefix = [images, own.marker, own.title, own.rest, *own.captions]
     return _assemble(Task.SECTION_SUMMARIZATION, runs.page, prefix, runs.local_context(target_index),
-                     target.first_sentence)
+                     split_first_sentence(target.body_text)[0])
 
 
 def check_image_caption(img) -> str | None:

@@ -40,6 +40,7 @@ ROW_ORACLE = "tests/test_kernel.py::TestRowOracleAtPaperGeometry"
 LAYOUT_ORACLE = "tests/test_layout_oracle.py::test_examples_and_report_match_the_reference"
 DENSE_TESTS = "tests/test_numcore.py"
 TOKENIZER_TESTS = "tests/test_page.py::TestTokenize"
+SUMMARIZATION_TARGET = "tests/test_sequence.py::TestSectionSummarization::test_first_sentence_removed_and_targeted"
 
 
 class Mutant(NamedTuple):
@@ -98,10 +99,21 @@ MUTANTS = (
     Mutant("summarization-prefix-title-before-marker", "sequence.py",
            "own.marker, own.title, own.rest,", "own.title, own.marker, own.rest,",
            (LAYOUT_ORACLE,)),
+    Mutant("section-runs-first-and-rest-swapped", "sequence.py",
+           "first, rest = split_first_sentence(section.body_text)",
+           "rest, first = split_first_sentence(section.body_text)",
+           (LAYOUT_ORACLE, SUMMARIZATION_TARGET)),
+    Mutant("summarization-target-is-the-rest", "sequence.py",
+           "split_first_sentence(target.body_text)[0])", "split_first_sentence(target.body_text)[1])",
+           (LAYOUT_ORACLE, SUMMARIZATION_TARGET)),
     Mutant("local-context-keeps-skipped-section", "sequence.py",
            "            if index != skip:\n                out.extend(sec.layout)",
            "            out.extend(sec.layout)",
            (LAYOUT_ORACLE, "tests/test_sequence.py::TestSectionSummarization")),
+    # the page model's exact-type rule for a directly built section
+    Mutant("page-accepts-any-section-flag", "page.py",
+           ', ("has_table_or_list", bool)):', "):",
+           ("tests/test_page.py::TestPageInvariants::test_non_bool_section_flag_refused",)),
     # the dense reference against the scalar loops
     Mutant("dense-no-degenerate-row-check", "numcore.py",
            "        if dead.any():\n", "        if False:\n",
@@ -163,7 +175,8 @@ def main() -> int:
         for mutant in MUTANTS:
             with tempfile.TemporaryDirectory() as tmp:
                 _, failed = run_tests(mutated_copy(Path(tmp), mutant), mutant.tests)
-            missed = [t for t in mutant.tests if not any(f == t or f.startswith(t + "::") for f in failed)]
+            # a named id is hit by a failure of itself, of a test in it, or of one of its parametrized cases
+            missed = [t for t in mutant.tests if not any(f == t or f.startswith((t + "::", t + "[")) for f in failed)]
             print(f"{'SURVIVED' if missed else 'killed'}: {mutant.name} ({mutant.path})"
                   + (f"; passing: {', '.join(missed)}" if missed else ""), flush=True)
             if missed:

@@ -30,7 +30,7 @@ from prefix_global.page import (
     tokenize,
 )
 from prefix_global.pipeline import build_dataset, corpus_stats
-from prefix_global.sequence import REASON_PARSE_ERROR, Task
+from prefix_global.sequence import REASON_PARSE_ERROR, PageRuns, Task, build_section_summarization_input
 
 
 def sec(index, **kw):
@@ -189,16 +189,21 @@ class TestContentSection:
 
 
 class TestSectionDerivation:
+    # a Section keeps only its text; the sequence layer splits it, into the
+    # runs of SectionRuns and the summarization target
+    @staticmethod
+    def split(body_text):
+        runs = PageRuns(Page(url="u", sections=(sec(0), sec(1, body_text=body_text))))
+        own = runs.content[1]
+        return own.first_sentence.values, own.rest.values, build_section_summarization_input(runs, 1).target_text
+
     def test_first_and_rest_derived(self):
-        s = sec(0, body_text="First one. Second one. Third.")
-        assert s.first_sentence == "First one."
-        assert s.rest_sentences == "Second one. Third."
+        assert self.split("First one. Second one. Third.") == (
+            tuple(tokenize("First one.")), tuple(tokenize("Second one. Third.")), "First one.")
 
     def test_body_stripped(self):
-        s = sec(0, body_text="  padded.  ")
-        assert s.body_text == "padded."
-        assert s.first_sentence == "padded."
-        assert s.rest_sentences == ""
+        assert sec(0, body_text="  padded.  ").body_text == "padded."
+        assert self.split("  padded.  ") == (("padded", "."), (), "padded.")
 
 
 class TestPageInvariants:
@@ -238,6 +243,12 @@ class TestPageInvariants:
         # keeps "[STrue]" out of a marker token
         with pytest.raises(CorpusError, match=f"slot 1: {field} must be an int"):
             Page(url="u", sections=(sec(0), section))
+
+    @pytest.mark.parametrize("flag", ["false", 0, 1, None, np.bool_(False)], ids=repr)
+    def test_non_bool_section_flag_refused(self, flag):
+        # "false" is truthy: build_dataset would refuse the section as table_or_list
+        with pytest.raises(CorpusError, match="slot 1: has_table_or_list must be a bool, got "):
+            Page(url="u", sections=(sec(0), sec(1, body_text="x.", has_table_or_list=flag)))
 
     def test_empty_url_rejected(self):
         with pytest.raises(CorpusError):
@@ -303,14 +314,27 @@ class TestMime:
         with pytest.raises(CorpusError):
             ImageRef(url="")
 
+    class Id(str):
+        pass
+
     # an embedding_id is copied into a token run unchanged, so the model
-    # refuses one that is not a str; a non-str url with no embedding_id
+    # refuses one that is not exactly a str; a url with no embedding_id
     # becomes one
     @pytest.mark.parametrize("kw", [{"embedding_id": 7}, {"embedding_id": b"v"}, {"embedding_id": 0},
-                                    {"embedding_id": []}, {"embedding_id": None}, {"url": 7}, {"url": b"x.jpg"}],
-                             ids=["int-id", "bytes-id", "zero-id", "list-id", "none-id", "int-url", "bytes-url"])
+                                    {"embedding_id": []}, {"embedding_id": None}, {"url": 7}, {"url": b"x.jpg"},
+                                    {"embedding_id": Id("vec-7")}, {"url": Id("https://img.example/x.jpg")}],
+                             ids=["int-id", "bytes-id", "zero-id", "list-id", "none-id", "int-url", "bytes-url",
+                                  "str-subclass-id", "str-subclass-url"])
     def test_non_str_embedding_id_refused(self, kw):
         with pytest.raises(CorpusError, match="embedding_id must be a str"):
+            img(**kw)
+
+    # "no" is truthy and "other" is not Mime.OTHER, so either would let
+    # build_dataset keep the image for captioning
+    @pytest.mark.parametrize("kw", [{"in_quality_set": "no"}, {"in_quality_set": 1}, {"in_quality_set": None},
+                                    {"mime": "other"}, {"mime": "jpeg"}, {"mime": None}], ids=repr)
+    def test_non_bool_quality_flag_or_non_mime_refused(self, kw):
+        with pytest.raises(CorpusError, match=f"image {next(iter(kw))} must be a "):
             img(**kw)
 
 
@@ -363,15 +387,15 @@ class TestParsePage:
         assert page.sections[1].depth == 1  # computed from parent chain
         assert page.sections[1].images[0].mime is Mime.JPEG
         assert page.sections[1].images[0].in_quality_set
-        assert page.sections[0].first_sentence == "Intro line."
+        assert PageRuns(page).content[0].first_sentence.values == ("Intro", "line", ".")
 
     def test_supplied_first_sentence_fields_are_ignored(self):
         record = page_record()
         record["sections"][0]["section_raw_1st_sentence"] = "WRONG"
         record["sections"][0]["section_rest_sentence"] = "ALSO WRONG"
-        page = parse_page(record)
-        assert page.sections[0].first_sentence == "Intro line."
-        assert page.sections[0].rest_sentences == "More intro."
+        own = PageRuns(parse_page(record)).content[0]
+        assert own.first_sentence.values == ("Intro", "line", ".")
+        assert own.rest.values == ("More", "intro", ".")
 
     def test_unknown_fields_ignored(self):
         record = page_record(page_contains_images=True, section_heading_level=2)

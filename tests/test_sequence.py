@@ -162,10 +162,11 @@ class TestPageDescription:
             for i in range(12)
         ]
         page = Page(url="https://e.org/wiki/Long", title="Long", raw_description="Long page.", sections=tuple(sections))
-        ex = build_page_description_input(PageRuns(page))
+        runs = PageRuns(page)
+        ex = build_page_description_input(runs)
         assert ex.prefix_len == PREFIX_BUDGET
         # nothing dropped: every prefix-material token either global or context
-        first_sent_tokens = sum(len(s.first_sentence.split()) + 1 for s in sections)
+        first_sent_tokens = sum(len(sec.first_sentence.values) for sec in runs.content.values())
         assert len(ex.slots) > first_sent_tokens
 
     def test_non_content_sections_excluded(self):
@@ -474,10 +475,14 @@ class TestTokenRuns:
 
     def test_building_leaves_the_page_unchanged(self):
         # a page's runs are passed to the builders, not stored: a Page is its
-        # five constructor fields, and building every task's examples of it
-        # under every page-description variant writes nothing on it
+        # five constructor fields, a Section and an ImageRef hold only theirs
+        # (the sequence layer splits a section's first sentence), and
+        # building every task's examples of a page under every
+        # page-description variant writes nothing on it
         assert [(f.name, f.init) for f in dataclasses.fields(Page)] == [
             (name, True) for name in ("url", "title", "raw_description", "sections", "split")]
+        for model in (Section, ImageRef):
+            assert [f.name for f in dataclasses.fields(model) if not f.init] == [], model
         page = self.make_page(long_target=True)
         before = copy.deepcopy(vars(page))
         for task in Task:
