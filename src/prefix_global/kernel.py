@@ -34,11 +34,15 @@ is scaled, so no ordinary output changes by a bit.
 
 Every window tile's outside-mask is a view of one mask per call, of
 ROW_BLOCK rows and ROW_BLOCK + 2 min(r, l) keys, taken at column offset
-min(r, l) - (b0 - lo). So a plan holds one mask whatever r is, though once
-r >= l every band's tile has a geometry of its own. Masked positions are
-assigned -inf before the row max, so their weights are exactly 0.0 and a
-key outside a query's allowed set cannot change that query's output even at
-the bit level.
+min(r, l) - (b0 - lo); the mask is itself a reversed sliding view of one 1-D
+row pattern. So a plan holds one mask whatever r is, though once r >= l
+every band's tile has a geometry of its own. A window tile's row max is
+taken over its allowed entries only, every entry is exponentiated against
+it, and then the masked entries' weights are set to exactly 0.0. No -inf
+reaches exp, which is slow on it in float64, and an allowed entry sees the
+same max, subtraction and exp as it would with the masked entries at -inf,
+so a key outside a query's allowed set cannot change that query's output
+even at the bit level, even where its exp overflowed before it was zeroed.
 
 A call is refused with ValueError, without a RuntimeWarning, exactly when a
 scaled score that is not finite falls on a query-key pair the pattern allows,
@@ -128,11 +132,12 @@ def _bands(pattern: AttentionPattern) -> list:
     bands = [_Band(b0, b1, tiles) for b0, b1 in _blocks(0, g)]
     bank = (l, pattern.n_keys) if pattern.side_keys else (0, g)
     # row i, column c of the window mask is outside when |i + w - c| > r, so key
-    # lo + j of a band's tile is its column w + lo - b0 + j; a tile reaches at most w keys past its rows
+    # lo + j of a band's tile is its column w + lo - b0 + j; a tile reaches at most w keys past its rows.
+    # Outside depends on c - i alone: entry x of `offsets` is c - i = x + 1 - ROW_BLOCK, and row i is the
+    # row ROW_BLOCK - 1 - i of its sliding view, so the read-only reversed view is the whole mask
     w = min(r, l)
-    rows, cols = np.arange(w, ROW_BLOCK + w)[:, None], np.arange(ROW_BLOCK + 2 * w)
-    window = (cols < rows - r) | (cols > rows + r)
-    window.setflags(write=False)  # every window tile is a view of it
+    offsets = np.arange(1 - ROW_BLOCK, ROW_BLOCK + 2 * w)
+    window = np.lib.stride_tricks.sliding_window_view(np.abs(offsets - w) > r, ROW_BLOCK + 2 * w)[::-1]
     for b0, b1 in _blocks(g, l):
         lo, hi = max(g, b0 - r), min(l, b1 + r)
         bands.append(_Band(b0, b1, ((lo, hi, window[: b1 - b0, w + lo - b0 : w + hi - b0]),), bank))
@@ -208,8 +213,9 @@ def _attend(q, k, v, bands, scale_by_sqrt_d: bool, stats: KernelStats | None) ->
 
 def _run_band(q, k, v, band, inv_scale, scratch, ones, out) -> None:
     """One band as an online softmax over its key tiles: score the tile (and
-    the bank, on the first tile) in one block, mask it to the window, and fold
-    its unnormalized weights into a running row max, row sum and output. The
+    the bank, on the first tile) in one block, take its row max over the
+    allowed entries, exponentiate it whole and zero the weights outside the
+    window, and fold them into a running row max, row sum and output. The
     output rows are divided by their row sums once, at the end."""
     b0, b1, tiles, (bank_lo, bank_hi) = band
     rows = b1 - b0
@@ -228,10 +234,13 @@ def _run_band(q, k, v, band, inv_scale, scratch, ones, out) -> None:
                 refused[:, :width] &= ~outside
             if refused.any():
                 raise ValueError(f"attention scores of rows {b0}..{b1 - 1} overflowed to non-finite values")
-        if outside is not None:
-            np.copyto(scores[:, :width], -np.inf, where=outside)
         # a window row keeps at least itself and a prefix tile is unmasked, so the max is finite
-        new_max = scores.max(axis=1, keepdims=True)
+        if outside is None:
+            new_max = scores.max(axis=1, keepdims=True)
+        else:  # over the allowed entries alone, so no masked entry moves it
+            new_max = scores[:, :width].max(axis=1, keepdims=True, where=~outside, initial=-np.inf)
+            if n_bank:
+                np.maximum(new_max, scores[:, width:].max(axis=1, keepdims=True), out=new_max)
         if t:
             np.maximum(new_max, row_max, out=new_max)
             rescale = np.exp(row_max - new_max)  # <= 1: the weights so far, moved to the new max
@@ -240,6 +249,8 @@ def _run_band(q, k, v, band, inv_scale, scratch, ones, out) -> None:
         row_max = new_max
         scores -= row_max
         np.exp(scores, out=scores)
+        if outside is not None:  # a masked entry's weight is exactly 0.0, whatever its score was
+            np.copyto(scores[:, :width], 0.0, where=outside)
         row_sum += (scores @ ones[: scores.shape[1]])[:, None]  # faster than .sum(axis=1)
         acc += scores[:, :width] @ v[lo:hi]
         if n_bank:

@@ -28,9 +28,10 @@ fields.
 Page input is checked here and nowhere downstream: the corpus reader checks
 each field's JSON type, and the model checks its invariants (a nonempty page
 URL, section order and parent chains) and the exact types that only a model
-built directly can break: a section's index, parent and depth are ints and
-its flag a bool, and an image's flag is a bool, its mime a Mime member and
-its embedding_id a str.
+built directly can break: a section's index, parent and depth are ints, its
+flag a bool and its title and body strs, a page's url, title and description
+are strs, and an image's flag is a bool, its mime a Mime member and its url,
+embedding_id and three text fields strs.
 The sequence builders copy checked fields into token runs and check nothing
 again. A Page is its five constructor fields and nothing more: the token runs
 that the builders share live in a sequence.PageRuns, not on the page.
@@ -98,9 +99,12 @@ class ImageRef:
             raise CorpusError("image url must be nonempty")
         if self.embedding_id == "":
             object.__setattr__(self, "embedding_id", self.url)
-        # exact types: a token run copies embedding_id unchanged, and "no" or a
-        # mime that is not a Mime member would pass the captioning check
-        for name, kind in (("mime", Mime), ("in_quality_set", bool), ("embedding_id", str)):
+        # exact types: a token run copies embedding_id unchanged, the text fields
+        # are tokenized, and "no" or a mime that is not a Mime member would pass
+        # the captioning check; a non-str url is its embedding_id's default, so
+        # embedding_id is checked first
+        for name, kind in (("mime", Mime), ("in_quality_set", bool), ("embedding_id", str), ("url", str),
+                           ("alt_text", str), ("reference_desc", str), ("attribution_desc", str)):
             if type(value := getattr(self, name)) is not kind:
                 raise CorpusError(f"image {name} must be a {kind.__name__}, got {type(value).__name__}")
 
@@ -116,6 +120,10 @@ class Section:
     has_table_or_list: bool = False
 
     def __post_init__(self):
+        # exact types: the title and body are tokenized, so None would fail here and 7 there
+        for name in ("title", "body_text"):
+            if type(value := getattr(self, name)) is not str:
+                raise CorpusError(f"section {name} must be a str, got {type(value).__name__}")
         object.__setattr__(self, "body_text", self.body_text.strip())
         object.__setattr__(self, "images", tuple(self.images))
 
@@ -131,6 +139,10 @@ class Page:
     def __post_init__(self):
         if not self.url:
             raise CorpusError("page_url must be nonempty")
+        # exact types: the url is hashed for the split, and the title and description are tokenized
+        for name in ("url", "title", "raw_description"):
+            if type(value := getattr(self, name)) is not str:
+                raise CorpusError(f"page {name} must be a str, got {type(value).__name__}")
         if self.split is None:
             object.__setattr__(self, "split", assign_split(self.url))
         if self.split not in SPLITS:

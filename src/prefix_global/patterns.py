@@ -18,8 +18,11 @@ prefix-global and 0 for local and tglobal; only tglobal has side keys.
 
 A mask gives each query its keys as one sorted index array. Columns 0..l-1
 are token keys; side key t sits at column l + t. The mask stores each row as
-its 1-3 parts, slices of one shared arange, so the first g keys and the side
-keys are stored once per mask, not once per row. Every query always attends to
+its 1-3 parts, read-only int64 views of one shared arange, so the first g
+keys and the side keys are stored once per mask, not once per row. A row
+that sees its whole window takes it as a row of one sliding view of the
+arange, so build_mask takes a Python step only for the up to 2r + 1 rows
+whose window is clipped at g or at l. Every query always attends to
 itself (r >= 0 keeps i in its own window), so no row is ever empty.
 
 Every integer parameter (l, r, k, block) must be an exact int, type(x) is
@@ -37,6 +40,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 
 import numpy as np
 
@@ -224,18 +228,32 @@ class AttentionMask:
 
 def build_mask(pattern: AttentionPattern) -> AttentionMask:
     """Enumerate the key set of every query under `pattern`, by the rule
-    that AttentionPattern.global_rows states."""
+    that AttentionPattern.global_rows states. Rows g + r + 1 .. l - r - 1
+    see their whole window, so their windows are the rows of one sliding
+    view of the keys, paired with the shared parts without a Python step per
+    row; only the up to 2r + 1 rows whose window is clipped, at g or at l,
+    are built one at a time."""
     l, g = pattern.l, pattern.global_rows
     r = pattern.r or 0  # full's rows are all global, so its radius is never read
     keys = np.arange(pattern.n_keys, dtype=np.int64)
     keys.flags.writeable = False
     head = (keys[:g],) if g else ()
     side = (keys[l:],) if pattern.side_keys else ()
-    rows = [(keys[:l],)] * g
-    for i in range(g, l):
+
+    def clipped(i):
         # a window that reaches g continues the first g keys: one run from 0
         lo, hi = (i - r if i - r > g else 0), min(l, i + r + 1)
-        rows.append((head if lo else ()) + (keys[lo:hi],) + side)
+        return (head if lo else ()) + (keys[lo:hi],) + side
+
+    # rows [g, a) are clipped at g, rows [a, b) see their whole window, rows [b, l) are clipped at l
+    a = min(g + r + 1, l)
+    b = max(a, l - r)
+    rows = [(keys[:l],)] * g
+    rows += map(clipped, range(g, a))
+    if b > a:  # row i's window is keys[i - r : i + r + 1], row i - r of the sliding view
+        windows = np.lib.stride_tricks.sliding_window_view(keys[:l], 2 * r + 1)[a - r : b - r]
+        rows += zip(*map(repeat, head), windows, *map(repeat, side))
+    rows += map(clipped, range(b, l))
     return AttentionMask(pattern, MaskRows(tuple(rows)))
 
 

@@ -39,6 +39,7 @@ ROOT = Path(__file__).resolve().parent.parent
 ROW_ORACLE = "tests/test_kernel.py::TestRowOracleAtPaperGeometry"
 LAYOUT_ORACLE = "tests/test_layout_oracle.py::test_examples_and_report_match_the_reference"
 DENSE_TESTS = "tests/test_numcore.py"
+OVERFLOWED_MASKED_KEY = "tests/test_kernel.py::TestLocality::test_out_of_window_key_whose_exp_overflows_is_invisible_bitwise"
 TOKENIZER_TESTS = "tests/test_page.py::TestTokenize"
 SUMMARIZATION_TARGET = "tests/test_sequence.py::TestSectionSummarization::test_first_sentence_removed_and_targeted"
 
@@ -65,6 +66,22 @@ MUTANTS = (
            "bands.append(_Band(b0, b1, ((lo, hi, window[: b1 - b0, w + lo - b0 : w + hi - b0]),),"
            " bank if b0 < 4096 else (bank[0], max(bank[0], bank[1] - 1))))",
            (ROW_ORACLE,)),
+    # a masked entry's weight is zeroed after exp, and the row max reads only allowed entries
+    Mutant("kernel-masked-weights-not-zeroed", "kernel.py",
+           "        if outside is not None:  # a masked entry's weight is exactly 0.0, whatever its score was\n"
+           "            np.copyto(scores[:, :width], 0.0, where=outside)\n", "",
+           (ROW_ORACLE, OVERFLOWED_MASKED_KEY)),
+    Mutant("kernel-window-max-over-the-whole-tile", "kernel.py",
+           "max(axis=1, keepdims=True, where=~outside, initial=-np.inf)", "max(axis=1, keepdims=True)",
+           ("tests/test_acceptance.py::test_c5_locality_and_sensitivity",
+            "tests/test_kernel.py::test_overflow_refused_exactly_on_allowed_pairs",
+            "tests/test_kernel.py::TestOnlineSoftmax::test_distant_maximum_matches_dense",
+            OVERFLOWED_MASKED_KEY)),
+    # the whole-window rows of a mask, taken from the sliding view
+    Mutant("mask-whole-windows-shifted-one-row", "patterns.py",
+           "2 * r + 1)[a - r : b - r]", "2 * r + 1)[a - r + 1 : b - r + 1]",
+           ("tests/test_patterns.py::test_rows_match_set_oracle",
+            "tests/test_patterns.py::test_row_parts_match_the_key_set_rule")),
     # every task's layout against the reference that restates it from raw JSONL
     Mutant("prefix-budget-511", "sequence.py",
            "PREFIX_BUDGET = 512", "PREFIX_BUDGET = 511",

@@ -241,6 +241,29 @@ class TestLocality:
         assert base[10].tobytes() == moved[10].tobytes()
         assert not np.array_equal(base[40], moved[40])
 
+    @pytest.mark.parametrize("pattern", [local(300, r=2), prefix_global(300, k=10, r=2),
+                                         tglobal(300, r=2, block=16)], ids=lambda p: p.kind.value)
+    def test_out_of_window_key_whose_exp_overflows_is_invisible_bitwise(self, pattern):
+        # d = 1 and q = 1, so a score is k_j. Key 150 scores 1000 and every other
+        # token key at most 1: in rows 128..255, whose tile spans key 150, a row
+        # outside its window has s - max > 709, so exp overflows before the weight
+        # is zeroed. The call is not refused, and those rows do not move a bit
+        g = rng(23)
+        q = np.ones((pattern.l, 1))
+        k = g.uniform(-1.0, 1.0, size=(pattern.n_keys, 1))
+        v = g.normal(size=(pattern.n_keys, 3))
+        hot = k.copy()
+        hot[150] = 1000.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            base = sparse_attention(q, k, v, pattern)
+            got = sparse_attention(q, hot, v, pattern)
+        sees = np.array([150 in row for row in build_mask(pattern).rows])
+        assert sees[148:153].all() and not sees[128:148].any() and not sees[153:256].any()
+        assert got[~sees].tobytes() == base[~sees].tobytes()
+        assert np.abs(got[sees] - dense_oracle(q, hot, v, pattern)[sees]).max() < 1e-9
+        np.testing.assert_array_equal(got[148:153], np.tile(v[150], (5, 1)))
+
     def test_prefix_key_perturbation_reaches_every_row(self):
         g = rng(22)
         l = 48

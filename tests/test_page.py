@@ -250,6 +250,23 @@ class TestPageInvariants:
         with pytest.raises(CorpusError, match="slot 1: has_table_or_list must be a bool, got "):
             Page(url="u", sections=(sec(0), sec(1, body_text="x.", has_table_or_list=flag)))
 
+    class Text(str):
+        pass
+
+    # a title or body is tokenized: None failed when the section was built,
+    # with AttributeError, and 7 was accepted until build_dataset tokenized it
+    @pytest.mark.parametrize("value", [None, 7, b"x.", Text("x.")], ids=repr)
+    @pytest.mark.parametrize("field", ["title", "body_text"])
+    def test_non_str_section_text_refused(self, field, value):
+        with pytest.raises(CorpusError, match=f"^section {field} must be a str, got {type(value).__name__}$"):
+            sec(1, **{field: value})
+
+    @pytest.mark.parametrize("value", [7, b"u", Text("u")], ids=repr)
+    @pytest.mark.parametrize("field", ["url", "title", "raw_description"])
+    def test_non_str_page_text_refused(self, field, value):
+        with pytest.raises(CorpusError, match=f"^page {field} must be a str, got {type(value).__name__}$"):
+            Page(**{"url": "u", field: value})
+
     def test_empty_url_rejected(self):
         with pytest.raises(CorpusError):
             Page(url="")
@@ -328,6 +345,16 @@ class TestMime:
     def test_non_str_embedding_id_refused(self, kw):
         with pytest.raises(CorpusError, match="embedding_id must be a str"):
             img(**kw)
+
+    @pytest.mark.parametrize("value", [None, 7, b"a", Id("a")], ids=repr)
+    @pytest.mark.parametrize("field", ["alt_text", "reference_desc", "attribution_desc"])
+    def test_non_str_image_text_refused(self, field, value):
+        with pytest.raises(CorpusError, match=f"^image {field} must be a str, got {type(value).__name__}$"):
+            img(**{field: value})
+
+    def test_non_str_url_with_an_embedding_id_refused(self):
+        with pytest.raises(CorpusError, match="^image url must be a str, got bytes$"):
+            img(url=b"x.jpg", embedding_id="vec-7")
 
     # "no" is truthy and "other" is not Mime.OTHER, so either would let
     # build_dataset keep the image for captioning

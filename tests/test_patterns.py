@@ -103,6 +103,49 @@ def test_rows_match_set_oracle_property(pattern):
         assert set(got) == oracle_key_set(pattern, i), f"row {i} wrong"
 
 
+def oracle_part_bounds(pattern, i):
+    """Row i's parts by the key-set rule: the maximal runs of consecutive
+    token keys, then the side keys as one part."""
+    l = pattern.l
+    runs = []
+    for j in sorted(j for j in oracle_key_set(pattern, i) if j < l):
+        if runs and runs[-1][1] == j:
+            runs[-1][1] = j + 1
+        else:
+            runs.append([j, j + 1])
+    return [tuple(run) for run in runs] + ([(l, pattern.n_keys)] if pattern.side_keys else [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_pattern())
+@example(full(1))
+@example(local(1, r=0))
+@example(tglobal(1, r=3, block=1))
+@example(prefix_global(1, k=0, r=1))
+@example(prefix_global(1, k=1, r=0))
+@example(local(5, r=9))
+@example(prefix_global(40, k=0, r=3))
+@example(prefix_global(40, k=40, r=3))
+@example(prefix_global(257, k=3, r=2))
+@example(prefix_global(300, k=40, r=400))  # no row sees its whole window
+@example(tglobal(300, r=9, block=7))
+@example(local(128, r=0))
+def test_row_parts_match_the_key_set_rule(pattern):
+    # whole-window rows come from a sliding view and clipped rows one at a
+    # time; either way a row is its 1-3 runs, each a read-only int64 slice
+    # of the one arange, found at 8 bytes per key from key 0
+    parts = build_mask(pattern).rows.parts
+    assert len(parts) == pattern.l
+    assert parts[0][0][0] == 0
+    key0 = parts[0][0].__array_interface__["data"][0]
+    for i, row in enumerate(parts):
+        assert [(int(p[0]), int(p[-1]) + 1) for p in row] == oracle_part_bounds(pattern, i), f"row {i}"
+        for part in row:
+            assert type(part) is np.ndarray and part.dtype == np.int64 and part.ndim == 1
+            assert not part.flags.writeable
+            assert part.strides == (8,) and part.__array_interface__["data"][0] == key0 + 8 * int(part[0])
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 60).flatmap(lambda l: st.tuples(st.just(l), st.integers(0, 2 * l))))
 @example((1, 0))
