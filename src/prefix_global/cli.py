@@ -57,7 +57,8 @@ def _file_digest(path) -> str:
 
 
 def _json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """A JSON report: the payload with the package version added."""
+    return json.dumps({"version": __version__, **payload}, indent=2, sort_keys=True) + "\n"
 
 
 def _emit(payload: dict) -> None:
@@ -87,7 +88,6 @@ def mask(kind, length, radius, prefix_k, block, fmt, out):
     pattern = _pattern(kind, length, radius, prefix_k, block)
     if fmt == "summary":  # closed form: the summary builds no mask
         lines = [_json({
-            "version": __version__,
             "pattern": pattern.describe(),
             "nnz": mask_nnz(pattern),
             "accounted_pairs": accounted_pairs(pattern),
@@ -130,7 +130,6 @@ def flops(lengths, kinds, radius, prefix_k, block, as_json):
     reports = compare(patterns)
     if as_json:
         _emit({
-            "version": __version__,
             "config": {"lengths": ls, "kinds": kind_list, "radius": radius,
                        "prefix": prefix_k, "block": block},
             "cells": [c.to_dict() for c in reports],
@@ -176,7 +175,6 @@ def attend(kind, length, dim, radius, prefix_k, block, seed, scale, check_oracle
     stats = KernelStats()
     out = sparse_attention(q, k_mat, v_mat, pattern, scale_by_sqrt_d=scale, stats=stats)
     payload = {
-        "version": __version__,
         "config": {"kind": kind, "length": length, "dim": dim, "radius": radius,
                    "prefix": prefix_k, "block": block, "seed": seed,
                    "scale_by_sqrt_d": scale},
@@ -220,7 +218,6 @@ def build(corpus, task, out_dir, threshold, variant, lenient):
         routed, report = build_dataset(iter_corpus(corpus, strict=not lenient), task,
                                        threshold=threshold, variant=variant)
         payload = {
-            "version": __version__,
             "config": {"task": task, "threshold": threshold, "variant": variant,
                        "lenient": lenient},
             "input": {"path": os.fspath(corpus), "sha256": digest},
@@ -256,7 +253,6 @@ def stats(corpus, lenient):
     except (CorpusError, OSError) as exc:
         raise click.ClickException(str(exc)) from exc
     _emit({
-        "version": __version__,
         "input": {"path": os.fspath(corpus), "sha256": _file_digest(corpus)},
         "malformed_records": summary.pop("malformed_records"),
         "stats": summary,

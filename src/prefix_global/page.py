@@ -25,13 +25,18 @@ sequence layer splits the section text with the splitter below, so no stored
 pair can disagree with the text. A Section keeps only its seven constructor
 fields.
 
-Page input is checked here and nowhere downstream: the corpus reader checks
-each field's JSON type, and the model checks its invariants (a nonempty page
-URL, section order and parent chains) and the exact types that only a model
-built directly can break: a section's index, parent and depth are ints, its
-flag a bool and its title and body strs, a page's url, title and description
-are strs, and an image's flag is a bool, its mime a Mime member and its url,
-embedding_id and three text fields strs.
+Page input is checked here and nowhere downstream, by one field rule,
+_exact: a value must be exactly its field's type, and a str must encode as
+UTF-8. The corpus reader applies it to each JSON value it reads, and each
+class applies it to its own fields when it is built, whether by the reader
+or directly: an ImageRef to its url, embedding_id, three text fields, flag
+and mime (a Mime member); a Section to its index, parent, depth, flag, title
+and body, and to each image, which must be an ImageRef; a Page to its url,
+title and description, and to each entry, which must be a Section. Beyond
+its fields, a Section checks that its parent comes before it, and a Page
+the rules that span sections: each index equals its slot and each depth the
+parent-chain length. So a model built directly refuses, with CorpusError,
+whatever the reader refuses, and every Page that builds can be written.
 The sequence builders copy checked fields into token runs and check nothing
 again. A Page is its five constructor fields and nothing more: the token runs
 that the builders share live in a sequence.PageRuns, not on the page.
@@ -59,6 +64,22 @@ _SENTENCE_END_RE = re.compile(r"[.!?](?=\s|$)")
 
 class CorpusError(ValueError):
     """A record violates the corpus schema or a page-level invariant."""
+
+
+def _exact(value, kind, what: str):
+    """The one field rule of the page model, for the reader and for every
+    class: `value` must be exactly a `kind`, so True is not an int and a str
+    subclass is not a str, and a str must encode as UTF-8. Returns `value`;
+    `what` names the field in the CorpusError."""
+    if type(value) is not kind:
+        article = "an" if kind.__name__[0] in "aeiouAEIOU" else "a"
+        raise CorpusError(f"{what} must be {article} {kind.__name__}, got {type(value).__name__}")
+    if kind is str:
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise CorpusError(f"{what} holds a lone surrogate, which UTF-8 cannot encode") from None
+    return value
 
 
 class SectionClass(Enum):
@@ -99,18 +120,21 @@ class ImageRef:
             raise CorpusError("image url must be nonempty")
         if self.embedding_id == "":
             object.__setattr__(self, "embedding_id", self.url)
-        # exact types: a token run copies embedding_id unchanged, the text fields
-        # are tokenized, and "no" or a mime that is not a Mime member would pass
-        # the captioning check; a non-str url is its embedding_id's default, so
+        # a token run copies embedding_id unchanged, the text fields are
+        # tokenized, and "no" or a mime that is not a Mime member would pass the
+        # captioning check; a non-str url is its embedding_id's default, so
         # embedding_id is checked first
         for name, kind in (("mime", Mime), ("in_quality_set", bool), ("embedding_id", str), ("url", str),
                            ("alt_text", str), ("reference_desc", str), ("attribution_desc", str)):
-            if type(value := getattr(self, name)) is not kind:
-                raise CorpusError(f"image {name} must be a {kind.__name__}, got {type(value).__name__}")
+            _exact(getattr(self, name), kind, f"image {name}")
 
 
 @dataclass(frozen=True)
 class Section:
+    """One section of a page. It checks its own fields with _exact, each
+    image's type, and that its parent comes before it; the page checks that
+    its index matches its slot and its depth the parent chain."""
+
     index: int
     title: str = ""
     body_text: str = ""
@@ -120,16 +144,24 @@ class Section:
     has_table_or_list: bool = False
 
     def __post_init__(self):
-        # exact types: the title and body are tokenized, so None would fail here and 7 there
-        for name in ("title", "body_text"):
-            if type(value := getattr(self, name)) is not str:
-                raise CorpusError(f"section {name} must be a str, got {type(value).__name__}")
+        # True == 1 and the marker run copies the index into a token, a flag of
+        # "false" is truthy, and the title and body are tokenized
+        for name, kind in (("index", int), ("depth", int), ("has_table_or_list", bool), ("title", str),
+                           ("body_text", str)):
+            _exact(getattr(self, name), kind, f"section {name}")
+        parent = self.parent_index
+        if parent is not None and not 0 <= _exact(parent, int, "section parent_index") < self.index:
+            raise CorpusError(f"section {self.index}: parent_index {parent} must precede it")
         object.__setattr__(self, "body_text", self.body_text.strip())
-        object.__setattr__(self, "images", tuple(self.images))
+        object.__setattr__(self, "images", tuple(_exact(image, ImageRef, "section image") for image in self.images))
 
 
 @dataclass(frozen=True)
 class Page:
+    """One page. It checks its own fields with _exact and that each entry of
+    sections is a Section; of a section's fields it reads only the values
+    that span sections: index against slot, depth against the parent chain."""
+
     url: str
     title: str = ""
     raw_description: str = ""
@@ -139,10 +171,9 @@ class Page:
     def __post_init__(self):
         if not self.url:
             raise CorpusError("page_url must be nonempty")
-        # exact types: the url is hashed for the split, and the title and description are tokenized
+        # the url is hashed for the split, and the title and description are tokenized
         for name in ("url", "title", "raw_description"):
-            if type(value := getattr(self, name)) is not str:
-                raise CorpusError(f"page {name} must be a str, got {type(value).__name__}")
+            _exact(getattr(self, name), str, f"page {name}")
         if self.split is None:
             object.__setattr__(self, "split", assign_split(self.url))
         if self.split not in SPLITS:
@@ -150,16 +181,8 @@ class Page:
         sections = tuple(self.sections)
         object.__setattr__(self, "sections", sections)
         for pos, sec in enumerate(sections):
-            # exact types: True == 1, the marker run copies the index into a token,
-            # and a flag of "false" is truthy
-            for name, kind in (("index", int), ("parent_index", int), ("depth", int), ("has_table_or_list", bool)):
-                if type(value := getattr(sec, name)) is not kind and not (name == "parent_index" and value is None):
-                    raise CorpusError(f"section in slot {pos}: {name} must be {'an' if kind is int else 'a'} "
-                                      f"{kind.__name__}, got {type(value).__name__}")
-            if sec.index != pos:
+            if _exact(sec, Section, f"section in slot {pos}").index != pos:
                 raise CorpusError(f"section indices must be 0..n-1 in order; slot {pos} has index {sec.index}")
-            if sec.parent_index is not None and not 0 <= sec.parent_index < sec.index:
-                raise CorpusError(f"section {sec.index}: parent_index {sec.parent_index} must precede it")
             expected_depth = 0 if sec.parent_index is None else sections[sec.parent_index].depth + 1
             if sec.depth != expected_depth:
                 raise CorpusError(f"section {sec.index}: depth {sec.depth} != parent-chain length {expected_depth}")
@@ -242,20 +265,12 @@ _REQUIRED = object()  # the default of a field a record must carry
 
 
 def _field(obj: dict, key: str, kind, where: str, default=_REQUIRED):
-    """The one rule for every corpus field: absent or null is `default` (a
-    required field has none and is refused); any other value must be exactly
-    a `kind`, and a str must encode as UTF-8."""
+    """A corpus field: absent or null is `default` (a required field has none
+    and is refused); any other value must pass _exact."""
     value = obj.get(key)
     if value is None and default is not _REQUIRED:
         return default
-    if type(value) is not kind:
-        raise CorpusError(f"{where}: field {key!r} must be {kind.__name__}, got {type(value).__name__}")
-    if kind is str:
-        try:
-            value.encode("utf-8")
-        except UnicodeEncodeError:
-            raise CorpusError(f"{where}: field {key!r} holds a lone surrogate, which UTF-8 cannot encode") from None
-    return value
+    return _exact(value, kind, f"{where}: field {key!r}")
 
 
 def parse_image(obj: dict, where: str) -> ImageRef:
@@ -275,7 +290,7 @@ def parse_image(obj: dict, where: str) -> ImageRef:
 def parse_section(obj: dict, where: str, earlier: list) -> Section:
     """`earlier` holds the page's already-parsed sections, so a record that
     omits section_depth gets it computed from its parent chain (0 for a
-    parent out of range, which Page refuses); a stated depth is kept as-is
+    parent out of range, which Section or Page refuses); a stated depth is kept as-is
     and validated by Page."""
     if not isinstance(obj, dict):
         raise CorpusError(f"{where}: section entry must be an object")

@@ -127,10 +127,26 @@ MUTANTS = (
            "            if index != skip:\n                out.extend(sec.layout)",
            "            out.extend(sec.layout)",
            (LAYOUT_ORACLE, "tests/test_sequence.py::TestSectionSummarization")),
-    # the page model's exact-type rule for a directly built section
+    # the page model's one field rule, which the reader and every class call
     Mutant("page-accepts-any-section-flag", "page.py",
-           ', ("has_table_or_list", bool)):', "):",
+           '("has_table_or_list", bool), ', "",
            ("tests/test_page.py::TestPageInvariants::test_non_bool_section_flag_refused",)),
+    Mutant("field-rule-accepts-a-lone-surrogate", "page.py",
+           "    if kind is str:\n", "    if False:\n",
+           ("tests/test_page.py::TestCorpusIO::test_undecodable_line_is_one_malformed_record[lone-surrogate]",
+            "tests/test_page.py::TestCorpusIO::test_undecodable_line_strict_raises_corpus_error[lone-surrogate]",
+            "tests/test_cli.py::test_build_strict_refuses_a_string_utf8_cannot_encode",
+            "tests/test_cli.py::test_build_lenient_counts_a_string_utf8_cannot_encode",
+            "tests/test_page.py::TestPageInvariants::test_lone_surrogate_in_a_model_built_directly_refused")),
+    Mutant("field-rule-accepts-a-subclass", "page.py",
+           "if type(value) is not kind:", "if not isinstance(value, kind):",
+           ("tests/test_page.py::TestPageInvariants::test_non_int_section_index_parent_or_depth_refused",
+            "tests/test_page.py::TestPageInvariants::test_non_str_section_text_refused",
+            "tests/test_page.py::TestPageInvariants::test_non_str_page_text_refused",
+            "tests/test_page.py::TestMime::test_non_str_image_text_refused")),
+    Mutant("section-accepts-any-image", "page.py",
+           'tuple(_exact(image, ImageRef, "section image") for image in self.images)', "tuple(self.images)",
+           ("tests/test_page.py::TestPageInvariants::test_non_image_entry_refused",)),
     # the dense reference against the scalar loops
     Mutant("dense-no-degenerate-row-check", "numcore.py",
            "        if dead.any():\n", "        if False:\n",

@@ -1,6 +1,7 @@
 """Page model: taxonomy, splitter, tokenizer, JSONL ingest."""
 
 import copy
+import dataclasses
 import enum
 import json
 import re
@@ -229,26 +230,53 @@ class TestPageInvariants:
     class One(enum.IntEnum):
         ONE = 1
 
-    @pytest.mark.parametrize("field, section", [
-        ("index", sec(True)),
-        ("index", sec(np.int64(1))),
-        ("index", sec(One.ONE)),
-        ("parent_index", sec(1, parent_index=True, depth=1)),
-        ("parent_index", sec(1, parent_index=0.0, depth=1)),
-        ("depth", sec(1, parent_index=0, depth=True)),
-        ("depth", sec(1, depth=0.0)),
+    @pytest.mark.parametrize("field, kw", [
+        ("index", {"index": True}),
+        ("index", {"index": np.int64(1)}),
+        ("index", {"index": One.ONE}),
+        ("parent_index", {"index": 1, "parent_index": True, "depth": 1}),
+        ("parent_index", {"index": 1, "parent_index": 0.0, "depth": 1}),
+        ("depth", {"index": 1, "parent_index": 0, "depth": True}),
+        ("depth", {"index": 1, "depth": 0.0}),
     ])
-    def test_non_int_section_index_parent_or_depth_refused(self, field, section):
+    def test_non_int_section_index_parent_or_depth_refused(self, field, kw):
         # each equals the int it stands for, so only the exact-type rule
         # keeps "[STrue]" out of a marker token
-        with pytest.raises(CorpusError, match=f"slot 1: {field} must be an int"):
-            Page(url="u", sections=(sec(0), section))
+        with pytest.raises(CorpusError, match=f"^section {field} must be an int, got "):
+            Section(**kw)
 
     @pytest.mark.parametrize("flag", ["false", 0, 1, None, np.bool_(False)], ids=repr)
     def test_non_bool_section_flag_refused(self, flag):
         # "false" is truthy: build_dataset would refuse the section as table_or_list
-        with pytest.raises(CorpusError, match="slot 1: has_table_or_list must be a bool, got "):
-            Page(url="u", sections=(sec(0), sec(1, body_text="x.", has_table_or_list=flag)))
+        with pytest.raises(CorpusError, match="^section has_table_or_list must be a bool, got "):
+            sec(1, body_text="x.", has_table_or_list=flag)
+
+    # a page checks that each entry is a Section and a section that each
+    # image is an ImageRef: an entry 7 would fail with AttributeError, and an
+    # image "x" would pass until build_dataset read its reference_desc
+    @pytest.mark.parametrize("entry", [7, "x", None, img()], ids=lambda entry: type(entry).__name__)
+    def test_non_section_entry_refused(self, entry):
+        with pytest.raises(CorpusError, match=f"^section in slot 1 must be a Section, got {type(entry).__name__}$"):
+            Page(url="u", sections=(sec(0), entry))
+
+    @pytest.mark.parametrize("entry", [7, "x", None, sec(0)], ids=lambda entry: type(entry).__name__)
+    def test_non_image_entry_refused(self, entry):
+        with pytest.raises(CorpusError, match=f"^section image must be an ImageRef, got {type(entry).__name__}$"):
+            sec(0, body_text="a.", images=(img(), entry))
+
+    # JSON can escape a lone surrogate, and UTF-8 cannot encode one, so a
+    # model built with one would make an example build could not write
+    @pytest.mark.parametrize("build, field", [
+        (Page, "url"), (Page, "title"), (Page, "raw_description"), (Section, "title"), (Section, "body_text"),
+        (ImageRef, "url"), (ImageRef, "alt_text"), (ImageRef, "reference_desc"), (ImageRef, "attribution_desc"),
+        (ImageRef, "embedding_id"),
+    ], ids=lambda x: getattr(x, "__name__", x))
+    def test_lone_surrogate_in_a_model_built_directly_refused(self, build, field):
+        # an explicit embedding_id, so that a bad url is not also the embedding_id, which is checked first
+        kind, kw = {Page: ("page", {"url": "u"}), Section: ("section", {"index": 0}),
+                    ImageRef: ("image", {"url": "u", "embedding_id": "v"})}[build]
+        with pytest.raises(CorpusError, match=f"^{kind} {field} holds a lone surrogate"):
+            build(**{**kw, field: "a \ud800 b"})
 
     class Text(str):
         pass
@@ -585,7 +613,7 @@ class TestCorpusIO:
         record = page_record(url="https://e.org/wiki/P2")
         record["sections"][1]["images"][0]["embedding_id"] = 7
         path = self.write_around(tmp_path, json.dumps(record).encode())
-        with pytest.raises(CorpusError, match="^line 2: .*'embedding_id' must be str, got int"):
+        with pytest.raises(CorpusError, match="^line 2: .*'embedding_id' must be a str, got int"):
             list(iter_corpus(path))
         items = list(iter_corpus(path, strict=False))
         assert [type(i) for i in items] == [Page, MalformedRecord, Page]
@@ -733,11 +761,56 @@ def parsed_with(r, path, field, value):
         return str(exc)
 
 
+# the model attribute each corpus field other than sections and images becomes
+MODEL_ATTRS = {
+    "page_url": "url",
+    "page_title": "title",
+    "raw_page_description": "raw_description",
+    "split": "split",
+    "section_index": "index",
+    "section_title": "title",
+    "section_text": "body_text",
+    "section_parent_index": "parent_index",
+    "section_depth": "depth",
+    "section_contains_table_or_list": "has_table_or_list",
+    "section_image_url": "url",
+    "section_image_mime_type": "mime",
+    "section_image_alt_text_desc": "alt_text",
+    "section_image_raw_ref_desc": "reference_desc",
+    "section_image_raw_attr_desc": "attribution_desc",
+    "section_image_in_WIT": "in_quality_set",
+    "embedding_id": "embedding_id",
+}
+
+
+def built_with(r, path, field, value):
+    """Demo record `r` parsed, then the model object that holds `field`
+    rebuilt with its attribute set to `value`, and the page rebuilt around
+    it, so no reader sees the value: the Page, or the CorpusError message."""
+    page = parse_page(DEMO_RECORDS[r])
+    attr = {MODEL_ATTRS[field]: value}
+    try:
+        if not path:
+            return dataclasses.replace(page, **attr)
+        s = path[1]
+        section = page.sections[s]
+        if len(path) == 2:
+            section = dataclasses.replace(section, **attr)
+        else:
+            images = list(section.images)
+            images[path[3]] = dataclasses.replace(images[path[3]], **attr)
+            section = dataclasses.replace(section, images=tuple(images))
+        return dataclasses.replace(page, sections=page.sections[:s] + (section,) + page.sections[s + 1:])
+    except CorpusError as exc:
+        return str(exc)
+
+
 class TestOneFieldRule:
     def test_the_table_matches_the_fuzzed_fields(self):
         assert set(CORPUS_FIELDS) == set(PAGE_FIELDS + SECTION_FIELDS + IMAGE_FIELDS)
         assert len(CORPUS_FIELDS) == 19
         assert all(next(field_slots(f), None) for f in CORPUS_FIELDS)
+        assert set(MODEL_ATTRS) == set(CORPUS_FIELDS) - {"sections", "images"}
 
     @pytest.mark.parametrize("field", CORPUS_FIELDS)
     def test_null_reads_as_absent(self, field):
@@ -757,3 +830,16 @@ class TestOneFieldRule:
                 got = parsed_with(r, path, field, value)
                 assert isinstance(got, str), (field, value)
                 assert f"field {field!r} must be " in got, got
+
+    # the model refuses what the reader refuses: each scalar field's
+    # attribute set directly to every value the reader refuses, a lone
+    # surrogate among them for every string field
+    @pytest.mark.parametrize("field", MODEL_ATTRS)
+    def test_the_model_refuses_what_the_reader_refuses(self, field):
+        surrogate = ["a \ud800 b"] if CORPUS_FIELDS[field][1] == "string" else []
+        for r, path in field_slots(field):
+            refused = [v for v in FUZZ_VALUES if isinstance(parsed_with(r, path, field, v), str)]
+            assert refused and all(isinstance(parsed_with(r, path, field, v), str) for v in surrogate)
+            for value in refused + surrogate:
+                got = built_with(r, path, field, value)
+                assert isinstance(got, str), (field, path, value, got)
