@@ -54,7 +54,6 @@ from .sequence import (
     build_image_caption_input,
     build_page_description_input,
     build_section_summarization_input,
-    leaks_target,
 )
 
 __all__ = [
@@ -74,7 +73,7 @@ __all__ = [
     "parse_page", "iter_corpus", "assign_split",
     # sequences
     "Task", "Origin", "PageDescPrefix", "TaskExample", "PageRuns", "build_page_description_input",
-    "build_section_summarization_input", "build_image_caption_input", "leaks_target",
+    "build_section_summarization_input", "build_image_caption_input",
     # pipeline
     "FilterReport", "RoutedExample", "build_dataset", "corpus_stats",
     # bundled corpus

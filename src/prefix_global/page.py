@@ -27,19 +27,30 @@ fields.
 
 Page input is checked here and nowhere downstream, by one field rule,
 _exact: a value must be exactly its field's type, and a str must encode as
-UTF-8. The corpus reader applies it to each JSON value it reads, and each
-class applies it to its own fields when it is built, whether by the reader
-or directly: an ImageRef to its url, embedding_id, three text fields, flag
-and mime (a Mime member); a Section to its index, parent, depth, flag, title
-and body, and to each image, which must be an ImageRef; a Page to its url,
-title and description, and to each entry, which must be a Section. Beyond
-its fields, a Section checks that its parent comes before it, and a Page
-the rules that span sections: each index equals its slot and each depth the
-parent-chain length. So a model built directly refuses, with CorpusError,
-whatever the reader refuses, and every Page that builds can be written.
-The sequence builders copy checked fields into token runs and check nothing
-again. A Page is its five constructor fields and nothing more: the token runs
-that the builders share live in a sequence.PageRuns, not on the page.
+UTF-8. The model is the checker: each class applies the rule to its own
+fields when it is built, whether by the reader or directly: an ImageRef to
+its url, mime (a Mime member), three text fields, flag and embedding_id; a
+Section to its index, depth, flag, title, body, images (a tuple) and parent,
+and to each image, which must be an ImageRef; a Page to its url, title,
+description and sections (a tuple), and to each entry, which must be a
+Section. Beyond its fields, a Section checks that its parent comes before
+it, and a Page the rules that span sections: each index equals its slot and
+each depth the parent-chain length. So every Page that builds can be
+written. The sequence builders copy checked fields into token runs and
+check nothing again. A Page is its five constructor fields and nothing
+more: the token runs that the builders share live in a sequence.PageRuns,
+not on the page.
+
+The corpus reader is a key map. Each parse_* function passes every present,
+non-null JSON value to its class unchecked, as the attribute that the
+class's key map (_IMAGE_ATTRS, _SECTION_ATTRS, _PAGE_ATTRS) names; _build
+makes the object and re-raises the model's CorpusError with the reader's
+location in front ("page U section S image I: ..."), so every refusal names
+where it happened. The reader applies _exact itself only to the five values
+it uses before the model sees them, and names each by its JSON key: page_url,
+which names the page in messages; sections and images, which it iterates;
+section_parent_index, which indexes the earlier sections; and
+section_image_mime_type, which parse_mime reads.
 
 The sentence splitter is deliberately naive: the first ., ! or ? followed by
 whitespace (or end of text) ends the first sentence. No abbreviation guard.
@@ -66,19 +77,19 @@ class CorpusError(ValueError):
     """A record violates the corpus schema or a page-level invariant."""
 
 
-def _exact(value, kind, what: str):
-    """The one field rule of the page model, for the reader and for every
-    class: `value` must be exactly a `kind`, so True is not an int and a str
-    subclass is not a str, and a str must encode as UTF-8. Returns `value`;
-    `what` names the field in the CorpusError."""
+def _exact(value, kind, owner: str, name):
+    """The one field rule of the page model: `value` must be exactly a
+    `kind`, so True is not an int and a str subclass is not a str, and a str
+    must encode as UTF-8. Returns `value`. "<owner> <name>" names the field
+    in the CorpusError, which is formatted only when it is raised."""
     if type(value) is not kind:
         article = "an" if kind.__name__[0] in "aeiouAEIOU" else "a"
-        raise CorpusError(f"{what} must be {article} {kind.__name__}, got {type(value).__name__}")
+        raise CorpusError(f"{owner} {name} must be {article} {kind.__name__}, got {type(value).__name__}")
     if kind is str:
         try:
             value.encode("utf-8")
         except UnicodeEncodeError:
-            raise CorpusError(f"{what} holds a lone surrogate, which UTF-8 cannot encode") from None
+            raise CorpusError(f"{owner} {name} holds a lone surrogate, which UTF-8 cannot encode") from None
     return value
 
 
@@ -116,17 +127,16 @@ class ImageRef:
     embedding_id: str = ""  # opaque handle to a precomputed vector
 
     def __post_init__(self):
-        if not self.url:
-            raise CorpusError("image url must be nonempty")
-        if self.embedding_id == "":
-            object.__setattr__(self, "embedding_id", self.url)
         # a token run copies embedding_id unchanged, the text fields are
         # tokenized, and "no" or a mime that is not a Mime member would pass the
-        # captioning check; a non-str url is its embedding_id's default, so
-        # embedding_id is checked first
-        for name, kind in (("mime", Mime), ("in_quality_set", bool), ("embedding_id", str), ("url", str),
-                           ("alt_text", str), ("reference_desc", str), ("attribution_desc", str)):
-            _exact(getattr(self, name), kind, f"image {name}")
+        # captioning check
+        for name, kind in (("url", str), ("mime", Mime), ("alt_text", str), ("reference_desc", str),
+                           ("attribution_desc", str), ("in_quality_set", bool), ("embedding_id", str)):
+            _exact(getattr(self, name), kind, "image", name)
+        if not self.url:
+            raise CorpusError("image url must be nonempty")
+        if not self.embedding_id:
+            object.__setattr__(self, "embedding_id", self.url)
 
 
 @dataclass(frozen=True)
@@ -145,15 +155,17 @@ class Section:
 
     def __post_init__(self):
         # True == 1 and the marker run copies the index into a token, a flag of
-        # "false" is truthy, and the title and body are tokenized
+        # "false" is truthy, the title and body are tokenized, and the images
+        # are iterated
         for name, kind in (("index", int), ("depth", int), ("has_table_or_list", bool), ("title", str),
-                           ("body_text", str)):
-            _exact(getattr(self, name), kind, f"section {name}")
+                           ("body_text", str), ("images", tuple)):
+            _exact(getattr(self, name), kind, "section", name)
         parent = self.parent_index
-        if parent is not None and not 0 <= _exact(parent, int, "section parent_index") < self.index:
-            raise CorpusError(f"section {self.index}: parent_index {parent} must precede it")
+        if parent is not None and not 0 <= _exact(parent, int, "section", "parent_index") < self.index:
+            raise CorpusError(f"section parent_index {parent} must precede its index {self.index}")
+        for image in self.images:
+            _exact(image, ImageRef, "section", "image")
         object.__setattr__(self, "body_text", self.body_text.strip())
-        object.__setattr__(self, "images", tuple(_exact(image, ImageRef, "section image") for image in self.images))
 
 
 @dataclass(frozen=True)
@@ -169,23 +181,22 @@ class Page:
     split: str | None = None  # None: the split of the URL's hash
 
     def __post_init__(self):
+        # the url is hashed for the split, the title and description are
+        # tokenized, and the sections are iterated
+        for name, kind in (("url", str), ("title", str), ("raw_description", str), ("sections", tuple)):
+            _exact(getattr(self, name), kind, "page", name)
         if not self.url:
-            raise CorpusError("page_url must be nonempty")
-        # the url is hashed for the split, and the title and description are tokenized
-        for name in ("url", "title", "raw_description"):
-            _exact(getattr(self, name), str, f"page {name}")
+            raise CorpusError("page url must be nonempty")
         if self.split is None:
             object.__setattr__(self, "split", assign_split(self.url))
         if self.split not in SPLITS:
-            raise CorpusError(f"split must be one of {SPLITS}, got {self.split!r}")
-        sections = tuple(self.sections)
-        object.__setattr__(self, "sections", sections)
-        for pos, sec in enumerate(sections):
-            if _exact(sec, Section, f"section in slot {pos}").index != pos:
+            raise CorpusError(f"page split must be one of {SPLITS}, got {self.split!r}")
+        for pos, sec in enumerate(self.sections):
+            if _exact(sec, Section, "section in slot", pos).index != pos:
                 raise CorpusError(f"section indices must be 0..n-1 in order; slot {pos} has index {sec.index}")
-            expected_depth = 0 if sec.parent_index is None else sections[sec.parent_index].depth + 1
+            expected_depth = 0 if sec.parent_index is None else self.sections[sec.parent_index].depth + 1
             if sec.depth != expected_depth:
-                raise CorpusError(f"section {sec.index}: depth {sec.depth} != parent-chain length {expected_depth}")
+                raise CorpusError(f"section {sec.index} has depth {sec.depth}, not its parent-chain length {expected_depth}")
 
     def content_sections(self) -> list:
         return [s for s in self.sections if is_content_section(s)]
@@ -261,30 +272,49 @@ def tokenize(text: str) -> list[str]:
     return out
 
 
-_REQUIRED = object()  # the default of a field a record must carry
+# the model attribute each JSON key becomes; the reader passes the value
+# unchecked, and the model checks it
+_IMAGE_ATTRS = {"section_image_url": "url", "section_image_alt_text_desc": "alt_text",
+                "section_image_raw_ref_desc": "reference_desc", "section_image_raw_attr_desc": "attribution_desc",
+                "section_image_in_WIT": "in_quality_set", "embedding_id": "embedding_id"}
+_SECTION_ATTRS = {"section_index": "index", "section_depth": "depth", "section_title": "title",
+                  "section_text": "body_text", "section_contains_table_or_list": "has_table_or_list"}
+_PAGE_ATTRS = {"page_title": "title", "raw_page_description": "raw_description", "split": "split"}
 
 
-def _field(obj: dict, key: str, kind, where: str, default=_REQUIRED):
-    """A corpus field: absent or null is `default` (a required field has none
-    and is refused); any other value must pass _exact."""
+def _read(obj: dict, key: str, kind, where: str, default):
+    """A value the reader uses itself, before the model sees it: absent or
+    null is `default`, and any other value must pass _exact."""
     value = obj.get(key)
-    if value is None and default is not _REQUIRED:
+    if value is None:
         return default
-    return _exact(value, kind, f"{where}: field {key!r}")
+    try:
+        return _exact(value, kind, "field", repr(key))
+    except CorpusError as exc:
+        raise CorpusError(f"{where}: {exc}") from None
+
+
+def _build(cls, attrs: dict, obj: dict, where: str, **fields):
+    """A `cls` built from `fields`, where each key of `attrs` that `obj`
+    holds with a value other than null sets the attribute attrs names to
+    that value, unchecked: the model checks its own fields. Its CorpusError
+    is re-raised with `where` in front."""
+    for key, attr in attrs.items():
+        value = obj.get(key)
+        if value is not None:
+            fields[attr] = value
+    try:
+        return cls(**fields)
+    except CorpusError as exc:
+        raise CorpusError(f"{where}: {exc}") from None
 
 
 def parse_image(obj: dict, where: str) -> ImageRef:
     if not isinstance(obj, dict):
         raise CorpusError(f"{where}: image entry must be an object")
-    return ImageRef(
-        url=_field(obj, "section_image_url", str, where),
-        mime=parse_mime(_field(obj, "section_image_mime_type", str, where, "")),
-        alt_text=_field(obj, "section_image_alt_text_desc", str, where, ""),
-        reference_desc=_field(obj, "section_image_raw_ref_desc", str, where, ""),
-        attribution_desc=_field(obj, "section_image_raw_attr_desc", str, where, ""),
-        in_quality_set=_field(obj, "section_image_in_WIT", bool, where, False),
-        embedding_id=_field(obj, "embedding_id", str, where, ""),
-    )
+    # url=None: a required key that is absent or null reaches the model, which refuses it
+    mime = parse_mime(_read(obj, "section_image_mime_type", str, where, ""))
+    return _build(ImageRef, _IMAGE_ATTRS, obj, where, url=None, mime=mime)
 
 
 def parse_section(obj: dict, where: str, earlier: list) -> Section:
@@ -294,38 +324,22 @@ def parse_section(obj: dict, where: str, earlier: list) -> Section:
     and validated by Page."""
     if not isinstance(obj, dict):
         raise CorpusError(f"{where}: section entry must be an object")
-    index = _field(obj, "section_index", int, where)
-    parent = _field(obj, "section_parent_index", int, where, None)
-    images = _field(obj, "images", list, where, [])
+    parent = _read(obj, "section_parent_index", int, where, None)
+    images = tuple(parse_image(i, f"{where} image {n}") for n, i in enumerate(_read(obj, "images", list, where, ())))
     chained = earlier[parent].depth + 1 if parent is not None and 0 <= parent < len(earlier) else 0
-    # fields are read in argument order, so of several bad fields the first read is the one named
-    return Section(
-        index=index,
-        depth=_field(obj, "section_depth", int, where, chained),
-        title=_field(obj, "section_title", str, where, ""),
-        body_text=_field(obj, "section_text", str, where, ""),
-        parent_index=parent,
-        images=tuple(parse_image(i, f"{where} image {n}") for n, i in enumerate(images)),
-        has_table_or_list=_field(obj, "section_contains_table_or_list", bool, where, False),
-    )
+    return _build(Section, _SECTION_ATTRS, obj, where, index=None, depth=chained, parent_index=parent, images=images)
 
 
 def parse_page(obj: dict) -> Page:
     """Build a Page from one decoded JSONL object, validating invariants."""
     if not isinstance(obj, dict):
         raise CorpusError("page record must be a JSON object")
-    url = _field(obj, "page_url", str, "page")
+    url = _exact(obj.get("page_url"), str, "page: field", "'page_url'")
     where = f"page {url}"
     sections = []
-    for n, raw in enumerate(_field(obj, "sections", list, where, [])):
+    for n, raw in enumerate(_read(obj, "sections", list, where, ())):
         sections.append(parse_section(raw, f"{where} section {n}", sections))
-    return Page(
-        url=url,
-        title=_field(obj, "page_title", str, where, ""),
-        raw_description=_field(obj, "raw_page_description", str, where, ""),
-        sections=tuple(sections),
-        split=_field(obj, "split", str, where, None),
-    )
+    return _build(Page, _PAGE_ATTRS, obj, where, url=url, sections=tuple(sections))
 
 
 @dataclass(frozen=True)

@@ -352,17 +352,3 @@ def build_image_caption_input(runs: PageRuns, section_index: int, image_pos: int
     prefix += (run for pos, run in enumerate(own.captions) if pos != image_pos)
     return _assemble(Task.IMAGE_CAPTIONING, runs.page, prefix, runs.local_context(section_index),
                      img.reference_desc)
-
-
-def leaks_target(example: TaskExample) -> bool:
-    """True if the target's token sequence occurs contiguously in the input
-    slots. Image slots break contiguity; empty targets cannot leak."""
-    needle = tokenize(example.target_text)
-    if not needle:
-        return False
-    stream = [v if run.kind == "text" else None for run in example.prefix + example.context for v in run.values]
-    n = len(needle)
-    for start in range(len(stream) - n + 1):
-        if stream[start : start + n] == needle:
-            return True
-    return False

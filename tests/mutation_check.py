@@ -17,10 +17,11 @@ pytest's pythonpath on the copy. The mutant is killed when every named test
 id has a failing test; otherwise it survived, and the oracle it names misses
 that defect. A surviving mutant is a finding to record, never a row to delete.
 
-It prints one line per mutant and then the count of mutants killed and
-survived. Exit status: 0 when every mutant is killed, 1 when one survived, 2
-when a row or a run is refused (old text not found once, a clean run that
-fails, or a pytest run that ends in anything but pass or fail).
+It prints one line per mutant, then killed/total per module, and then the
+count of mutants killed and survived. Exit status: 0 when every mutant is
+killed, 1 when one survived, 2 when a row or a run is refused (old text not
+found once, a clean run that fails, or a pytest run that ends in anything but
+pass or fail).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -42,6 +44,7 @@ DENSE_TESTS = "tests/test_numcore.py"
 OVERFLOWED_MASKED_KEY = "tests/test_kernel.py::TestLocality::test_out_of_window_key_whose_exp_overflows_is_invisible_bitwise"
 TOKENIZER_TESTS = "tests/test_page.py::TestTokenize"
 SUMMARIZATION_TARGET = "tests/test_sequence.py::TestSectionSummarization::test_first_sentence_removed_and_targeted"
+READER_LOCATION = "tests/test_page.py::TestOneFieldRule::test_the_reader_gives_the_model_message_where_it_was_refused"
 
 
 class Mutant(NamedTuple):
@@ -145,8 +148,48 @@ MUTANTS = (
             "tests/test_page.py::TestPageInvariants::test_non_str_page_text_refused",
             "tests/test_page.py::TestMime::test_non_str_image_text_refused")),
     Mutant("section-accepts-any-image", "page.py",
-           'tuple(_exact(image, ImageRef, "section image") for image in self.images)', "tuple(self.images)",
+           '        for image in self.images:\n            _exact(image, ImageRef, "section", "image")\n', "",
            ("tests/test_page.py::TestPageInvariants::test_non_image_entry_refused",)),
+    # the corpus reader is a key map: the model checks each value, and the
+    # reader puts its location in front of the model's refusal
+    Mutant("reader-drops-the-location", "page.py",
+           '    except CorpusError as exc:\n        raise CorpusError(f"{where}: {exc}") from None\n\n\ndef parse_image',
+           "    except CorpusError:\n        raise\n\n\ndef parse_image",
+           (READER_LOCATION, "tests/test_page.py::TestParsePage::test_a_model_rule_names_where_it_broke")),
+    Mutant("reader-ignores-section-text", "page.py",
+           '"section_text": "body_text", ', "",
+           (LAYOUT_ORACLE, READER_LOCATION)),
+    # the closed-form counts behind the cost tables
+    Mutant("mask-nnz-without-side-keys", "cost.py",
+           "_window_total(l - g, r) + l * pattern.side_keys", "_window_total(l - g, r)",
+           ("tests/test_acceptance.py::test_c4_closed_form_matches_enumeration",)),
+    Mutant("accounted-pairs-without-local-branch", "cost.py",
+           "    if pattern.kind is PatternKind.LOCAL:\n        return mask_nnz(pattern)  # the convention is the exact count\n",
+           "",
+           ("tests/test_cost.py::test_accounted_pairs_matches_convention_property",)),
+    Mutant("tglobal-side-keys-rounded-down", "patterns.py",
+           "return -(-self.l // self.block) if", "return self.l // self.block if",
+           ("tests/test_acceptance.py::test_c3_kernel_matches_dense_reference",)),
+    # every candidate counted once, and only an example routed to a split
+    Mutant("rejected-candidate-counted-in-splits", "pipeline.py",
+           "                report.reject(outcome)\n",
+           "                report.reject(outcome)\n                if not isinstance(item, MalformedRecord):\n"
+           "                    report.splits[item.split] += 1\n",
+           ("tests/test_pipeline.py::test_bundled_counts",)),
+    Mutant("nearest-rank-rounds-down", "pipeline.py",
+           "rank = -(-(pct * len(data)) // 100)", "rank = max(1, (pct * len(data)) // 100)",
+           ("tests/test_pipeline.py::test_nearest_rank",)),
+    # build's reports and its write-then-rename
+    Mutant("json-report-keys-unsorted", "cli.py",
+           "indent=2, sort_keys=True)", "indent=2)",
+           ("tests/test_cli.py::test_every_json_report_is_written_with_sorted_keys",)),
+    Mutant("build-renames-splits-before-the-report-is-written", "cli.py",
+           '            tmp["report.json"].write_text(_json(payload), encoding="utf-8")\n'
+           "            for name in names:\n                os.replace(tmp[name], out / name)\n",
+           "            for name in names[:-1]:\n                os.replace(tmp[name], out / name)\n"
+           '            tmp["report.json"].write_text(_json(payload), encoding="utf-8")\n'
+           '            os.replace(tmp["report.json"], out / "report.json")\n',
+           ("tests/test_cli.py::test_build_failed_report_write_leaves_the_previous_outputs",)),
     # the dense reference against the scalar loops
     Mutant("dense-no-degenerate-row-check", "numcore.py",
            "        if dead.any():\n", "        if False:\n",
@@ -217,6 +260,8 @@ def main() -> int:
     except Refused as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
+    total, killed = Counter(m.path for m in MUTANTS), Counter(m.path for m in MUTANTS if m.name not in survived)
+    print("by module: " + ", ".join(f"{path} {killed[path]}/{n}" for path, n in sorted(total.items())))
     print(f"mutants: {len(MUTANTS) - len(survived)} killed, {len(survived)} survived")
     return 1 if survived else 0
 

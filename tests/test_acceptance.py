@@ -23,7 +23,8 @@ from prefix_global.kernel import KernelStats, sparse_attention, tglobal_attentio
 from prefix_global.page import assign_split, iter_corpus
 from prefix_global.patterns import build_mask, full, local, prefix_global, tglobal
 from prefix_global.pipeline import build_dataset
-from prefix_global.sequence import Task, leaks_target
+from prefix_global.sequence import Task
+from test_sequence import leaks_target
 
 
 @contextmanager

@@ -358,6 +358,28 @@ def test_build_failed_write_leaves_the_previous_outputs(runner, tmp_path, monkey
     assert sorted(p.name for p in out.iterdir()) == sorted(first)
 
 
+def test_build_failed_report_write_leaves_the_previous_outputs(runner, tmp_path, monkeypatch):
+    # the report is the last file written: no split file is renamed over the
+    # previous run's until it has been written too. The rebuild is of another
+    # task, so a split renamed too early would show as changed bytes
+    out = tmp_path / "out"
+    assert invoke(runner, "build", CORPUS, "--task", "section_summarization", "--out-dir", str(out)).exit_code == 0
+    first = build_outputs(out)
+    real = pathlib.Path.write_text
+
+    def write_text(self, *args, **kwargs):
+        if self.name == "report.json.tmp":
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(pathlib.Path, "write_text", write_text)
+    res = invoke(runner, "build", CORPUS, "--task", "image_captioning", "--out-dir", str(out))
+    assert res.exit_code == 1
+    assert "No space left on device" in res.output
+    assert build_outputs(out) == first
+    assert sorted(p.name for p in out.iterdir()) == sorted(first)
+
+
 @pytest.mark.parametrize("name", ["train.jsonl.tmp", "val.jsonl.tmp", "test.jsonl.tmp", "report.json.tmp"])
 def test_build_refuses_a_corpus_that_is_a_temp_output(runner, tmp_path, name):
     out = tmp_path / "out"
@@ -451,7 +473,7 @@ def test_build_strict_refuses_a_string_utf8_cannot_encode(runner, tmp_path):
                  "--out-dir", str(out))
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
-    assert "line 1" in res.output and "page_title" in res.output
+    assert "line 1" in res.output and "page title" in res.output
     assert not out.exists()
 
 
@@ -541,3 +563,21 @@ def test_stats_lenient_counts_malformed(runner, tmp_path):
     strict = invoke(runner, "stats", str(bad))
     assert strict.exit_code == 1
     assert "line 21" in strict.output
+
+
+# ----------------------------------------------------------- JSON reports
+
+
+def test_every_json_report_is_written_with_sorted_keys(runner, tmp_path):
+    # a report's bytes are pinned by its digest, so its key order is part of
+    # the output: every JSON report is json.dumps with sort_keys and indent 2
+    out = tmp_path / "out"
+    texts = {
+        "flops": invoke(runner, "flops", "--json").output,
+        "attend": invoke(runner, "attend", "--kind", "prefix-global", "-l", "64", "-d", "8", "-r", "3", "-k", "8").output,
+        "build": invoke(runner, "build", CORPUS, "--task", "page_description", "--out-dir", str(out)).output,
+        "stats": invoke(runner, "stats", CORPUS).output,
+    }
+    texts["report.json"] = (out / "report.json").read_text(encoding="utf-8")
+    for name, text in texts.items():
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", name

@@ -264,6 +264,21 @@ class TestPageInvariants:
         with pytest.raises(CorpusError, match=f"^section image must be an ImageRef, got {type(entry).__name__}$"):
             sec(0, body_text="a.", images=(img(), entry))
 
+    # a section's images and a page's sections are exactly tuples, as their
+    # annotations say: 7 once raised TypeError, and a list or a generator was
+    # converted
+    NOT_TUPLES = {"int": lambda item: 7, "list": lambda item: [item], "generator": lambda item: (x for x in (item,))}
+
+    @pytest.mark.parametrize("make", NOT_TUPLES.values(), ids=NOT_TUPLES.keys())
+    def test_images_must_be_a_tuple(self, make):
+        with pytest.raises(CorpusError, match="^section images must be a tuple, got "):
+            sec(0, body_text="a.", images=make(img()))
+
+    @pytest.mark.parametrize("make", NOT_TUPLES.values(), ids=NOT_TUPLES.keys())
+    def test_sections_must_be_a_tuple(self, make):
+        with pytest.raises(CorpusError, match="^page sections must be a tuple, got "):
+            Page(url="u", sections=make(sec(0)))
+
     # JSON can escape a lone surrogate, and UTF-8 cannot encode one, so a
     # model built with one would make an example build could not write
     @pytest.mark.parametrize("build, field", [
@@ -364,14 +379,14 @@ class TestMime:
 
     # an embedding_id is copied into a token run unchanged, so the model
     # refuses one that is not exactly a str; a url with no embedding_id
-    # becomes one
+    # becomes one, and is checked first
     @pytest.mark.parametrize("kw", [{"embedding_id": 7}, {"embedding_id": b"v"}, {"embedding_id": 0},
                                     {"embedding_id": []}, {"embedding_id": None}, {"url": 7}, {"url": b"x.jpg"},
                                     {"embedding_id": Id("vec-7")}, {"url": Id("https://img.example/x.jpg")}],
                              ids=["int-id", "bytes-id", "zero-id", "list-id", "none-id", "int-url", "bytes-url",
                                   "str-subclass-id", "str-subclass-url"])
     def test_non_str_embedding_id_refused(self, kw):
-        with pytest.raises(CorpusError, match="embedding_id must be a str"):
+        with pytest.raises(CorpusError, match=f"^image {next(iter(kw))} must be a str"):
             img(**kw)
 
     @pytest.mark.parametrize("value", [None, 7, b"a", Id("a")], ids=repr)
@@ -489,7 +504,7 @@ class TestParsePage:
     def test_bool_rejected_where_int_required(self, field, value):
         record = page_record()
         record["sections"][1][field] = value
-        with pytest.raises(CorpusError, match=field):
+        with pytest.raises(CorpusError, match=named(field)):
             parse_page(record)
 
 
@@ -530,7 +545,21 @@ class TestParsePage:
     def test_non_boolean_flag_rejected(self, field, value):
         record = page_record()
         self.set_flag(record, field, value)
-        with pytest.raises(CorpusError, match=field):
+        with pytest.raises(CorpusError, match=named(field)):
+            parse_page(record)
+
+    # a rule of the model that no single field breaks still names the record
+    # it was read from: the page, and for an image its section and image
+    @pytest.mark.parametrize("field, value, where", [
+        ("section_image_url", "", " section 1 image 0"),
+        ("section_index", 2, ""),
+        ("section_depth", 3, ""),
+    ], ids=["empty-image-url", "index-not-its-slot", "depth-not-its-parent-chain"])
+    def test_a_model_rule_names_where_it_broke(self, field, value, where):
+        record = page_record()
+        target = record["sections"][1]
+        (target["images"][0] if field == "section_image_url" else target)[field] = value
+        with pytest.raises(CorpusError, match=f"^{re.escape('page https://e.org/wiki/Mill' + where)}: "):
             parse_page(record)
 
 
@@ -603,17 +632,17 @@ class TestCorpusIO:
         record = page_record(url="https://e.org/wiki/P2")
         TestParsePage.set_flag(record, field, value)
         path = self.write_around(tmp_path, json.dumps(record).encode())
-        with pytest.raises(CorpusError, match=f"^line 2: .*{field}"):
+        with pytest.raises(CorpusError, match=f"^line 2: .*{named(field)}"):
             list(iter_corpus(path))
         items = list(iter_corpus(path, strict=False))
         assert [type(i) for i in items] == [Page, MalformedRecord, Page]
-        assert items[1].line_number == 2 and field in items[1].error
+        assert items[1].line_number == 2 and named(field) in items[1].error
 
     def test_non_str_embedding_id_strict_and_lenient(self, tmp_path):
         record = page_record(url="https://e.org/wiki/P2")
         record["sections"][1]["images"][0]["embedding_id"] = 7
         path = self.write_around(tmp_path, json.dumps(record).encode())
-        with pytest.raises(CorpusError, match="^line 2: .*'embedding_id' must be a str, got int"):
+        with pytest.raises(CorpusError, match="^line 2: .*image embedding_id must be a str, got int"):
             list(iter_corpus(path))
         items = list(iter_corpus(path, strict=False))
         assert [type(i) for i in items] == [Page, MalformedRecord, Page]
@@ -783,26 +812,53 @@ MODEL_ATTRS = {
 }
 
 
-def built_with(r, path, field, value):
+# the fields the reader checks itself, because it uses their values before
+# the model sees them; the model checks every other field
+READER_CHECKED = ("page_url", "sections", "images", "section_parent_index", "section_image_mime_type")
+
+
+def named(field):
+    """How a refusal names `field`: by its JSON key if the reader checks it,
+    else by the model's owner and attribute."""
+    if field in READER_CHECKED:
+        return f"field {field!r}"
+    return f"{CORPUS_FIELDS[field][0]} {MODEL_ATTRS[field]}"
+
+
+def location(r, path):
+    """How the reader names the object at `path` in demo record `r`."""
+    where = f"page {DEMO_RECORDS[r]['page_url']}"
+    if path:
+        where += f" section {path[1]}"
+    if len(path) == 4:
+        where += f" image {path[3]}"
+    return where
+
+
+def built_with(r, path, field, value, located=False):
     """Demo record `r` parsed, then the model object that holds `field`
     rebuilt with its attribute set to `value`, and the page rebuilt around
-    it, so no reader sees the value: the Page, or the CorpusError message."""
+    it, so no reader sees the value: the Page, or the CorpusError message,
+    with the location of the object that raised it in front if `located`."""
     page = parse_page(DEMO_RECORDS[r])
     attr = {MODEL_ATTRS[field]: value}
+    at = path  # the object being built
     try:
-        if not path:
-            return dataclasses.replace(page, **attr)
-        s = path[1]
-        section = page.sections[s]
-        if len(path) == 2:
-            section = dataclasses.replace(section, **attr)
-        else:
-            images = list(section.images)
-            images[path[3]] = dataclasses.replace(images[path[3]], **attr)
-            section = dataclasses.replace(section, images=tuple(images))
-        return dataclasses.replace(page, sections=page.sections[:s] + (section,) + page.sections[s + 1:])
+        if path:
+            s = path[1]
+            section = page.sections[s]
+            if len(path) == 2:
+                section = dataclasses.replace(section, **attr)
+            else:
+                images = list(section.images)
+                images[path[3]] = dataclasses.replace(images[path[3]], **attr)
+                at = path[:2]
+                section = dataclasses.replace(section, images=tuple(images))
+            at = ()
+            attr = {"sections": page.sections[:s] + (section,) + page.sections[s + 1:]}
+        return dataclasses.replace(page, **attr)
     except CorpusError as exc:
-        return str(exc)
+        return f"{location(r, at)}: {exc}" if located else str(exc)
 
 
 class TestOneFieldRule:
@@ -818,7 +874,7 @@ class TestOneFieldRule:
             absent = parsed_with(r, path, field, _DELETE)
             assert parsed_with(r, path, field, None) == absent
             if CORPUS_FIELDS[field][2]:  # required: refused, null or absent
-                assert isinstance(absent, str) and f"field {field!r} must be " in absent, absent
+                assert isinstance(absent, str) and f"{named(field)} must be " in absent, absent
 
     @pytest.mark.parametrize("field", CORPUS_FIELDS)
     def test_every_other_json_type_is_refused_naming_the_field(self, field):
@@ -829,7 +885,7 @@ class TestOneFieldRule:
             for value in wrong:
                 got = parsed_with(r, path, field, value)
                 assert isinstance(got, str), (field, value)
-                assert f"field {field!r} must be " in got, got
+                assert f"{named(field)} must be " in got, got
 
     # the model refuses what the reader refuses: each scalar field's
     # attribute set directly to every value the reader refuses, a lone
@@ -843,3 +899,15 @@ class TestOneFieldRule:
             for value in refused + surrogate:
                 got = built_with(r, path, field, value)
                 assert isinstance(got, str), (field, path, value, got)
+
+    # the model is the one checker of a field the reader does not use
+    # itself: the reader's message is the model's, with the location of the
+    # object that refused the value in front
+    @pytest.mark.parametrize("field", [f for f in MODEL_ATTRS if f not in READER_CHECKED])
+    def test_the_reader_gives_the_model_message_where_it_was_refused(self, field):
+        surrogate = ("a \ud800 b",) if CORPUS_FIELDS[field][1] == "string" else ()
+        for r, path in field_slots(field):
+            refused = [v for v in FUZZ_VALUES + surrogate if isinstance(parsed_with(r, path, field, v), str)]
+            assert refused
+            for value in refused:
+                assert parsed_with(r, path, field, value) == built_with(r, path, field, value, located=True)

@@ -6,7 +6,7 @@ import pathlib
 import re
 
 from prefix_global import demo_corpus_path
-from test_page import CORPUS_FIELDS
+from test_page import CORPUS_FIELDS, MODEL_ATTRS
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -31,6 +31,15 @@ def test_readme_python_blocks_run():
     assert all(line.split()[0] in ("train", "val", "test") for line in lines[1:])
 
 
+def corpus_format():
+    return README.read_text(encoding="utf-8").split("## Corpus format\n", 1)[1].split("\n## ", 1)[0]
+
+
 def test_corpus_format_names_every_field():
-    section = README.read_text(encoding="utf-8").split("## Corpus format\n", 1)[1].split("\n## ", 1)[0]
-    assert [field for field in CORPUS_FIELDS if f"`{field}`" not in section] == []
+    assert [field for field in CORPUS_FIELDS if f"`{field}`" not in corpus_format()] == []
+
+
+def test_corpus_format_names_the_model_field_of_every_key():
+    # a refusal names the model field, so the table must lead back to the key
+    rows = [f"| `{key}` | `{CORPUS_FIELDS[key][0]} {attr}`" for key, attr in MODEL_ATTRS.items()]
+    assert [row for row in rows if row not in corpus_format()] == []

@@ -29,8 +29,22 @@ from prefix_global.sequence import (
     check_image_caption,
     check_page_description,
     check_section_summarization,
-    leaks_target,
 )
+
+
+def leaks_target(example: TaskExample) -> bool:
+    """The leak scan of C8 and of the tests below: true if the target's token
+    sequence occurs contiguously in the input slots. Image slots break
+    contiguity; empty targets cannot leak."""
+    needle = tokenize(example.target_text)
+    if not needle:
+        return False
+    stream = [v if run.kind == "text" else None for run in example.prefix + example.context for v in run.values]
+    n = len(needle)
+    for start in range(len(stream) - n + 1):
+        if stream[start : start + n] == needle:
+            return True
+    return False
 
 
 def img(n, mime=Mime.JPEG, ref="a distant stone tower", wit=True, attr="credit line here"):
