@@ -25,8 +25,11 @@ A band is an online softmax over its tiles (Milakov & Gimelshein 2018;
 FlashAttention, Dao et al. 2022): each tile is scored, scaled in place by
 1/sqrt(d), masked, and exponentiated against the running row max; the
 running row sum and output are rescaled by exp(old max - new max) when a tile
-raises the max. The output is divided by the row sums once, at the end of the
-band, which costs rows x d_v divisions instead of rows x width. Before that
+raises the max. The running output is the band's own rows of the call's
+output, which the first tile assigns and later tiles add to, so no tile
+allocates a temporary the size of its scores. The output is divided by the
+row sums once, at the end of the band, which costs rows x d_v divisions
+instead of rows x width. Before that
 division a row holds up to (keys) x max|v|, since no weight exceeds 1, so
 where that could pass the largest float64 the call runs on v scaled down by
 a power of two and scales the output back up, both exact; no ordinary input
@@ -35,8 +38,9 @@ is scaled, so no ordinary output changes by a bit.
 Every window tile's outside-mask is a view of one mask per call, of
 ROW_BLOCK rows and ROW_BLOCK + 2 min(r, l) keys, taken at column offset
 min(r, l) - (b0 - lo); the mask is itself a reversed sliding view of one 1-D
-row pattern. So a plan holds one mask whatever r is, though once r >= l
-every band's tile has a geometry of its own. A window tile's row max is
+row pattern, and the tile's allowed entries are the same view of the
+pattern's complement. So a plan holds two masks whatever r is, though once
+r >= l every band's tile has a geometry of its own. A window tile's row max is
 taken over its allowed entries only, every entry is exponentiated against
 it, and then the masked entries' weights are set to exactly 0.0. No -inf
 reaches exp, which is slow on it in float64, and an allowed entry sees the
@@ -52,7 +56,12 @@ sees, are checked in full. Where the pattern forbids the pair, the score is
 masked like any other, so whether a call is refused does not depend on which
 keys a band's tiles happen to span. The scale multiplies the scores, not q:
 (q / sqrt(d)) . k can be finite where q . k overflowed, and the kernel would
-then accept what the dense oracle refuses.
+then accept what the dense oracle refuses. Once per call, in Python floats
+(so an overflowing bound is inf, unwarned), the kernel bounds every score by
+d max|q| max|k|, tglobal's side keys included. A call whose bound is below
+2^1000 cannot produce a non-finite score, rounding included, so its tiles
+skip the finiteness scan; any other call scans every tile as above. The scan
+only decides refusal, so neither path changes an output bit.
 
 A call plans in the calling thread, then runs its bands on up to the usable
 cores: min(cores, bands) workers, the calling thread one of them, pull bands
@@ -100,11 +109,12 @@ class KernelStats:
 
 
 class _Band(NamedTuple):
-    """Rows [b0, b1) against each key tile (lo, hi, outside) of `tiles` in
-    turn: rows [lo, hi) of k and v, with the scores where the boolean
-    (rows, hi - lo) array `outside` is True masked out, or none masked where
-    it is None. The first tile also scores the bank, rows [bank[0], bank[1])
-    of k and v, which every row of the band sees unmasked."""
+    """Rows [b0, b1) against each key tile (lo, hi, outside, inside) of
+    `tiles` in turn: rows [lo, hi) of k and v, with the scores where the
+    boolean (rows, hi - lo) array `outside` is True masked out, or none
+    masked where it is None; `inside` is its complement, or None with it.
+    The first tile also scores the bank, rows [bank[0], bank[1]) of k and v,
+    which every row of the band sees unmasked."""
 
     b0: int
     b1: int
@@ -121,26 +131,29 @@ def _bands(pattern: AttentionPattern) -> list:
     """The plan, from the pattern alone: prefix bands over the pattern's
     global rows (AttentionPattern.global_rows), then window bands banked on
     the side keys' range [l, n_keys), or else on [0, g). Each window tile
-    carries its outside-mask, a view of the call's one window mask. Full is
-    one band over the grid."""
+    carries its outside-mask and its complement, views of the call's one
+    window mask and one complement. Full is one band over the grid."""
     l = pattern.l
     if pattern.kind is PatternKind.FULL:
-        return [_Band(0, l, ((0, l, None),))]
+        return [_Band(0, l, ((0, l, None, None),))]
     g, r = pattern.global_rows, pattern.r
     # global rows see every key, in tiles as wide as the widest window band
-    tiles = tuple((lo, hi, None) for lo, hi in _blocks(0, l, ROW_BLOCK + 2 * r + g))
+    tiles = tuple((lo, hi, None, None) for lo, hi in _blocks(0, l, ROW_BLOCK + 2 * r + g))
     bands = [_Band(b0, b1, tiles) for b0, b1 in _blocks(0, g)]
     bank = (l, pattern.n_keys) if pattern.side_keys else (0, g)
     # row i, column c of the window mask is outside when |i + w - c| > r, so key
     # lo + j of a band's tile is its column w + lo - b0 + j; a tile reaches at most w keys past its rows.
     # Outside depends on c - i alone: entry x of `offsets` is c - i = x + 1 - ROW_BLOCK, and row i is the
-    # row ROW_BLOCK - 1 - i of its sliding view, so the read-only reversed view is the whole mask
+    # row ROW_BLOCK - 1 - i of its sliding view, so the read-only reversed view is the whole mask,
+    # and the same view of the complement pattern is its allowed entries
     w = min(r, l)
     offsets = np.arange(1 - ROW_BLOCK, ROW_BLOCK + 2 * w)
-    window = np.lib.stride_tricks.sliding_window_view(np.abs(offsets - w) > r, ROW_BLOCK + 2 * w)[::-1]
+    near = np.abs(offsets - w) <= r
+    outside, inside = (np.lib.stride_tricks.sliding_window_view(row, ROW_BLOCK + 2 * w)[::-1] for row in (~near, near))
     for b0, b1 in _blocks(g, l):
         lo, hi = max(g, b0 - r), min(l, b1 + r)
-        bands.append(_Band(b0, b1, ((lo, hi, window[: b1 - b0, w + lo - b0 : w + hi - b0]),), bank))
+        cols = slice(w + lo - b0, w + hi - b0)
+        bands.append(_Band(b0, b1, ((lo, hi, outside[: b1 - b0, cols], inside[: b1 - b0, cols]),), bank))
     return bands
 
 
@@ -152,24 +165,34 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+def _max_abs(a) -> float:
+    """max|a| as a Python float, 0.0 for an empty array."""
+    return float(max(a.max(initial=0.0), -a.min(initial=0.0)))
+
+
 def _attend(q, k, v, bands, scale_by_sqrt_d: bool, stats: KernelStats | None) -> np.ndarray:
     """Record the plan in the calling thread, then run the bands on up to
     the usable cores. The plan's walk records every score block in band
-    order and sizes each worker's scratch buffer to the widest block; v is
-    scaled by a power of two first where its weighted sum could overflow.
+    order and sizes each worker's scratch buffer to the widest block; the
+    call's score bound decides whether its tiles scan for non-finite scores,
+    and v is scaled by a power of two first where its weighted sum could
+    overflow.
     Workers pull bands from one shared iterator; each band writes only its
     own rows of the output, so the worker count changes no output bit."""
     inv_scale = 1.0 / math.sqrt(q.shape[1]) if scale_by_sqrt_d else 1.0
     widest = cols = 0
     for b0, b1, tiles, (bank_lo, bank_hi) in bands:
-        for t, (lo, hi, _) in enumerate(tiles):
+        for t, (lo, hi, *_) in enumerate(tiles):
             n_cols = hi - lo + (0 if t else bank_hi - bank_lo)
             if stats is not None:
                 stats.record((b1 - b0) * n_cols)
             widest, cols = max(widest, (b1 - b0) * n_cols), max(cols, n_cols)
+    # |q_i . k_j| <= d max|q| max|k|: below 2^1000 no score, rounded or scaled, can be non-finite;
+    # in Python floats an overflowing bound is inf, with no numpy warning
+    checked = q.shape[1] * _max_abs(q) * _max_abs(k) >= 2.0**1000
     # a row's unnormalized output is at most (keys) x max|v|, since no weight exceeds 1:
     # where that could pass DBL_MAX, run on v scaled by a power of two, which is exact
-    shift = max(0, math.frexp(max(v.max(initial=0.0), -v.min(initial=0.0)))[1] + k.shape[0].bit_length() - 1023)
+    shift = max(0, math.frexp(_max_abs(v))[1] + k.shape[0].bit_length() - 1023)
     v = np.ldexp(v, -shift) if shift else v
     out = np.empty((q.shape[0], v.shape[1]), dtype=np.float64)
     jobs = iter(enumerate(bands))  # next() on a list iterator is atomic under the GIL
@@ -183,7 +206,7 @@ def _attend(q, k, v, bands, scale_by_sqrt_d: bool, stats: KernelStats | None) ->
                 if errors:
                     return
                 try:
-                    _run_band(q, k, v, band, inv_scale, scratch, ones, out)
+                    _run_band(q, k, v, band, inv_scale, checked, scratch, ones, out)
                 except BaseException as exc:  # re-raised by the calling thread
                     errors[i] = exc
                     return
@@ -211,16 +234,18 @@ def _attend(q, k, v, bands, scale_by_sqrt_d: bool, stats: KernelStats | None) ->
     return np.ldexp(out, shift, out=out) if shift else out
 
 
-def _run_band(q, k, v, band, inv_scale, scratch, ones, out) -> None:
+def _run_band(q, k, v, band, inv_scale, checked, scratch, ones, out) -> None:
     """One band as an online softmax over its key tiles: score the tile (and
-    the bank, on the first tile) in one block, take its row max over the
+    the bank, on the first tile) in one block, check it for non-finite
+    scores if the call's bound is `checked`, take its row max over the
     allowed entries, exponentiate it whole and zero the weights outside the
-    window, and fold them into a running row max, row sum and output. The
-    output rows are divided by their row sums once, at the end."""
+    window, and fold them into a running row max, row sum and the band's
+    output rows, which the first tile assigns. The output rows are divided
+    by their row sums once, at the end."""
     b0, b1, tiles, (bank_lo, bank_hi) = band
     rows = b1 - b0
-    row_sum = acc = 0.0
-    for t, (lo, hi, outside) in enumerate(tiles):
+    acc = out[b0:b1]
+    for t, (lo, hi, outside, inside) in enumerate(tiles):
         width = hi - lo
         n_bank = 0 if t else bank_hi - bank_lo
         scores = scratch[: rows * (width + n_bank)].reshape(rows, width + n_bank)
@@ -228,34 +253,38 @@ def _run_band(q, k, v, band, inv_scale, scratch, ones, out) -> None:
         if n_bank:
             np.matmul(q[b0:b1], k[bank_lo:bank_hi].T, out=scores[:, width:])
         scores *= inv_scale
-        if not np.isfinite(scores).all():
+        if checked and not np.isfinite(scores).all():
             refused = ~np.isfinite(scores)
-            if outside is not None:  # a pair outside the window is masked below, not refused
-                refused[:, :width] &= ~outside
+            if inside is not None:  # a pair outside the window is masked below, not refused
+                refused[:, :width] &= inside
             if refused.any():
                 raise ValueError(f"attention scores of rows {b0}..{b1 - 1} overflowed to non-finite values")
         # a window row keeps at least itself and a prefix tile is unmasked, so the max is finite
-        if outside is None:
-            new_max = scores.max(axis=1, keepdims=True)
+        if inside is None:
+            new_max = scores.max(axis=1)
         else:  # over the allowed entries alone, so no masked entry moves it
-            new_max = scores[:, :width].max(axis=1, keepdims=True, where=~outside, initial=-np.inf)
+            new_max = scores[:, :width].max(axis=1, where=inside, initial=-np.inf)
             if n_bank:
-                np.maximum(new_max, scores[:, width:].max(axis=1, keepdims=True), out=new_max)
+                np.maximum(new_max, scores[:, width:].max(axis=1), out=new_max)
         if t:
             np.maximum(new_max, row_max, out=new_max)
             rescale = np.exp(row_max - new_max)  # <= 1: the weights so far, moved to the new max
             row_sum *= rescale
-            acc *= rescale
+            acc *= rescale[:, None]
         row_max = new_max
-        scores -= row_max
+        scores -= row_max[:, None]
         np.exp(scores, out=scores)
         if outside is not None:  # a masked entry's weight is exactly 0.0, whatever its score was
             np.copyto(scores[:, :width], 0.0, where=outside)
-        row_sum += (scores @ ones[: scores.shape[1]])[:, None]  # faster than .sum(axis=1)
-        acc += scores[:, :width] @ v[lo:hi]
-        if n_bank:
-            acc += scores[:, width:] @ v[bank_lo:bank_hi]
-    np.divide(acc, row_sum, out=out[b0:b1])
+        if t:  # a later tile has no bank
+            row_sum += scores @ ones[:width]
+            acc += scores @ v[lo:hi]
+        else:
+            row_sum = scores @ ones[: scores.shape[1]]  # faster than .sum(axis=1)
+            np.matmul(scores[:, :width], v[lo:hi], out=acc)
+            if n_bank:
+                acc += scores[:, width:] @ v[bank_lo:bank_hi]
+    acc /= row_sum[:, None]
 
 
 def sparse_attention(

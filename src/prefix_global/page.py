@@ -45,8 +45,8 @@ The corpus reader is a key map. Each parse_* function passes every present,
 non-null JSON value to its class unchecked, as the attribute that the
 class's key map (_IMAGE_ATTRS, _SECTION_ATTRS, _PAGE_ATTRS) names; _build
 makes the object and re-raises the model's CorpusError with the reader's
-location in front ("page U section S image I: ..."), so every refusal names
-where it happened. The reader applies _exact itself only to the five values
+location in front ("page 'U' section S image I: ...", the url as its repr,
+so an empty one shows), so every refusal names where it happened. The reader applies _exact itself only to the five values
 it uses before the model sees them, and names each by its JSON key: page_url,
 which names the page in messages; sections and images, which it iterates;
 section_parent_index, which indexes the earlier sections; and
@@ -335,7 +335,7 @@ def parse_page(obj: dict) -> Page:
     if not isinstance(obj, dict):
         raise CorpusError("page record must be a JSON object")
     url = _exact(obj.get("page_url"), str, "page: field", "'page_url'")
-    where = f"page {url}"
+    where = f"page {url!r}"
     sections = []
     for n, raw in enumerate(_read(obj, "sections", list, where, ())):
         sections.append(parse_section(raw, f"{where} section {n}", sections))

@@ -61,12 +61,12 @@ MUTANTS = (
            "            row_sum *= rescale\n", "",
            (ROW_ORACLE,)),
     Mutant("kernel-last-prefix-tile-one-key-short", "kernel.py",
-           "tiles = tuple((lo, hi, None) for lo, hi in",
-           "tiles = tuple((lo, hi - (hi == l), None) for lo, hi in",
+           "tiles = tuple((lo, hi, None, None) for lo, hi in",
+           "tiles = tuple((lo, hi - (hi == l), None, None) for lo, hi in",
            (ROW_ORACLE,)),
     Mutant("kernel-bank-one-key-short-past-4096", "kernel.py",
-           "bands.append(_Band(b0, b1, ((lo, hi, window[: b1 - b0, w + lo - b0 : w + hi - b0]),), bank))",
-           "bands.append(_Band(b0, b1, ((lo, hi, window[: b1 - b0, w + lo - b0 : w + hi - b0]),),"
+           "bands.append(_Band(b0, b1, ((lo, hi, outside[: b1 - b0, cols], inside[: b1 - b0, cols]),), bank))",
+           "bands.append(_Band(b0, b1, ((lo, hi, outside[: b1 - b0, cols], inside[: b1 - b0, cols]),),"
            " bank if b0 < 4096 else (bank[0], max(bank[0], bank[1] - 1))))",
            (ROW_ORACLE,)),
     # a masked entry's weight is zeroed after exp, and the row max reads only allowed entries
@@ -75,11 +75,27 @@ MUTANTS = (
            "            np.copyto(scores[:, :width], 0.0, where=outside)\n", "",
            (ROW_ORACLE, OVERFLOWED_MASKED_KEY)),
     Mutant("kernel-window-max-over-the-whole-tile", "kernel.py",
-           "max(axis=1, keepdims=True, where=~outside, initial=-np.inf)", "max(axis=1, keepdims=True)",
+           "max(axis=1, where=inside, initial=-np.inf)", "max(axis=1)",
            ("tests/test_acceptance.py::test_c5_locality_and_sensitivity",
             "tests/test_kernel.py::test_overflow_refused_exactly_on_allowed_pairs",
             "tests/test_kernel.py::TestOnlineSoftmax::test_distant_maximum_matches_dense",
             OVERFLOWED_MASKED_KEY)),
+    # the per-call overflow bound decides whether tiles scan for non-finite scores
+    Mutant("kernel-bound-read-as-holding", "kernel.py",
+           "checked = q.shape[1] * _max_abs(q) * _max_abs(k) >= 2.0**1000", "checked = False",
+           ("tests/test_kernel.py::TestValidation::test_overflowing_scores_refused_like_dense",
+            "tests/test_kernel.py::TestOnlineSoftmax::test_overflow_only_in_last_tile_refused_without_warning",
+            "tests/test_kernel.py::test_overflow_refused_exactly_on_allowed_pairs",
+            "tests/test_kernel.py::test_refusal_is_exact_on_both_sides_of_the_bound")),
+    # a refused call raises its lowest failing band's error, as a serial run would
+    Mutant("kernel-refusal-from-the-highest-failing-band", "kernel.py",
+           "raise errors[min(errors)]", "raise errors[max(errors)]",
+           ("tests/test_kernel.py::TestWorkers::test_any_error_of_the_lowest_failing_band_is_raised",)),
+    # v is scaled only where its weighted sum could pass DBL_MAX; one power of two
+    # more scales values that need none, and rounds subnormal ones
+    Mutant("kernel-v-shift-one-too-many", "kernel.py",
+           "k.shape[0].bit_length() - 1023)", "k.shape[0].bit_length() - 1022)",
+           ("tests/test_kernel.py::TestOnlineSoftmax::test_values_below_the_guard_are_not_scaled",)),
     # the whole-window rows of a mask, taken from the sliding view
     Mutant("mask-whole-windows-shifted-one-row", "patterns.py",
            "2 * r + 1)[a - r : b - r]", "2 * r + 1)[a - r + 1 : b - r + 1]",

@@ -1,7 +1,8 @@
 """Kernel equivalence against dense-masked oracles, locality at the bit level,
-the score-buffer contract, refusal of overflowing scores, huge values
-summed without overflow, property tests of the band geometry and of the
-plan, and bands run on several threads changing no bit."""
+the score-buffer contract, refusal of overflowing scores on both sides of
+the per-call overflow bound, huge values summed without overflow, property
+tests of the band geometry and of the plan, and bands run on several
+threads changing no bit."""
 
 import os
 import sys
@@ -382,6 +383,29 @@ class TestOnlineSoftmax:
             assert np.isfinite(got).all()
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
+    @pytest.mark.parametrize("pattern", [local(300, r=2), tglobal(300, r=2, block=16)], ids=lambda p: p.kind.value)
+    def test_values_below_the_guard_are_not_scaled(self, pattern):
+        # the weighted sum of n_keys values below 2^e cannot pass DBL_MAX while
+        # e + n_keys.bit_length() <= 1023, so v is not scaled; a scaled v would
+        # round these subnormal values, and the rows that never see v[200] would
+        # move. 300 keys have a 9-bit count, so 1.5 x 2^1013 < 2^1014 is the
+        # largest binade left unscaled
+        n_keys = pattern.l + pattern.side_keys
+        assert n_keys.bit_length() == 9
+        q, k, _ = make_qkv(rng(43), pattern.l, 4, side=pattern.side_keys)
+        tiny = np.full((n_keys, 2), 3 * 2.0**-1074)  # 3 times the smallest subnormal
+        huge = tiny.copy()
+        huge[200] = 1.5 * 2.0**1013
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            base = sparse_attention(q, k, tiny, pattern)
+            got = sparse_attention(q, k, huge, pattern)
+        sees = np.array([200 in row for row in build_mask(pattern).rows])
+        assert not sees.all() and (base[~sees] != 0.0).any()
+        assert got[~sees].tobytes() == base[~sees].tobytes()
+        want = dense_oracle(q, k, huge, pattern)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
 
 class TestMaskCache:
     @pytest.mark.parametrize("l", [100, 300])
@@ -569,6 +593,82 @@ def test_overflow_refused_exactly_on_allowed_pairs(case, seed):
             assert np.abs(sparse_attention(q, k, v, pattern) - dense_oracle(q, k, v, pattern)).max() < 1e-9
 
 
+@st.composite
+def bound_cases(draw):
+    # q[i, 0] = 2^a and k[j, 0] = 2^b, every other entry of q and k standard normal:
+    # d max|q| max|k| is about d 2^(a + b), so a + b in [960, 1040] puts the call's
+    # bound on both sides of 2^1000, and q_i . k_j = 2^(a + b) overflows at a + b >= 1024
+    return draw(overflow_cases()) + (draw(st.integers(480, 520)), draw(st.integers(480, 520)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(bound_cases(), st.integers(0, 2**32 - 1))
+@example(("local", 300, 2, 0, 1, 4, 0, 1, 496, 496), 0)  # bound 2^994: the scan is skipped
+@example(("local", 300, 2, 0, 1, 4, 0, 1, 512, 511), 0)  # an allowed pair at 2^1023: checked, accepted
+@example(("local", 300, 2, 0, 1, 4, 140, 200, 512, 512), 0)  # a masked pair in the band's tile overflows
+@example(("prefix-global", 300, 2, 10, 1, 4, 200, 5, 512, 512), 0)  # a window row and a prefix key overflow
+@example(("tglobal", 300, 2, 0, 16, 4, 200, 310, 520, 510), 0)  # a side key overflows
+def test_refusal_is_exact_on_both_sides_of_the_bound(case, seed):
+    kind, l, r, k_len, block, d, i, j, a, b = case
+    pattern = make_pattern(kind, l, r, k_len, block)
+    q, k, v = make_qkv(rng(seed), l, d, side=pattern.side_keys)
+    q[i] = k[j] = 0.0
+    q[i, 0], k[j, 0] = 2.0**a, 2.0**b
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            got = sparse_attention(q, k, v, pattern)
+        except ValueError:
+            got = None
+        try:
+            want = dense_oracle(q, k, v, pattern)
+        except ValueError:
+            want = None
+    assert (got is None) == (want is None) == (a + b >= 1024 and j in build_mask(pattern).rows[i])
+    if got is not None:
+        assert np.abs(got - want).max() < 1e-9
+
+
+class TestOverflowBound:
+    """A call whose d max|q| max|k| is below 2^1000 cannot overflow a score,
+    so its tiles skip the finiteness scan; any other call scans every tile
+    and refuses only an allowed pair. Which path a call takes changes no bit."""
+
+    @pytest.mark.parametrize("pattern", [local(300, r=2), prefix_global(300, k=10, r=2),
+                                         tglobal(300, r=2, block=16)], ids=lambda p: p.kind.value)
+    def test_huge_key_outside_the_window_of_a_huge_query(self, pattern, monkeypatch):
+        # d = 1. Every q is 1 but q[140] = 1e10, every k is in (-1, 1) but k[200] = 1e300:
+        # the bound is 1e310, inf, so every tile is scanned. Row 140's score with key 200
+        # overflows in its band's tile, but row 140 does not see key 200, and the rows that
+        # do score 1e300 with it, so the call is accepted. Every row that does not see key
+        # 200 keeps every bit of the call with an ordinary k[200], which skips the scan
+        g = rng(24)
+        q = np.ones((pattern.l, 1))
+        q[140] = 1e10
+        k = g.uniform(-1.0, 1.0, size=(pattern.n_keys, 1))
+        v = g.normal(size=(pattern.n_keys, 3))
+        hot = k.copy()
+        hot[200] = 1e300
+        run_band, flags = kernel._run_band, []  # whether each band scanned its tiles
+
+        def logged(q, k, v, band, inv_scale, checked, *rest):
+            flags.append(checked)
+            return run_band(q, k, v, band, inv_scale, checked, *rest)
+
+        monkeypatch.setattr(kernel, "_run_band", logged)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            base = sparse_attention(q, k, v, pattern)
+            n_bands = len(flags)
+            got = sparse_attention(q, hot, v, pattern)
+        assert flags == [False] * n_bands + [True] * n_bands
+        sees = np.array([200 in row for row in build_mask(pattern).rows])
+        assert not sees[140] and sees[198:203].all()
+        assert any(b0 <= 140 < b1 and tiles[0][0] <= 200 < tiles[0][1] for b0, b1, tiles, _ in kernel._bands(pattern))
+        assert got[~sees].tobytes() == base[~sees].tobytes()
+        assert np.abs(got - dense_oracle(q, hot, v, pattern)).max() < 1e-9
+
+
 class SummingStats(KernelStats):
     """KernelStats that also sums the elements of every score block."""
 
@@ -669,10 +769,12 @@ class TestBandGeometry:
         allowed = 0
         for b0, b1, tiles, (bank_lo, bank_hi) in bands:
             allowed += (b1 - b0) * (bank_hi - bank_lo)
-            for lo, hi, outside in tiles:
+            for lo, hi, outside, inside in tiles:
                 allowed += (b1 - b0) * (hi - lo)
+                assert (outside is None) == (inside is None)
                 if outside is not None:
                     assert outside.shape == (b1 - b0, hi - lo)
+                    assert np.array_equal(inside, ~outside)
                     allowed -= int(outside.sum())
         assert allowed == cost.mask_nnz(pattern)
 

@@ -482,6 +482,12 @@ class TestParsePage:
         with pytest.raises(CorpusError):
             parse_page({"sections": []})
 
+    def test_empty_url_is_named_in_the_message(self):
+        # the page is named by the repr of its url, so an empty one still shows
+        with pytest.raises(CorpusError) as raised:
+            parse_page({"page_url": ""})
+        assert str(raised.value) == "page '': page url must be nonempty"
+
     def test_split_assigned_when_absent(self):
         record = page_record()
         del record["split"]
@@ -559,7 +565,7 @@ class TestParsePage:
         record = page_record()
         target = record["sections"][1]
         (target["images"][0] if field == "section_image_url" else target)[field] = value
-        with pytest.raises(CorpusError, match=f"^{re.escape('page https://e.org/wiki/Mill' + where)}: "):
+        with pytest.raises(CorpusError, match=f"^{re.escape('page ' + repr('https://e.org/wiki/Mill') + where)}: "):
             parse_page(record)
 
 
@@ -654,7 +660,7 @@ class TestCorpusIO:
         record = page_record()
         record["sections"][0]["images"] = [7]
         path = self.write(tmp_path, [json.dumps(record)])
-        message = "page https://e.org/wiki/Mill section 0 image 0: image entry must be an object"
+        message = "page 'https://e.org/wiki/Mill' section 0 image 0: image entry must be an object"
         with pytest.raises(CorpusError) as raised:
             list(iter_corpus(path))
         assert str(raised.value) == f"line 1: {message}"
@@ -827,7 +833,7 @@ def named(field):
 
 def location(r, path):
     """How the reader names the object at `path` in demo record `r`."""
-    where = f"page {DEMO_RECORDS[r]['page_url']}"
+    where = f"page {DEMO_RECORDS[r]['page_url']!r}"
     if path:
         where += f" section {path[1]}"
     if len(path) == 4:
