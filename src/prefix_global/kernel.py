@@ -15,11 +15,17 @@ each one tile spanning its clipped window, banked on the key range [0, g),
 which is empty for local, or on tglobal's block-averaged side keys
 [l, n_keys). k and v carry the side keys and values as their last side_keys
 rows, the column order of the pattern's mask and of the dense oracle, and
-one operand check, numcore.attention_operands, serves both. No score block
-is wider than a window band, whatever l is. The exception is full, which has
-no sparsity to exploit: one band with one tile allocates the whole l x l grid
-in one block, and its instrumented buffer size is the baseline the sparse
-patterns are measured against.
+one operand check, numcore.attention_operands, serves both. It scans each
+operand once, with one max and one min, and hands the kernel their peaks
+max|q|, max|k| and max|v|, which the overflow bound and the v guard read.
+tglobal_attention checks its token rows there and its side rows itself, folds
+the side rows' peaks into the token rows' and runs the plan, so no operand is
+scanned twice. No score block is wider than a window band, whatever l is. The
+exception is full, which has no sparsity to exploit: its plan is one band
+with one tile, one l x l block, and that instrumented size is the baseline the
+sparse patterns are measured against. The executor runs that block in
+ROW_BLOCK-row slices, each scoring into its own rows of one l x l grid that
+the call's workers share.
 
 A band is an online softmax over its tiles (Milakov & Gimelshein 2018;
 FlashAttention, Dao et al. 2022): each tile is scored, scaled in place by
@@ -47,6 +53,9 @@ reaches exp, which is slow on it in float64, and an allowed entry sees the
 same max, subtraction and exp as it would with the masked entries at -inf,
 so a key outside a query's allowed set cannot change that query's output
 even at the bit level, even where its exp overflowed before it was zeroed.
+The one exception is the v guard: a huge value anywhere scales all of v, so
+once it scales, subnormal outputs of rows that never see that value can
+round.
 
 A call is refused with ValueError, without a RuntimeWarning, exactly when a
 scaled score that is not finite falls on a query-key pair the pattern allows,
@@ -63,16 +72,20 @@ d max|q| max|k|, tglobal's side keys included. A call whose bound is below
 skip the finiteness scan; any other call scans every tile as above. The scan
 only decides refusal, so neither path changes an output bit.
 
-A call plans in the calling thread, then runs its bands on up to the usable
-cores: min(cores, bands) workers, the calling thread one of them, pull bands
-from one shared iterator, and the extra threads are started and joined inside
-the call, so calls share no state and no thread outlives one. Numpy releases
-the GIL in the matmuls and ufunc loops that are nearly all of a band's time.
-Each band writes only its own output rows, with a fixed reduction order per
-row, so outputs are deterministic and do not depend on the worker count. A
-refused call raises the error of its lowest-index failing band, the one a
-serial run would have stopped at. Worker threads multiply with BLAS threads,
-so pin BLAS to one thread where cores are few.
+A call plans in the calling thread, then runs its bands in ROW_BLOCK-row
+slices on up to the usable cores. A sparse band is one slice, and full's one
+band is l / ROW_BLOCK of them (rounded up), so full uses every core too.
+min(cores, slices) workers, the calling thread one of them, pull slices from
+one shared iterator, and the extra threads are started and joined inside the
+call, so calls share no state and no thread outlives one. Numpy releases the
+GIL in the matmuls and ufunc loops that are nearly all of a band's time. Each
+slice writes only its own output rows, with a fixed reduction order per row,
+and slice boundaries are fixed every ROW_BLOCK rows, so outputs are
+deterministic and do not depend on the worker count. A refused call raises
+the error of its lowest-index failing slice, the one a serial run would have
+stopped at.
+Worker threads multiply with BLAS threads, so pin BLAS to one thread where
+cores are few.
 """
 
 from __future__ import annotations
@@ -85,7 +98,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numcore import ShapeError, as_matrix, attention_operands
+from .numcore import ShapeError, as_matrix, attention_operands, max_abs
 from .patterns import AttentionPattern, PatternError, PatternKind
 
 ROW_BLOCK = 128  # band height; bounds every sparse score buffer at 128 rows
@@ -95,9 +108,11 @@ ROW_BLOCK = 128  # band height; bounds every sparse score buffer at 128 rows
 class KernelStats:
     """Score-buffer instrumentation, recorded from a call's plan in band order
     before any band runs, so a refused call counts every block of its plan.
-    peak_score_elements is the element count of the widest score block; each
-    worker holds one buffer that size, so up to `workers` such blocks are
-    live at once."""
+    peak_score_elements is the element count of the widest score block. In a
+    sparse plan each worker holds one buffer that size, so up to `workers`
+    such blocks are live at once; full's plan is one l x l block, and the
+    call's workers share one grid that size, each scoring its ROW_BLOCK-row
+    slices into their own rows of it."""
 
     peak_score_elements: int = 0
     score_blocks: int = 0
@@ -165,55 +180,61 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _max_abs(a) -> float:
-    """max|a| as a Python float, 0.0 for an empty array."""
-    return float(max(a.max(initial=0.0), -a.min(initial=0.0)))
-
-
-def _attend(q, k, v, bands, scale_by_sqrt_d: bool, stats: KernelStats | None) -> np.ndarray:
-    """Record the plan in the calling thread, then run the bands on up to
-    the usable cores. The plan's walk records every score block in band
-    order and sizes each worker's scratch buffer to the widest block; the
-    call's score bound decides whether its tiles scan for non-finite scores,
-    and v is scaled by a power of two first where its weighted sum could
-    overflow.
-    Workers pull bands from one shared iterator; each band writes only its
-    own rows of the output, so the worker count changes no output bit."""
+def _attend(q, k, v, peaks, bands, scale_by_sqrt_d: bool, stats: KernelStats | None) -> np.ndarray:
+    """Record the plan in the calling thread, then run it in ROW_BLOCK-row
+    slices on up to the usable cores. The plan's walk records every score
+    block in band order and sizes the scratch to the widest block; the call's
+    score bound, from the operand peaks (max|q|, max|k|, max|v|), decides
+    whether its tiles scan for non-finite scores, and v is scaled by a power
+    of two first where its weighted sum could overflow.
+    A sparse band is one slice, scored in its worker's own buffer; full's one
+    band is cut into slices that score into their own rows of one shared
+    grid. Workers pull slices from one shared iterator, and each slice writes
+    only its own rows of the output, so the worker count changes no output
+    bit."""
+    q_peak, k_peak, v_peak = peaks
     inv_scale = 1.0 / math.sqrt(q.shape[1]) if scale_by_sqrt_d else 1.0
     widest = cols = 0
-    for b0, b1, tiles, (bank_lo, bank_hi) in bands:
+    slices = []  # (a band's rows [s0, s1), the offset of its scores in the band's block)
+    for band in bands:
+        b0, b1, tiles, (bank_lo, bank_hi) = band
         for t, (lo, hi, *_) in enumerate(tiles):
             n_cols = hi - lo + (0 if t else bank_hi - bank_lo)
             if stats is not None:
                 stats.record((b1 - b0) * n_cols)
             widest, cols = max(widest, (b1 - b0) * n_cols), max(cols, n_cols)
+        first = tiles[0][1] - tiles[0][0] + bank_hi - bank_lo
+        slices += ((band._replace(b0=s0, b1=s1), (s0 - b0) * first) for s0, s1 in _blocks(b0, b1))
     # |q_i . k_j| <= d max|q| max|k|: below 2^1000 no score, rounded or scaled, can be non-finite;
     # in Python floats an overflowing bound is inf, with no numpy warning
-    checked = q.shape[1] * _max_abs(q) * _max_abs(k) >= 2.0**1000
+    checked = q.shape[1] * q_peak * k_peak >= 2.0**1000
     # a row's unnormalized output is at most (keys) x max|v|, since no weight exceeds 1:
     # where that could pass DBL_MAX, run on v scaled by a power of two, which is exact
-    shift = max(0, math.frexp(_max_abs(v))[1] + k.shape[0].bit_length() - 1023)
+    shift = max(0, math.frexp(v_peak)[1] + k.shape[0].bit_length() - 1023)
     v = np.ldexp(v, -shift) if shift else v
     out = np.empty((q.shape[0], v.shape[1]), dtype=np.float64)
-    jobs = iter(enumerate(bands))  # next() on a list iterator is atomic under the GIL
-    errors = {}  # band index -> the exception that band raised
+    jobs = iter(enumerate(slices))  # next() on a list iterator is atomic under the GIL
+    errors = {}  # slice index -> the exception that slice raised
 
     def work(scratch, ones):  # every tile's scores are a view of scratch
         # overflow is refused with ValueError in _run_band, so numpy need not warn first;
         # errstate is per thread, so each worker sets its own
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, band in jobs:
+            for i, (band, offset) in jobs:
                 if errors:
                     return
                 try:
-                    _run_band(q, k, v, band, inv_scale, checked, scratch, ones, out)
+                    _run_band(q, k, v, band, inv_scale, checked, scratch[offset:], ones, out)
                 except BaseException as exc:  # re-raised by the calling thread
                     errors[i] = exc
                     return
 
     # the caller allocates every worker's buffers, so they return to the malloc
-    # arena its own next allocations come from (measured: lower page-attend peak RSS)
-    buffers = [(np.empty(widest), np.ones(cols)) for _ in range(min(_usable_cores(), len(bands)))]
+    # arena its own next allocations come from (measured: lower page-attend peak RSS);
+    # a plan of one band, full's, has one block, which its workers share
+    shared = np.empty(widest) if len(bands) == 1 else None
+    buffers = [(np.empty(widest) if shared is None else shared, np.ones(cols))
+               for _ in range(min(_usable_cores(), len(slices)))]
     threads = []
     try:
         for scratch_and_ones in buffers[1:]:
@@ -227,8 +248,8 @@ def _attend(q, k, v, bands, scale_by_sqrt_d: bool, stats: KernelStats | None) ->
     finally:
         for thread in threads:
             thread.join()
-    # every band before the lowest failing one was handed out first and ran to
-    # its end, so this is the band a serial run would have refused on
+    # every slice before the lowest failing one was handed out first and ran to
+    # its end, so this is the slice a serial run would have refused on
     if errors:
         raise errors[min(errors)]
     return np.ldexp(out, shift, out=out) if shift else out
@@ -303,12 +324,17 @@ def sparse_attention(
     dense attention over the pattern's rendered mask. Pass a KernelStats to
     observe buffer sizes.
     """
-    q, k, v = attention_operands(q, k, v)
+    q, k, v, peaks = attention_operands(q, k, v)
+    return _run_pattern(q, k, v, peaks, pattern, scale_by_sqrt_d, stats)
+
+
+def _run_pattern(q, k, v, peaks, pattern, scale_by_sqrt_d, stats) -> np.ndarray:
+    """Checked operands run under the pattern's plan, once their row counts fit it."""
     l, n_keys = pattern.l, pattern.n_keys
     if (q.shape[0], k.shape[0]) != (l, n_keys):
         raise ShapeError(f"{pattern.kind.value} attention needs {l} query rows and {n_keys} key rows, "
                          f"got {q.shape[0]} and {k.shape[0]}")
-    return _attend(q, k, v, _bands(pattern), scale_by_sqrt_d, stats)
+    return _attend(q, k, v, peaks, _bands(pattern), scale_by_sqrt_d, stats)
 
 
 def block_average(token_embeddings, block: int) -> np.ndarray:
@@ -317,11 +343,13 @@ def block_average(token_embeddings, block: int) -> np.ndarray:
     emb = as_matrix(token_embeddings, "token_embeddings")
     if type(block) is not int or block < 1:
         raise PatternError(f"block must be an int >= 1, got {block!r}")
-    l = emb.shape[0]
-    starts = np.arange(0, l, block)
-    sums = np.add.reduceat(emb, starts, axis=0)
-    counts = np.minimum(block, l - starts).astype(np.float64)
-    return sums / counts[:, None]
+    l, d = emb.shape
+    whole = l - l % block
+    # a reshape-reduce over the whole blocks: reduceat along axis 0 is numpy's slow path
+    means = emb[:whole].reshape(whole // block, block, d).sum(axis=1) / block
+    if whole == l:
+        return means
+    return np.vstack([means, emb[whole:].sum(axis=0) / (l - whole)])
 
 
 def tglobal_attention(
@@ -340,12 +368,14 @@ def tglobal_attention(
     token_embeddings (l x d_model) are block-averaged and pushed through
     key_proj (d_model x d) and value_proj (d_model x d_v), the projections
     that made k and v; the side keys and values this gives are stacked under
-    k and v for sparse_attention. Kept because the benchmark harness calls it.
+    k and v, as sparse_attention takes them, and the plan runs on them without
+    checking the stacked rows again. Kept because the benchmark harness calls
+    it.
     """
     if pattern.kind is not PatternKind.TGLOBAL:
         raise PatternError(f"expected a tglobal pattern, got {pattern.kind.value}")
     l = pattern.l
-    q, k, v = attention_operands(q, k, v)
+    q, k, v, (q_peak, k_peak, v_peak) = attention_operands(q, k, v)
     if k.shape[0] != l:
         raise ShapeError(f"k and v must have l={l} rows, without side rows, got {k.shape[0]}")
     emb = as_matrix(token_embeddings, "token_embeddings")
@@ -362,8 +392,12 @@ def tglobal_attention(
     with np.errstate(over="ignore", invalid="ignore"):
         averaged = block_average(emb, pattern.block)
         side_k, side_v = averaged @ kp, averaged @ vp
-    for name, side in (("keys", side_k), ("values", side_v)):
-        if not np.isfinite(side).all():
+    # the token rows are checked above, so the side rows' peaks fold into theirs and the
+    # plan runs without a second check of the stacked operands
+    peaks = [q_peak]
+    for name, side, peak in (("keys", side_k, k_peak), ("values", side_v, v_peak)):
+        side_peak = max_abs(side)
+        if not math.isfinite(side_peak):
             raise ValueError(f"side {name} overflowed to non-finite values")
-    return sparse_attention(q, np.vstack([k, side_k]), np.vstack([v, side_v]), pattern,
-                            scale_by_sqrt_d=scale_by_sqrt_d, stats=stats)
+        peaks.append(max(peak, side_peak))
+    return _run_pattern(q, np.vstack([k, side_k]), np.vstack([v, side_v]), peaks, pattern, scale_by_sqrt_d, stats)

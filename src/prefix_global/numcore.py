@@ -33,31 +33,46 @@ class DegenerateRowError(ValueError):
 
 def as_matrix(a, name: str = "operand") -> np.ndarray:
     """Coerce to a 2-D float64 array, rejecting non-finite entries."""
+    return _checked_matrix(a, name)[0]
+
+
+def max_abs(m: np.ndarray) -> float:
+    """max|m| as a Python float, 0.0 for an empty m, from one max and one min:
+    NaN propagates through both, and an infinity shows in one of them, so the
+    result is finite exactly when every entry is."""
+    return float(max(m.max(initial=0.0), -m.min(initial=0.0)))
+
+
+def _checked_matrix(a, name: str = "operand") -> tuple[np.ndarray, float]:
+    """`a` as a 2-D float64 array and its max|a|, refusing non-finite entries."""
     try:
         m = np.asarray(a, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ShapeError(f"{name}: not coercible to a float64 matrix: {exc}") from None
     if m.ndim != 2:
         raise ShapeError(f"{name}: expected 2-D, got shape {m.shape}")
-    if not np.isfinite(m).all():
+    peak = max_abs(m)
+    if not math.isfinite(peak):
         raise ValueError(f"{name}: contains NaN or Inf")
-    return m
+    return m, peak
 
 
 def attention_operands(q, k, v):
     """q, k and v as float64 matrices, checked as every attention call needs
     them: q and k share a width d >= 1, and k and v have one row per key.
-    The kernel and dense_attention both check here, so they refuse alike."""
-    q = as_matrix(q, "q")
-    k = as_matrix(k, "k")
-    v = as_matrix(v, "v")
+    Returns them with their peaks (max|q|, max|k|, max|v|), which the kernel's
+    overflow bound and v guard read. The kernel and dense_attention both check
+    here, so they refuse alike."""
+    q, q_peak = _checked_matrix(q, "q")
+    k, k_peak = _checked_matrix(k, "k")
+    v, v_peak = _checked_matrix(v, "v")
     if q.shape[1] != k.shape[1]:
         raise ShapeError(f"q has d={q.shape[1]} but k has d={k.shape[1]}")
     if q.shape[1] < 1:
         raise ShapeError("d must be >= 1")
     if k.shape[0] != v.shape[0]:
         raise ShapeError(f"k has {k.shape[0]} rows but v has {v.shape[0]}")
-    return q, k, v
+    return q, k, v, (q_peak, k_peak, v_peak)
 
 
 def dense_attention(q, k, v, additive_mask, scale_by_sqrt_d: bool = True) -> np.ndarray:
@@ -79,7 +94,7 @@ def dense_attention(q, k, v, additive_mask, scale_by_sqrt_d: bool = True) -> np.
     the weighted sum of v overflows (ValueError). No queries give a (0, d_v)
     output, with keys or without.
     """
-    q, k, v = attention_operands(q, k, v)
+    q, k, v, _ = attention_operands(q, k, v)
     mask = as_matrix(additive_mask, "additive_mask")
     if mask.shape != (q.shape[0], k.shape[0]):
         raise ShapeError(f"mask shape {mask.shape} != score shape {(q.shape[0], k.shape[0])}")

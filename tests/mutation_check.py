@@ -82,7 +82,7 @@ MUTANTS = (
             OVERFLOWED_MASKED_KEY)),
     # the per-call overflow bound decides whether tiles scan for non-finite scores
     Mutant("kernel-bound-read-as-holding", "kernel.py",
-           "checked = q.shape[1] * _max_abs(q) * _max_abs(k) >= 2.0**1000", "checked = False",
+           "checked = q.shape[1] * q_peak * k_peak >= 2.0**1000", "checked = False",
            ("tests/test_kernel.py::TestValidation::test_overflowing_scores_refused_like_dense",
             "tests/test_kernel.py::TestOnlineSoftmax::test_overflow_only_in_last_tile_refused_without_warning",
             "tests/test_kernel.py::test_overflow_refused_exactly_on_allowed_pairs",
@@ -96,6 +96,14 @@ MUTANTS = (
     Mutant("kernel-v-shift-one-too-many", "kernel.py",
            "k.shape[0].bit_length() - 1023)", "k.shape[0].bit_length() - 1022)",
            ("tests/test_kernel.py::TestOnlineSoftmax::test_values_below_the_guard_are_not_scaled",)),
+    # full's one grid runs in ROW_BLOCK-row slices that every worker pulls
+    Mutant("full-grid-run-by-one-worker", "kernel.py",
+           "for s0, s1 in _blocks(b0, b1))", "for s0, s1 in ((b0, b1),))",
+           ("tests/test_kernel.py::TestWorkers::test_threads_per_call",)),
+    # tglobal's side keys: the ragged last block is the mean of its own rows
+    Mutant("block-average-tail-divided-by-block", "kernel.py",
+           "emb[whole:].sum(axis=0) / (l - whole)", "emb[whole:].sum(axis=0) / block",
+           ("tests/test_kernel.py::TestBlockAverage",)),
     # the whole-window rows of a mask, taken from the sliding view
     Mutant("mask-whole-windows-shifted-one-row", "patterns.py",
            "2 * r + 1)[a - r : b - r]", "2 * r + 1)[a - r + 1 : b - r + 1]",
@@ -195,6 +203,11 @@ MUTANTS = (
     Mutant("nearest-rank-rounds-down", "pipeline.py",
            "rank = -(-(pct * len(data)) // 100)", "rank = max(1, (pct * len(data)) // 100)",
            ("tests/test_pipeline.py::test_nearest_rank",)),
+    Mutant("image-candidates-in-image-then-section-order", "pipeline.py",
+           "            for sec in item.sections for pos, img in enumerate(sec.images)]",
+           "            for pos in range(max((len(s.images) for s in item.sections), default=0))\n"
+           "            for sec in item.sections if pos < len(sec.images) for img in (sec.images[pos],)]",
+           (LAYOUT_ORACLE,)),
     # build's reports and its write-then-rename
     Mutant("json-report-keys-unsorted", "cli.py",
            "indent=2, sort_keys=True)", "indent=2)",
@@ -206,6 +219,11 @@ MUTANTS = (
            '            tmp["report.json"].write_text(_json(payload), encoding="utf-8")\n'
            '            os.replace(tmp["report.json"], out / "report.json")\n',
            ("tests/test_cli.py::test_build_failed_report_write_leaves_the_previous_outputs",)),
+    # one max and one min check each operand: -inf shows only in the min
+    Mutant("operand-peak-reads-only-the-max", "numcore.py",
+           "float(max(m.max(initial=0.0), -m.min(initial=0.0)))", "float(m.max(initial=0.0))",
+           ("tests/test_kernel.py::TestValidation::test_non_finite_operand_refused[sparse-q--inf]",
+            "tests/test_kernel.py::TestValidation::test_non_finite_operand_refused[tglobal-v--inf]")),
     # the dense reference against the scalar loops
     Mutant("dense-no-degenerate-row-check", "numcore.py",
            "        if dead.any():\n", "        if False:\n",

@@ -286,6 +286,22 @@ class TestBufferContract:
         assert stats.peak_score_elements == 64 * 64
         assert stats.score_blocks == 1
 
+    def test_full_workers_share_one_grid(self):
+        # full's one block runs in row slices on every worker, each slice into
+        # its own rows of one l x l grid: three workers allocate it once
+        l = 640
+        q, k, v = make_qkv(rng(34), l, 4)
+        stats = KernelStats()
+        with with_workers(3):
+            tracemalloc.start()
+            try:
+                sparse_attention(q, k, v, full(l), stats=stats)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert stats.peak_score_elements == l * l and stats.score_blocks == 1
+        assert 8 * l * l <= peak < 2 * 8 * l * l
+
     def test_prefix_global_peak_below_full_baseline(self):
         g = rng(31)
         q4, k4, v4 = make_qkv(g, 4096, 4)
@@ -536,6 +552,25 @@ class TestValidation:
         q[0, 0] = np.nan
         with pytest.raises(ValueError):
             sparse_attention(q, np.ones((4, 2)), np.ones((4, 2)), full(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("operand", [0, 1, 2], ids=["q", "k", "v"])
+    @pytest.mark.parametrize("call", ["sparse", "tglobal"])
+    def test_non_finite_operand_refused(self, call, operand, bad):
+        # each operand is checked from one max and one min: NaN shows in both,
+        # +inf in the max and -inf in the min (test_numcore checks the dense path)
+        l = 300
+        pattern = tglobal(l, r=3, block=16) if call == "tglobal" else prefix_global(l, k=20, r=3)
+        operands = list(make_qkv(rng(44), l, 4, side=pattern.side_keys if call == "sparse" else 0))
+        operands[operand][l // 2, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="contains NaN or Inf"):
+                if call == "sparse":
+                    sparse_attention(*operands, pattern)
+                else:
+                    emb = rng(45).normal(size=(l, 4))
+                    tglobal_attention(*operands, pattern, emb, np.eye(4), np.eye(4))
 
     @pytest.mark.parametrize("kind", ["full", "local", "tglobal", "prefix-global"])
     def test_overflowing_scores_refused_like_dense(self, kind):
@@ -812,6 +847,7 @@ class TestWorkers:
     @example(("prefix-global", 1, 0, 1, 1, 2, 2), 7)
     @example(("full", 129, 0, 0, 1, 3, 5), 8)
     @example(("prefix-global", 400, 0, 129, 1, 3, 5), 9)
+    @example(("full", 300, 0, 0, 1, 4, 3), 10)  # three slices of one grid, the last one ragged
     def test_worker_count_changes_no_bit(self, geometry, seed):
         kind, l, r, k_len, block, d, d_v = geometry
         pattern = make_pattern(kind, l, r, k_len, block)
@@ -867,11 +903,12 @@ class TestWorkers:
         assert threading.active_count() == before
         assert set(range(0, 384, 128)) <= set(ran) and len(ran) < 10
 
-    def test_every_band_runs_once_under_thread_switching(self, monkeypatch):
-        # more workers than cores and a switch every microsecond: a band
-        # handed out twice or never shows in the log, or as unwritten rows
-        q, k, v = make_qkv(rng(64), 4096, 4)
-        pattern = local(4096, r=3)
+    @pytest.mark.parametrize("pattern", [local(4096, r=3), full(1024)], ids=lambda p: p.kind.value)
+    def test_every_band_runs_once_under_thread_switching(self, pattern, monkeypatch):
+        # more workers than cores and a switch every microsecond: a band, or a
+        # slice of full's shared grid, handed out twice or never shows in the
+        # log, or as unwritten rows
+        q, k, v = make_qkv(rng(64), pattern.l, 4)
         with with_workers(1):
             want = sparse_attention(q, k, v, pattern).tobytes()
         run_band, ran = kernel._run_band, []
@@ -889,7 +926,7 @@ class TestWorkers:
                     assert sparse_attention(q, k, v, pattern).tobytes() == want
         finally:
             sys.setswitchinterval(interval)
-        assert sorted(ran) == sorted(list(range(0, 4096, 128)) * 3)
+        assert sorted(ran) == sorted(list(range(0, pattern.l, 128)) * 3)
 
     def test_threads_per_call(self, monkeypatch):
         started = []
@@ -902,11 +939,12 @@ class TestWorkers:
         monkeypatch.setattr(threading.Thread, "start", start)
         q, k, v = make_qkv(rng(62), 300, 4)
         with with_workers(4):
-            for pattern in (full(300), prefix_global(100, k=0, r=3)):  # one band: run inline
-                sparse_attention(q[: pattern.l], k[: pattern.l], v[: pattern.l], pattern)
+            sparse_attention(q[:100], k[:100], v[:100], prefix_global(100, k=0, r=3))  # one band: run inline
             assert started == []
-            sparse_attention(q, k, v, local(300, r=3))  # three bands: the caller and two threads
-        assert len(started) == 2 and not any(t.is_alive() for t in started)
+            # three bands, and full's one grid in three slices: the caller and two threads each
+            for pattern in (local(300, r=3), full(300)):
+                sparse_attention(q, k, v, pattern)
+        assert len(started) == 4 and not any(t.is_alive() for t in started)
 
     def test_no_thread_to_be_had_runs_on_the_caller(self, monkeypatch):
         q, k, v = make_qkv(rng(63), 700, 4)
