@@ -41,7 +41,17 @@ KIND_CHOICES = [k.value for k in PatternKind]
 ORACLE_LENGTH_CAP = 8192  # dense reference above this would allocate l*l floats
 
 
-def _pattern(kind: str, l: int, r: int, k: int, block: int) -> AttentionPattern:
+def _pattern_options(command):
+    """--radius/-r, --prefix/-k and --block, one option set for mask, flops and
+    attend. Each is None unless given, and AttentionPattern fills the default
+    that --help names."""
+    for *decls, default in (("--block", DEFAULT_BLOCK), ("--prefix", "-k", "prefix_k", f"min({DEFAULT_PREFIX}, l)"),
+                            ("--radius", "-r", DEFAULT_RADIUS)):  # click lists options in the reverse of this order
+        command = click.option(*decls, type=int, help=f"[default: {default}]")(command)
+    return command
+
+
+def _pattern(kind: str, l: int, r: int | None, k: int | None, block: int | None) -> AttentionPattern:
     try:
         return AttentionPattern(kind=kind, l=l, r=r, k=k, block=block)
     except PatternError as exc:
@@ -75,9 +85,7 @@ def main():
 @main.command()
 @click.option("--kind", type=click.Choice(KIND_CHOICES), default=PatternKind.PREFIX_GLOBAL.value, show_default=True)
 @click.option("--length", "-l", type=int, required=True, help="Number of query tokens.")
-@click.option("--radius", "-r", type=int, default=DEFAULT_RADIUS, show_default=True)
-@click.option("--prefix", "-k", "prefix_k", type=int, default=DEFAULT_PREFIX, show_default=True)
-@click.option("--block", type=int, default=DEFAULT_BLOCK, show_default=True)
+@_pattern_options
 @click.option("--fmt", "--format", type=click.Choice(["summary", "csv", "pgm"]), default="summary", show_default=True)
 @click.option("--out", "-o", type=click.Path(dir_okay=False, writable=True), default=None,
               help="Write the output here instead of stdout.")
@@ -112,12 +120,12 @@ def mask(kind, length, radius, prefix_k, block, fmt, out):
               help="Comma-separated sequence lengths.")
 @click.option("--kinds", default="tglobal,prefix-global,full", show_default=True,
               help="Comma-separated pattern kinds.")
-@click.option("--radius", "-r", type=int, default=DEFAULT_RADIUS, show_default=True)
-@click.option("--prefix", "-k", "prefix_k", type=int, default=DEFAULT_PREFIX, show_default=True)
-@click.option("--block", type=int, default=DEFAULT_BLOCK, show_default=True)
+@_pattern_options
 @click.option("--json", "as_json", is_flag=True, help="Emit the cells as JSON instead of a table.")
 def flops(lengths, kinds, radius, prefix_k, block, as_json):
-    """Attention cost (accounted query-key pairs) per pattern and length."""
+    """Attention cost (accounted query-key pairs) per pattern and length. The
+    config echoes --radius, --prefix and --block as given, null where unset;
+    each cell's pattern holds the values it used at its length."""
     try:
         # each value once, in first-seen order, so the table, the cells and the config agree
         ls = list(dict.fromkeys(int(tok) for tok in lengths.split(",") if tok.strip()))
@@ -142,9 +150,7 @@ def flops(lengths, kinds, radius, prefix_k, block, as_json):
 @click.option("--kind", type=click.Choice(KIND_CHOICES), default=PatternKind.PREFIX_GLOBAL.value, show_default=True)
 @click.option("--length", "-l", type=int, default=1024, show_default=True)
 @click.option("--dim", "-d", type=click.IntRange(min=1), default=16, show_default=True)
-@click.option("--radius", "-r", type=int, default=DEFAULT_RADIUS, show_default=True)
-@click.option("--prefix", "-k", "prefix_k", type=int, default=DEFAULT_PREFIX, show_default=True)
-@click.option("--block", type=int, default=DEFAULT_BLOCK, show_default=True)
+@_pattern_options
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--scale/--no-scale", "scale", default=True, show_default=True,
               help="Divide scores by sqrt(dim).")
@@ -155,9 +161,11 @@ def attend(kind, length, dim, radius, prefix_k, block, seed, scale, check_oracle
     the output.
 
     q, k and v are three seeded standard-normal length x dim draws, in that
-    order. For tglobal, the block averages of k and v are appended as the
-    side keys and values: LongT5 averages token embeddings and then projects
-    them, and averaging commutes with a linear projection.
+    order. The config's radius, prefix and block are the values the pattern
+    used, null for one its kind does not use. For tglobal, the block
+    averages of k and v are appended as the side keys and values: LongT5
+    averages token embeddings and then projects them, and averaging commutes
+    with a linear projection.
 
     output_sha256, and its sameness across kernel worker counts, hold only
     at one BLAS thread count; to compare fingerprints, set
@@ -175,8 +183,8 @@ def attend(kind, length, dim, radius, prefix_k, block, seed, scale, check_oracle
     stats = KernelStats()
     out = sparse_attention(q, k_mat, v_mat, pattern, scale_by_sqrt_d=scale, stats=stats)
     payload = {
-        "config": {"kind": kind, "length": length, "dim": dim, "radius": radius,
-                   "prefix": prefix_k, "block": block, "seed": seed,
+        "config": {"kind": kind, "length": length, "dim": dim, "radius": pattern.r,
+                   "prefix": pattern.k, "block": pattern.block, "seed": seed,
                    "scale_by_sqrt_d": scale},
         "output_sha256": hashlib.sha256(np.ascontiguousarray(out).tobytes()).hexdigest(),
         "peak_score_elements": stats.peak_score_elements,

@@ -36,10 +36,14 @@ output, which the first tile assigns and later tiles add to, so no tile
 allocates a temporary the size of its scores. The output is divided by the
 row sums once, at the end of the band, which costs rows x d_v divisions
 instead of rows x width. Before that
-division a row holds up to (keys) x max|v|, since no weight exceeds 1, so
-where that could pass the largest float64 the call runs on v scaled down by
-a power of two and scales the output back up, both exact; no ordinary input
-is scaled, so no ordinary output changes by a bit.
+division a row holds up to (keys) x max|v|, since no weight exceeds 1. Where
+that bound, over the call's keys and its max|v|, could pass the largest
+float64 (the v guard), each slice takes its own bound from its own key
+ranges, its tiles and its bank: their count and their max|v|. A slice whose
+own bound could pass it runs on a copy of those rows of v scaled down by a
+power of two and scales its output rows back up, both exact; every other
+slice runs on v as it is. No ordinary input is scaled, so no ordinary output
+changes by a bit.
 
 Every window tile's outside-mask is a view of one mask per call, of
 ROW_BLOCK rows and ROW_BLOCK + 2 min(r, l) keys, taken at column offset
@@ -53,9 +57,10 @@ reaches exp, which is slow on it in float64, and an allowed entry sees the
 same max, subtraction and exp as it would with the masked entries at -inf,
 so a key outside a query's allowed set cannot change that query's output
 even at the bit level, even where its exp overflowed before it was zeroed.
-The one exception is the v guard: a huge value anywhere scales all of v, so
-once it scales, subnormal outputs of rows that never see that value can
-round.
+A huge value in v shifts only the slices whose own key ranges hold it, and
+only where their own bound needs it, so it moves no bit of any other slice;
+in a slice that does scale, subnormal outputs can round, in its rows that do
+not see the value as in those that do.
 
 A call is refused with ValueError, without a RuntimeWarning, exactly when a
 scaled score that is not finite falls on a query-key pair the pattern allows,
@@ -185,8 +190,9 @@ def _attend(q, k, v, peaks, bands, scale_by_sqrt_d: bool, stats: KernelStats | N
     slices on up to the usable cores. The plan's walk records every score
     block in band order and sizes the scratch to the widest block; the call's
     score bound, from the operand peaks (max|q|, max|k|, max|v|), decides
-    whether its tiles scan for non-finite scores, and v is scaled by a power
-    of two first where its weighted sum could overflow.
+    whether its tiles scan for non-finite scores, and where the call's
+    weighted sum of v could overflow, each slice scales by its own shift
+    (_slice_values).
     A sparse band is one slice, scored in its worker's own buffer; full's one
     band is cut into slices that score into their own rows of one shared
     grid. Workers pull slices from one shared iterator, and each slice writes
@@ -208,10 +214,8 @@ def _attend(q, k, v, peaks, bands, scale_by_sqrt_d: bool, stats: KernelStats | N
     # |q_i . k_j| <= d max|q| max|k|: below 2^1000 no score, rounded or scaled, can be non-finite;
     # in Python floats an overflowing bound is inf, with no numpy warning
     checked = q.shape[1] * q_peak * k_peak >= 2.0**1000
-    # a row's unnormalized output is at most (keys) x max|v|, since no weight exceeds 1:
-    # where that could pass DBL_MAX, run on v scaled by a power of two, which is exact
-    shift = max(0, math.frexp(v_peak)[1] + k.shape[0].bit_length() - 1023)
-    v = np.ldexp(v, -shift) if shift else v
+    # the v guard: only where the call's keys could sum past DBL_MAX does each slice take its own shift
+    guarded = _v_shift(v_peak, k.shape[0]) > 0
     out = np.empty((q.shape[0], v.shape[1]), dtype=np.float64)
     jobs = iter(enumerate(slices))  # next() on a list iterator is atomic under the GIL
     errors = {}  # slice index -> the exception that slice raised
@@ -224,7 +228,10 @@ def _attend(q, k, v, peaks, bands, scale_by_sqrt_d: bool, stats: KernelStats | N
                 if errors:
                     return
                 try:
-                    _run_band(q, k, v, band, inv_scale, checked, scratch[offset:], ones, out)
+                    shift, v_slice = _slice_values(v, band) if guarded else (0, v)
+                    _run_band(q, k, v_slice, band, inv_scale, checked, scratch[offset:], ones, out)
+                    if shift:  # exact: the slice's output rows back to v's own scale
+                        np.ldexp(out[band.b0 : band.b1], shift, out=out[band.b0 : band.b1])
                 except BaseException as exc:  # re-raised by the calling thread
                     errors[i] = exc
                     return
@@ -252,7 +259,29 @@ def _attend(q, k, v, peaks, bands, scale_by_sqrt_d: bool, stats: KernelStats | N
     # its end, so this is the slice a serial run would have refused on
     if errors:
         raise errors[min(errors)]
-    return np.ldexp(out, shift, out=out) if shift else out
+    return out
+
+
+def _v_shift(peak: float, n_keys: int) -> int:
+    """The power of two to scale values down by so that a sum of n_keys
+    weighted values, |v| <= peak and weights <= 1, stays below DBL_MAX: 0
+    unless peak * n_keys could reach 2^1023."""
+    return max(0, math.frexp(peak)[1] + n_keys.bit_length() - 1023)
+
+
+def _slice_values(v, band) -> tuple:
+    """The shift a slice takes once its call's v guard has fired, from the
+    count and max|v| of its own key ranges, its tiles and its bank, and the
+    v it runs on: v itself where the shift is 0, else a copy whose rows in
+    those ranges, the only ones the slice reads, are scaled down by it."""
+    ranges = [(lo, hi) for lo, hi, *_ in band.tiles] + [band.bank]
+    shift = _v_shift(max(max_abs(v[lo:hi]) for lo, hi in ranges), sum(hi - lo for lo, hi in ranges))
+    if not shift:
+        return 0, v
+    scaled = np.empty_like(v)
+    for lo, hi in ranges:
+        np.ldexp(v[lo:hi], -shift, out=scaled[lo:hi])
+    return shift, scaled
 
 
 def _run_band(q, k, v, band, inv_scale, checked, scratch, ones, out) -> None:

@@ -25,6 +25,14 @@ arange, so build_mask takes a Python step only for the up to 2r + 1 rows
 whose window is clipped at g or at l. Every query always attends to
 itself (r >= 0 keeps i in its own window), so no row is ever empty.
 
+AttentionPattern is the one place that fills a parameter left unset (None),
+from _PARAMS: r = DEFAULT_RADIUS (127) and block = DEFAULT_BLOCK (16), the
+window and block of LongT5's TGlobal (Guo et al. 2022), and prefix-global's
+k = min(DEFAULT_PREFIX, l): the paper's prefix of at most 512 slots, and at
+most the whole sequence. The factories (local, tglobal, prefix_global) and
+the CLI pass on only the values they are given. A k given larger than l is
+refused, not capped.
+
 Every integer parameter (l, r, k, block) must be an exact int, type(x) is
 int: True and False, numpy integers and int subclasses such as an IntEnum
 member are refused with PatternError, as kernel.block_average refuses them
@@ -63,7 +71,8 @@ class PatternKind(str, Enum):
     PREFIX_GLOBAL = "prefix-global"
 
 
-# the parameters each kind uses, with their defaults; a kind's other parameters are None
+# the parameters each kind uses, with their defaults; a kind's other parameters are None.
+# An unset k is capped at l: min(DEFAULT_PREFIX, l)
 _PARAMS = {
     PatternKind.FULL: {},
     PatternKind.LOCAL: {"r": DEFAULT_RADIUS},
@@ -74,7 +83,9 @@ _PARAMS = {
 
 @dataclass(frozen=True)
 class AttentionPattern:
-    """A fully specified pattern. Parameters that a kind does not use are None.
+    """A fully specified pattern. Parameters that a kind does not use are None;
+    one it uses but is not given takes its default from _PARAMS, and k's is
+    min(DEFAULT_PREFIX, l).
 
     l: sequence length. r: local radius (keys each side). k: prefix length
     (prefix-global only). block: side-key block size (tglobal only).
@@ -94,16 +105,17 @@ class AttentionPattern:
         except ValueError:
             raise PatternError(f"kind must be one of {[k.value for k in PatternKind]}, got {self.kind!r}") from None
         object.__setattr__(self, "kind", kind)
-        given = {name: getattr(self, name) for name in ("r", "k", "block")}
-        for name, value in given.items():
+        for name in ("r", "k", "block"):
             default = _PARAMS[kind].get(name)  # None for a parameter the kind does not use
-            object.__setattr__(self, name, default if default is None or value is None else value)
+            if getattr(self, name) is None or default is None:  # a given value the kind uses stays
+                object.__setattr__(self, name, min(default, self.l) if name == "k" and default is not None else default)
+        # a default always passes, so a refused value is the one given
         if self.r is not None and (type(self.r) is not int or self.r < 0):
-            raise PatternError(f"r must be an int >= 0, got {given['r']!r}")
+            raise PatternError(f"r must be an int >= 0, got {self.r!r}")
         if self.k is not None and (type(self.k) is not int or not 0 <= self.k <= self.l):
-            raise PatternError(f"k must satisfy 0 <= k <= l={self.l}, got {given['k']!r}")
+            raise PatternError(f"k must satisfy 0 <= k <= l={self.l}, got {self.k!r}")
         if self.block is not None and (type(self.block) is not int or self.block < 1):
-            raise PatternError(f"block must be an int >= 1, got {given['block']!r}")
+            raise PatternError(f"block must be an int >= 1, got {self.block!r}")
 
     @property
     def side_keys(self) -> int:
@@ -137,15 +149,15 @@ def full(l: int) -> AttentionPattern:
     return AttentionPattern(PatternKind.FULL, l)
 
 
-def local(l: int, r: int = DEFAULT_RADIUS) -> AttentionPattern:
+def local(l: int, r: int | None = None) -> AttentionPattern:
     return AttentionPattern(PatternKind.LOCAL, l, r=r)
 
 
-def tglobal(l: int, r: int = DEFAULT_RADIUS, block: int = DEFAULT_BLOCK) -> AttentionPattern:
+def tglobal(l: int, r: int | None = None, block: int | None = None) -> AttentionPattern:
     return AttentionPattern(PatternKind.TGLOBAL, l, r=r, block=block)
 
 
-def prefix_global(l: int, k: int = DEFAULT_PREFIX, r: int = DEFAULT_RADIUS) -> AttentionPattern:
+def prefix_global(l: int, k: int | None = None, r: int | None = None) -> AttentionPattern:
     return AttentionPattern(PatternKind.PREFIX_GLOBAL, l, r=r, k=k)
 
 

@@ -42,6 +42,7 @@ ROW_ORACLE = "tests/test_kernel.py::TestRowOracleAtPaperGeometry"
 LAYOUT_ORACLE = "tests/test_layout_oracle.py::test_examples_and_report_match_the_reference"
 DENSE_TESTS = "tests/test_numcore.py"
 OVERFLOWED_MASKED_KEY = "tests/test_kernel.py::TestLocality::test_out_of_window_key_whose_exp_overflows_is_invisible_bitwise"
+HUGE_VALUE_LOCALITY = "tests/test_kernel.py::TestLocality::test_a_huge_value_moves_no_bit_of_a_slice_that_does_not_hold_it"
 TOKENIZER_TESTS = "tests/test_page.py::TestTokenize"
 SUMMARIZATION_TARGET = "tests/test_sequence.py::TestSectionSummarization::test_first_sentence_removed_and_targeted"
 READER_LOCATION = "tests/test_page.py::TestOneFieldRule::test_the_reader_gives_the_model_message_where_it_was_refused"
@@ -94,8 +95,12 @@ MUTANTS = (
     # v is scaled only where its weighted sum could pass DBL_MAX; one power of two
     # more scales values that need none, and rounds subnormal ones
     Mutant("kernel-v-shift-one-too-many", "kernel.py",
-           "k.shape[0].bit_length() - 1023)", "k.shape[0].bit_length() - 1022)",
-           ("tests/test_kernel.py::TestOnlineSoftmax::test_values_below_the_guard_are_not_scaled",)),
+           "n_keys.bit_length() - 1023)", "n_keys.bit_length() - 1022)",
+           (HUGE_VALUE_LOCALITY,)),
+    # once the call's v guard fires, each slice's shift comes from its own keys
+    Mutant("slice-shift-taken-from-the-calls-peak", "kernel.py",
+           "_v_shift(max(max_abs(v[lo:hi]) for lo, hi in ranges),", "_v_shift(max_abs(v),",
+           (HUGE_VALUE_LOCALITY,)),
     # full's one grid runs in ROW_BLOCK-row slices that every worker pulls
     Mutant("full-grid-run-by-one-worker", "kernel.py",
            "for s0, s1 in _blocks(b0, b1))", "for s0, s1 in ((b0, b1),))",
@@ -191,6 +196,11 @@ MUTANTS = (
            "    if pattern.kind is PatternKind.LOCAL:\n        return mask_nnz(pattern)  # the convention is the exact count\n",
            "",
            ("tests/test_cost.py::test_accounted_pairs_matches_convention_property",)),
+    # AttentionPattern fills every unset parameter; an unset k is at most l
+    Mutant("unset-k-is-512-whatever-l-is", "patterns.py",
+           'min(default, self.l) if name == "k" and default is not None else default', "default",
+           ("tests/test_patterns.py::TestValidation::test_unset_parameters_have_one_default",
+            "tests/test_cli.py::test_every_command_runs_below_512_without_k")),
     Mutant("tglobal-side-keys-rounded-down", "patterns.py",
            "return -(-self.l // self.block) if", "return self.l // self.block if",
            ("tests/test_acceptance.py::test_c3_kernel_matches_dense_reference",)),

@@ -72,8 +72,9 @@ def test_flops_json_cells(runner):
     assert cells["prefix-global"]["accounted_pairs"] == 2_225_152
     assert cells["full"]["accounted_pairs"] == 4_194_304
     assert cells["prefix-global"]["ratio_vs_full"] == pytest.approx(2_225_152 / 4_194_304)
+    # flops spans several lengths, so its config echoes the options as given, null where unset
     assert blob["config"] == {"lengths": [2048], "kinds": ["prefix-global", "full"],
-                              "radius": 127, "prefix": 512, "block": 16}
+                              "radius": None, "prefix": None, "block": None}
     assert blob["version"]
 
 
@@ -108,6 +109,62 @@ def test_flops_rejects_empty_lists(runner, args):
     res = invoke(runner, "flops", *args)
     assert res.exit_code == 2
     assert "at least one value" in res.output
+
+
+# ------------------------------------------------ pattern options, shared
+
+
+KINDS = ["full", "local", "tglobal", "prefix-global"]
+
+
+def used_by(command, blob):
+    """The r, k and block a report says its pattern used."""
+    pattern = blob["config"] if command == "attend" else (blob["cells"][0]["pattern"] if command == "flops"
+                                                           else blob["pattern"])
+    keys = ("radius", "prefix", "block") if command == "attend" else ("r", "k", "block")
+    return tuple(pattern.get(key) for key in keys)
+
+
+def pattern_args(command, kind, l, *options):
+    if command == "flops":
+        return ("flops", "--json", "--lengths", str(l), "--kinds", kind, *options)
+    return (command, "--kind", kind, "-l", str(l), *options)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("command", ["mask", "attend", "flops"])
+def test_every_command_runs_below_512_without_k(runner, command, kind):
+    # -k once defaulted to 512 for every length, so prefix-global exited 2 at
+    # l = 300 without it; an unset k is min(512, l), and each report shows the
+    # values its pattern used, null for a parameter the kind does not use
+    res = invoke(runner, *pattern_args(command, kind, 300))
+    assert res.exit_code == 0, res.output
+    assert used_by(command, json.loads(res.output)) == {
+        "full": (None, None, None), "local": (127, None, None),
+        "tglobal": (127, None, 16), "prefix-global": (127, 300, None)}[kind]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_attend_config_nulls_a_given_parameter_the_kind_does_not_use(runner, kind):
+    blob = attend_json(runner, *pattern_args("attend", kind, 300, "-r", "9", "-k", "40", "--block", "7")[1:])
+    assert used_by("attend", blob) == {"full": (None, None, None), "local": (9, None, None),
+                                       "tglobal": (9, None, 7), "prefix-global": (9, 40, None)}[kind]
+
+
+@pytest.mark.parametrize("command", ["mask", "attend", "flops"])
+def test_a_given_k_above_l_exits_2(runner, command):
+    res = invoke(runner, *pattern_args(command, "prefix-global", 300, "-k", "301"))
+    assert res.exit_code == 2
+    assert "k must satisfy 0 <= k <= l=300, got 301" in res.output
+
+
+@pytest.mark.parametrize("command", ["mask", "attend", "flops"])
+def test_help_names_each_pattern_default(runner, command):
+    res = invoke(runner, command, "--help")
+    assert res.exit_code == 0
+    for option, default in (("--radius", "127"), ("--prefix", "min(512, l)"), ("--block", "16")):
+        line = next(line for line in res.output.splitlines() if f"{option} INTEGER" in line)
+        assert line.endswith(f"[default: {default}]"), line
 
 
 # ----------------------------------------------------------------- mask

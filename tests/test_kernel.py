@@ -265,6 +265,38 @@ class TestLocality:
         assert np.abs(got[sees] - dense_oracle(q, hot, v, pattern)[sees]).max() < 1e-9
         np.testing.assert_array_equal(got[148:153], np.tile(v[150], (5, 1)))
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 299), st.integers(0, 5), st.integers(1014, 1023))
+    @example(200, 2, 1014)  # the guard once scaled all of v: 287 of the 295 rows that do not see key 200 moved
+    @example(200, 2, 1020)  # a slice that spans key 200 scales, and no other slice may
+    def test_a_huge_value_moves_no_bit_of_a_slice_that_does_not_hold_it(self, j, r, e):
+        # every value is 3 x the smallest subnormal but v[j] = 1.5 x 2^e, so the
+        # call's v guard fires: 300 keys x 2^(e + 1) could pass DBL_MAX. A band's
+        # keys are its own ROW_BLOCK rows' windows, at most 138 here, so each
+        # slice bounds its own sum: at e = 1014 none scales and no row that does
+        # not see key j moves a bit; at any e, no row of a band whose keys do not
+        # hold key j does
+        l = 300
+        pattern = local(l, r=r)
+        q, k, _ = make_qkv(rng(44), l, 4)
+        tiny = np.full((l, 2), 3 * 2.0**-1074)
+        huge = tiny.copy()
+        huge[j] = 1.5 * 2.0**e
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            base = sparse_attention(q, k, tiny, pattern)
+            got = sparse_attention(q, k, huge, pattern)
+        rows = np.arange(l)
+        b0 = rows // kernel.ROW_BLOCK * kernel.ROW_BLOCK
+        holds = (b0 - r <= j) & (j < np.minimum(b0 + kernel.ROW_BLOCK, l) + r)
+        sees = np.abs(rows - j) <= r
+        assert (base != 0.0).all()
+        assert got[~holds].tobytes() == base[~holds].tobytes()
+        if e == 1014:
+            assert got[~sees].tobytes() == base[~sees].tobytes()
+        want = dense_oracle(q, k, huge, pattern)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_prefix_key_perturbation_reaches_every_row(self):
         g = rng(22)
         l = 48

@@ -347,6 +347,21 @@ class TestValidation:
         t = tglobal(1024)
         assert (t.r, t.block) == (127, 16)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 2048), st.sampled_from(list(PatternKind)))
+    @example(300, PatternKind.PREFIX_GLOBAL)
+    def test_unset_parameters_have_one_default(self, l, kind):
+        # an unset k is the paper's prefix of at most 512 slots, and at most the
+        # sequence; a factory given no parameters fills nothing itself
+        assert prefix_global(l).k == min(512, l)
+        factory = {PatternKind.FULL: full, PatternKind.LOCAL: local, PatternKind.TGLOBAL: tglobal,
+                   PatternKind.PREFIX_GLOBAL: prefix_global}[kind]
+        assert factory(l) == AttentionPattern(kind, l)
+
+    def test_a_given_k_above_l_is_refused_not_capped(self):
+        with pytest.raises(PatternError, match="got 512"):
+            prefix_global(300, k=512)
+
     def test_describe_omits_unused(self):
         assert full(4).describe() == {"kind": "full", "l": 4}
         assert prefix_global(16, k=4, r=2).describe() == {
