@@ -161,11 +161,11 @@ def attend(kind, length, dim, radius, prefix_k, block, seed, scale, check_oracle
     the output.
 
     q, k and v are three seeded standard-normal length x dim draws, in that
-    order. The config's radius, prefix and block are the values the pattern
-    used, null for one its kind does not use. For tglobal, the block
-    averages of k and v are appended as the side keys and values: LongT5
-    averages token embeddings and then projects them, and averaging commutes
-    with a linear projection.
+    order. The config's radius, prefix and block are the values given, and
+    for one left out, the value the pattern used, null where its kind does
+    not use it. For tglobal, the block averages of k and v are appended as
+    the side keys and values: LongT5 averages token embeddings and then
+    projects them, and averaging commutes with a linear projection.
 
     output_sha256, and its sameness across kernel worker counts, hold only
     at one BLAS thread count; to compare fingerprints, set
@@ -183,9 +183,9 @@ def attend(kind, length, dim, radius, prefix_k, block, seed, scale, check_oracle
     stats = KernelStats()
     out = sparse_attention(q, k_mat, v_mat, pattern, scale_by_sqrt_d=scale, stats=stats)
     payload = {
-        "config": {"kind": kind, "length": length, "dim": dim, "radius": pattern.r,
-                   "prefix": pattern.k, "block": pattern.block, "seed": seed,
-                   "scale_by_sqrt_d": scale},
+        "config": {"kind": kind, "length": length, "dim": dim, "radius": pattern.r if radius is None else radius,
+                   "prefix": pattern.k if prefix_k is None else prefix_k,
+                   "block": pattern.block if block is None else block, "seed": seed, "scale_by_sqrt_d": scale},
         "output_sha256": hashlib.sha256(np.ascontiguousarray(out).tobytes()).hexdigest(),
         "peak_score_elements": stats.peak_score_elements,
         "score_blocks": stats.score_blocks,

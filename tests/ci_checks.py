@@ -17,8 +17,8 @@ The gates, each one step of .github/workflows/tier1.yml:
   that is not a multiple of the 128-row band); max_abs_diff < 1e-9.
 - workers: `attend` on one core and on every core gives the same
   output_sha256, for every kind at l = 300 and l = 2049 (-k 40). One core is
-  `taskset -c CORE` where taskset exists, else os.sched_setaffinity in the
-  child process before it starts the CLI.
+  os.sched_setaffinity in the child process before it starts the CLI; where
+  the os module has no sched_setaffinity (macOS), the gate fails and says so.
 - mask-nnz: the CSV and PGM grids of `mask` hold exactly the nnz that
   --fmt summary prints, from the closed form; and --out writes the bytes
   that stdout gets, in every format.
@@ -60,14 +60,12 @@ def command() -> list:
     return [script] if script else [sys.executable, "-m", "prefix_global.cli"]
 
 
-def one_core(argv: list) -> tuple:
-    """argv pinned to one core of this process's set, and the preexec_fn
-    that pins it where taskset is absent."""
+def one_core():
+    """The preexec_fn that pins the child to one core of this process's set."""
+    if not hasattr(os, "sched_setaffinity"):
+        raise GateFailed("this host cannot pin a process to one core: os has no sched_setaffinity")
     core = min(os.sched_getaffinity(0))
-    taskset = shutil.which("taskset")
-    if taskset:
-        return [taskset, "-c", str(core), *argv], None
-    return argv, lambda: os.sched_setaffinity(0, {core})
+    return lambda: os.sched_setaffinity(0, {core})
 
 
 def run(argv: list, *, pin: bool = False, hash_seed: int | None = None) -> bytes:
@@ -75,8 +73,7 @@ def run(argv: list, *, pin: bool = False, hash_seed: int | None = None) -> bytes
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
     if hash_seed is not None:
         env["PYTHONHASHSEED"] = str(hash_seed)
-    argv, preexec = one_core(argv) if pin else (argv, None)
-    proc = subprocess.run(argv, cwd=ROOT, env=env, preexec_fn=preexec,
+    proc = subprocess.run(argv, cwd=ROOT, env=env, preexec_fn=one_core() if pin else None,
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     if proc.returncode:
         raise GateFailed(f"{' '.join(argv)} exited {proc.returncode}:\n{proc.stderr.decode(errors='replace')[-2000:]}")

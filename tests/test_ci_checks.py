@@ -70,14 +70,18 @@ def test_the_installed_script_is_used_where_there_is_one(monkeypatch):
     assert ci_checks.command() == [sys.executable, "-m", "prefix_global.cli"]
 
 
-def test_one_core_uses_taskset_or_pins_the_child(monkeypatch):
+@pytest.mark.skipif(not hasattr(ci_checks.os, "sched_setaffinity"), reason="os has no sched_setaffinity")
+def test_one_core_pins_the_child(monkeypatch):
     core = min(ci_checks.os.sched_getaffinity(0))
-    monkeypatch.setattr(ci_checks.shutil, "which", lambda name: f"/bin/{name}")
-    assert ci_checks.one_core(["x"]) == (["/bin/taskset", "-c", str(core), "x"], None)
-    monkeypatch.setattr(ci_checks.shutil, "which", lambda name: None)
     pinned = []
     monkeypatch.setattr(ci_checks.os, "sched_setaffinity", lambda pid, cores: pinned.append((pid, cores)))
-    argv, preexec = ci_checks.one_core(["x"])
-    assert argv == ["x"] and pinned == []
+    preexec = ci_checks.one_core()
+    assert pinned == []
     preexec()  # in the child, before it starts the CLI
     assert pinned == [(0, {core})]
+
+
+def test_one_core_fails_the_gate_where_the_host_cannot_pin(monkeypatch):
+    monkeypatch.delattr(ci_checks.os, "sched_setaffinity", raising=False)
+    with pytest.raises(ci_checks.GateFailed, match="cannot pin"):
+        ci_checks.one_core()

@@ -118,7 +118,7 @@ KINDS = ["full", "local", "tglobal", "prefix-global"]
 
 
 def used_by(command, blob):
-    """The r, k and block a report says its pattern used."""
+    """The r, k and block a report states: attend's config, else a pattern."""
     pattern = blob["config"] if command == "attend" else (blob["cells"][0]["pattern"] if command == "flops"
                                                            else blob["pattern"])
     keys = ("radius", "prefix", "block") if command == "attend" else ("r", "k", "block")
@@ -145,10 +145,14 @@ def test_every_command_runs_below_512_without_k(runner, command, kind):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_attend_config_nulls_a_given_parameter_the_kind_does_not_use(runner, kind):
+def test_attend_config_echoes_each_given_parameter(runner, kind):
+    # a run that passes its parameters keeps the config it had when every
+    # option had a fixed default, even for one its kind does not use
     blob = attend_json(runner, *pattern_args("attend", kind, 300, "-r", "9", "-k", "40", "--block", "7")[1:])
-    assert used_by("attend", blob) == {"full": (None, None, None), "local": (9, None, None),
-                                       "tglobal": (9, None, 7), "prefix-global": (9, 40, None)}[kind]
+    assert used_by("attend", blob) == (9, 40, 7)
+    blob = attend_json(runner, *pattern_args("attend", kind, 300, "-k", "40")[1:])
+    assert used_by("attend", blob) == {"full": (None, 40, None), "local": (127, 40, None),
+                                       "tglobal": (127, 40, 16), "prefix-global": (127, 40, None)}[kind]
 
 
 @pytest.mark.parametrize("command", ["mask", "attend", "flops"])
