@@ -37,9 +37,13 @@ class FilterReport:
     task: Task
     pages_in: int = 0
     candidates: int = 0
-    examples_out: int = 0
     rejections: dict = field(default_factory=dict)
     splits: dict = field(default_factory=lambda: dict.fromkeys(SPLITS, 0))
+
+    @property
+    def examples_out(self) -> int:
+        """The examples routed: each one is counted in exactly one split."""
+        return sum(self.splits.values())
 
     def reject(self, reason: str) -> None:
         self.rejections[reason] = self.rejections.get(reason, 0) + 1
@@ -115,7 +119,6 @@ def build_dataset(
                 report.reject(outcome)
             else:
                 routed.append(RoutedExample(item.split, outcome))
-                report.examples_out += 1
                 report.splits[item.split] += 1
     return routed, report
 

@@ -2,9 +2,10 @@
 
 Each builder lays out a page as prefix material then local context, in token
 slots (single text tokens or single image slots). The global prefix is capped
-at 512 slots once, when the example is assembled; an image costs exactly 1
-slot and the cap is slot-granular. Prefix material over the cap is not
-dropped: it starts the local context.
+at DEFAULT_PREFIX (512) slots, the paper's prefix, which patterns owns as
+prefix-global's default k. The cap is applied once, when the example is
+assembled; an image costs exactly 1 slot and the cap is slot-granular.
+Prefix material over the cap is not dropped: it starts the local context.
 
 Section material always renders in a fixed order: index marker, title, body
 text, captions. The marker is a single dedicated token "[S<i>]". Captions are
@@ -50,8 +51,8 @@ from functools import cached_property
 from json.encoder import encode_basestring as _json_str  # a str as a JSON string, as json.dumps writes it
 
 from .page import Mime, Page, Section, count_sentences, split_first_sentence, tokenize
+from .patterns import DEFAULT_PREFIX
 
-PREFIX_BUDGET = 512
 PAGE_DESC_MAX_IMAGES = 6
 SECTION_SUMM_MAX_IMAGES = 1
 
@@ -206,8 +207,8 @@ class TaskExample:
                         for runs in (self.prefix, self.context))
                 and isinstance(self.target_text, str) and isinstance(self.source_page_url, str)):
             raise TypeError("an example needs a Task, two tuples of TokenRuns, and a str target_text and source_page_url")
-        if self.prefix_len > PREFIX_BUDGET:
-            raise ValueError(f"prefix of {self.prefix_len} slots is over the {PREFIX_BUDGET}-slot budget")
+        if self.prefix_len > DEFAULT_PREFIX:
+            raise ValueError(f"prefix of {self.prefix_len} slots is over the {DEFAULT_PREFIX}-slot budget")
 
     @property
     def prefix_len(self) -> int:
@@ -238,10 +239,10 @@ class TaskExample:
 
 def _assemble(task: Task, page: Page, prefix_runs: list, context_runs: list, target: str) -> TaskExample:
     """The one place the prefix cap is applied. Whole prefix runs are kept
-    while they fit in PREFIX_BUDGET slots; the run the cap falls in is split
+    while they fit in DEFAULT_PREFIX slots; the run the cap falls in is split
     into two runs of its origin, and its second part and every later
     prefix run start the context. Empty runs are dropped."""
-    room, n = PREFIX_BUDGET, 0
+    room, n = DEFAULT_PREFIX, 0
     while n < len(prefix_runs) and len(prefix_runs[n]) <= room:
         room -= len(prefix_runs[n])
         n += 1

@@ -46,6 +46,8 @@ HUGE_VALUE_LOCALITY = "tests/test_kernel.py::TestLocality::test_a_huge_value_mov
 TOKENIZER_TESTS = "tests/test_page.py::TestTokenize"
 SUMMARIZATION_TARGET = "tests/test_sequence.py::TestSectionSummarization::test_first_sentence_removed_and_targeted"
 READER_LOCATION = "tests/test_page.py::TestOneFieldRule::test_the_reader_gives_the_model_message_where_it_was_refused"
+CLI_ORACLE = "tests/test_cli.py::test_attend_oracle_agreement"
+CLI_MASK = "tests/test_cli.py::test_mask_out_file_holds_the_stdout_bytes"
 
 
 class Mutant(NamedTuple):
@@ -60,11 +62,11 @@ MUTANTS = (
     # the kernel against every row of a softmax over the mask's columns at the paper's geometry
     Mutant("kernel-row-sum-not-rescaled", "kernel.py",
            "            row_sum *= rescale\n", "",
-           (ROW_ORACLE,)),
+           (ROW_ORACLE, CLI_ORACLE)),
     Mutant("kernel-last-prefix-tile-one-key-short", "kernel.py",
            "tiles = tuple((lo, hi, None, None) for lo, hi in",
            "tiles = tuple((lo, hi - (hi == l), None, None) for lo, hi in",
-           (ROW_ORACLE,)),
+           (ROW_ORACLE, CLI_ORACLE)),
     Mutant("kernel-bank-one-key-short-past-4096", "kernel.py",
            "bands.append(_Band(b0, b1, ((lo, hi, outside[: b1 - b0, cols], inside[: b1 - b0, cols]),), bank))",
            "bands.append(_Band(b0, b1, ((lo, hi, outside[: b1 - b0, cols], inside[: b1 - b0, cols]),),"
@@ -105,6 +107,10 @@ MUTANTS = (
     Mutant("full-grid-run-by-one-worker", "kernel.py",
            "for s0, s1 in _blocks(b0, b1))", "for s0, s1 in ((b0, b1),))",
            ("tests/test_kernel.py::TestWorkers::test_threads_per_call",)),
+    Mutant("full-slices-wider-than-row-block", "kernel.py",
+           "for s0, s1 in _blocks(b0, b1))", "for s0, s1 in _blocks(b0, b1, 2 * ROW_BLOCK))",
+           ("tests/test_kernel.py::TestWorkers::test_threads_per_call",
+            "tests/test_kernel.py::TestWorkers::test_every_band_runs_once_under_thread_switching")),
     # tglobal's side keys: the ragged last block is the mean of its own rows
     Mutant("block-average-tail-divided-by-block", "kernel.py",
            "emb[whole:].sum(axis=0) / (l - whole)", "emb[whole:].sum(axis=0) / block",
@@ -115,8 +121,8 @@ MUTANTS = (
            ("tests/test_patterns.py::test_rows_match_set_oracle",
             "tests/test_patterns.py::test_row_parts_match_the_key_set_rule")),
     # every task's layout against the reference that restates it from raw JSONL
-    Mutant("prefix-budget-511", "sequence.py",
-           "PREFIX_BUDGET = 512", "PREFIX_BUDGET = 511",
+    Mutant("prefix-budget-511", "patterns.py",
+           "DEFAULT_PREFIX = 512", "DEFAULT_PREFIX = 511",
            (LAYOUT_ORACLE,)),
     Mutant("captioning-prefix-keeps-target-caption", "sequence.py",
            "prefix += (run for pos, run in enumerate(own.captions) if pos != image_pos)",
@@ -191,7 +197,7 @@ MUTANTS = (
     # the closed-form counts behind the cost tables
     Mutant("mask-nnz-without-side-keys", "cost.py",
            "_window_total(l - g, r) + l * pattern.side_keys", "_window_total(l - g, r)",
-           ("tests/test_acceptance.py::test_c4_closed_form_matches_enumeration",)),
+           ("tests/test_acceptance.py::test_c4_closed_form_matches_enumeration", CLI_MASK)),
     Mutant("accounted-pairs-without-local-branch", "cost.py",
            "    if pattern.kind is PatternKind.LOCAL:\n        return mask_nnz(pattern)  # the convention is the exact count\n",
            "",
@@ -203,7 +209,7 @@ MUTANTS = (
             "tests/test_cli.py::test_every_command_runs_below_512_without_k")),
     Mutant("tglobal-side-keys-rounded-down", "patterns.py",
            "return -(-self.l // self.block) if", "return self.l // self.block if",
-           ("tests/test_acceptance.py::test_c3_kernel_matches_dense_reference",)),
+           ("tests/test_acceptance.py::test_c3_kernel_matches_dense_reference", CLI_ORACLE)),
     # every candidate counted once, and only an example routed to a split
     Mutant("rejected-candidate-counted-in-splits", "pipeline.py",
            "                report.reject(outcome)\n",

@@ -1,9 +1,12 @@
 """CLI tests via click's CliRunner: output goldens, exit codes, report
-structure, and rerun determinism; one test starts the CLI as a process to
-close its stdout early."""
+structure, rerun determinism, and the end-to-end gates (the oracle at the
+edge geometries, the mask grids against the closed-form nnz, prefix-global
+at k = l and k = 0). Two tests start a process: one closes the CLI's stdout
+early, and one runs build and stats under another hash seed."""
 
 import errno
 import hashlib
+import importlib.util
 import json
 import os
 import pathlib
@@ -20,8 +23,11 @@ from prefix_global.cli import main
 from prefix_global.demo import demo_corpus_path
 from prefix_global.kernel import sparse_attention
 from prefix_global.patterns import AttentionPattern
+from prefix_global.sequence import Task
 
 CORPUS = str(demo_corpus_path())
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = str(pathlib.Path(prefix_global.__file__).parents[1])  # the package's own tree, for a child process
 
 
 @pytest.fixture()
@@ -228,18 +234,36 @@ def test_mask_rejects_prefix_longer_than_sequence(runner):
     assert res.exit_code == 2
 
 
-@pytest.mark.parametrize("fmt", ["summary", "csv", "pgm"])
-@pytest.mark.parametrize("kind", ["full", "local", "tglobal", "prefix-global"])
-def test_mask_out_file_holds_the_stdout_bytes(runner, tmp_path, kind, fmt):
-    # --out once wrote no file for the summary, which went to stdout
-    args = ("mask", "--kind", kind, "-l", "37", "-r", "3", "-k", "5", "--block", "4", "--fmt", fmt)
-    res = invoke(runner, *args)
-    assert res.exit_code == 0, res.output
-    out = tmp_path / f"m.{fmt}"
-    to_file = invoke(runner, *args, "-o", str(out))
-    assert to_file.exit_code == 0, to_file.output
-    assert to_file.output == f"wrote {fmt} mask to {out}\n"
-    assert out.read_bytes() == res.stdout_bytes
+@pytest.mark.parametrize("geometry", ["-l 37 -r 3 -k 5 --block 4", "-l 300 -r 9 -k 40 --block 7",
+                                      "-l 1 -r 9 -k 1 --block 7", "-l 300 -r 400 -k 40 --block 7"],
+                         ids=lambda geometry: geometry.replace(" ", ""))
+@pytest.mark.parametrize("kind", KINDS)
+def test_mask_out_file_holds_the_stdout_bytes(runner, tmp_path, kind, geometry):
+    # --out once wrote no file for the summary, which went to stdout; the csv
+    # and pgm grids hold the nnz that the summary takes from the closed form
+    args = ("mask", "--kind", kind, *geometry.split())
+    stdout = {}
+    for fmt in ("summary", "csv", "pgm"):
+        res = invoke(runner, *args, "--fmt", fmt)
+        assert res.exit_code == 0, res.output
+        stdout[fmt] = res.stdout_bytes
+        out = tmp_path / f"m.{fmt}"
+        to_file = invoke(runner, *args, "--fmt", fmt, "-o", str(out))
+        assert to_file.exit_code == 0, to_file.output
+        assert to_file.output == f"wrote {fmt} mask to {out}\n"
+        assert out.read_bytes() == res.stdout_bytes
+    nnz = json.loads(stdout["summary"])["nnz"]
+    assert stdout["csv"].count(b"1") == nnz
+    assert b"".join(stdout["pgm"].splitlines(keepends=True)[3:]).count(b"1") == nnz  # after the 3-line header
+
+
+@pytest.mark.parametrize("k,other", [("300", ("--kind", "full")), ("0", ("--kind", "local", "-r", "9"))],
+                         ids=["k=l-is-full", "k=0-is-local"])
+def test_prefix_global_mask_at_the_ends_of_k(runner, k, other):
+    got = invoke(runner, "mask", "--kind", "prefix-global", "-l", "300", "-r", "9", "-k", k, "--fmt", "csv")
+    want = invoke(runner, "mask", *other, "-l", "300", "--fmt", "csv")
+    assert got.exit_code == want.exit_code == 0, got.output + want.output
+    assert got.stdout_bytes == want.stdout_bytes
 
 
 def test_mask_streams_its_output(runner, tmp_path):
@@ -258,7 +282,7 @@ def test_mask_streams_its_output(runner, tmp_path):
 def test_mask_stdout_closed_early_ends_quietly():
     # the grid is written a line at a time, so writes go on after the reader
     # leaves; click ends a broken stdout pipe with exit 1 and no message
-    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(prefix_global.__file__).parents[1])}
+    env = {**os.environ, "PYTHONPATH": SRC}
     proc = subprocess.Popen([sys.executable, "-m", "prefix_global.cli", "mask", "--kind", "local",
                              "-l", "4096", "-r", "1", "--fmt", "csv"],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
@@ -293,15 +317,22 @@ def test_attend_deterministic_per_seed(runner):
     assert a["config"]["seed"] == 3
 
 
-@pytest.mark.parametrize("kind,extra", [
-    ("full", ()),
-    ("local", ("-r", "5")),
-    ("prefix-global", ("-r", "5", "-k", "11")),
-    ("tglobal", ("-r", "5", "--block", "16")),
-])
-def test_attend_oracle_agreement(runner, kind, extra):
-    blob = attend_json(runner, "--kind", kind, "-l", "96", "-d", "8",
-                       "--seed", "1", "--check-oracle", *extra)
+# the edge geometries: l = 1, k = 0, k = l, r >= l, and an l that is not a
+# multiple of the 128-row band; each with and without --no-scale
+ORACLE_CASES = [
+    ("full", "-l 96 --seed 1"),
+    ("local", "-l 96 --seed 1 -r 5"),
+    ("prefix-global", "-l 96 --seed 1 -r 5 -k 11"),
+    ("tglobal", "-l 96 --seed 1 -r 5 --block 16"),
+] + [(kind, f"{geometry} --block 7 {scale}") for kind in KINDS
+     for geometry in ("-l 300 -r 9 -k 40", "-l 1 -r 9 -k 1", "-l 300 -r 9 -k 0", "-l 300 -r 9 -k 300",
+                      "-l 300 -r 400 -k 40", "-l 257 -r 9 -k 40")
+     for scale in ("--scale", "--no-scale")]
+
+
+@pytest.mark.parametrize("kind,args", ORACLE_CASES, ids=[kind + args.replace(" ", "") for kind, args in ORACLE_CASES])
+def test_attend_oracle_agreement(runner, kind, args):
+    blob = attend_json(runner, "--kind", kind, "-d", "8", "--check-oracle", *args.split())
     assert blob["max_abs_diff"] < 1e-9
     assert blob["peak_score_elements"] > 0
     assert blob["score_blocks"] >= 1
@@ -624,6 +655,51 @@ def test_stats_lenient_counts_malformed(runner, tmp_path):
     strict = invoke(runner, "stats", str(bad))
     assert strict.exit_code == 1
     assert "line 21" in strict.output
+
+
+# ------------------------------------------------------------- hash seeds
+
+
+HASH_SEED_CHILD = """
+import json, pathlib, sys
+from click.testing import CliRunner
+from prefix_global.cli import main
+for name, argv in json.loads(sys.argv[1]):
+    res = CliRunner().invoke(main, argv)
+    if res.exit_code:
+        sys.exit(f"{name}: exit {res.exit_code}\\n{res.output}")
+    pathlib.Path(name).write_bytes(res.stdout_bytes)
+"""
+
+
+def test_build_and_stats_write_the_same_bytes_under_two_hash_seeds(tmp_path):
+    # a process's str hashes are fixed when it starts, so each PYTHONHASHSEED
+    # gets its own interpreter, which runs every command in-process. Each build
+    # runs twice into one out-dir, so a rebuild over its outputs is covered; the
+    # lenient corpus is the benchmark's seed-3 corpus, with its malformed lines
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", ROOT / "perfbench" / "corpus.py")
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    lenient = str(tmp_path / "perfbench-seed3.jsonl")
+    corpus.generate(lenient, 3, 1, corpus.vocabulary(demo_corpus_path()))
+    runs = [(f"{prefix}{task.value}.{step}.stdout",
+             ["build", *source, "--task", task.value, "--out-dir", prefix + task.value])
+            for task in Task for step in ("first", "rebuild")
+            for prefix, source in (("", [CORPUS]), ("lenient-", [lenient, "--lenient"]))]
+    runs += [("stats.stdout", ["stats", CORPUS]), ("lenient-stats.stdout", ["stats", lenient, "--lenient"])]
+    trees = []
+    for seed in (1, 2):
+        out = tmp_path / f"hashseed-{seed}"
+        out.mkdir()
+        proc = subprocess.run([sys.executable, "-c", HASH_SEED_CHILD, json.dumps(runs)], cwd=out,
+                              env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": SRC},
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert sorted(out.rglob("*.tmp")) == []
+        trees.append({path.relative_to(out): path.read_bytes() for path in out.rglob("*") if path.is_file()})
+    assert len(trees[0]) == 14 + 6 * 4  # every stdout, and four files in each out-dir
+    differ = sorted(str(name) for name in trees[0].keys() | trees[1].keys() if trees[0].get(name) != trees[1].get(name))
+    assert differ == []
 
 
 # ----------------------------------------------------------- JSON reports

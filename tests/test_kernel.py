@@ -880,6 +880,15 @@ class TestWorkers:
     @example(("full", 129, 0, 0, 1, 3, 5), 8)
     @example(("prefix-global", 400, 0, 129, 1, 3, 5), 9)
     @example(("full", 300, 0, 0, 1, 4, 3), 10)  # three slices of one grid, the last one ragged
+    # every kind at l = 300 and 2049 with k = 40 and the other parameters at their defaults, d = 16
+    @example(("full", 300, 127, 40, 16, 16, 16), 11)
+    @example(("local", 300, 127, 40, 16, 16, 16), 12)
+    @example(("tglobal", 300, 127, 40, 16, 16, 16), 13)
+    @example(("prefix-global", 300, 127, 40, 16, 16, 16), 14)
+    @example(("full", 2049, 127, 40, 16, 16, 16), 15)
+    @example(("local", 2049, 127, 40, 16, 16, 16), 16)
+    @example(("tglobal", 2049, 127, 40, 16, 16, 16), 17)
+    @example(("prefix-global", 2049, 127, 40, 16, 16, 16), 18)
     def test_worker_count_changes_no_bit(self, geometry, seed):
         kind, l, r, k_len, block, d, d_v = geometry
         pattern = make_pattern(kind, l, r, k_len, block)

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from prefix_global.demo import demo_corpus_path
 from prefix_global.page import ImageRef, MalformedRecord, Mime, Page, Section, iter_corpus, parse_page, tokenize
+from prefix_global.patterns import DEFAULT_PREFIX
 from prefix_global.pipeline import build_dataset
 from prefix_global.sequence import (
-    PREFIX_BUDGET,
     REASON_PARSE_ERROR,
     Origin,
     PageDescPrefix,
@@ -114,10 +114,10 @@ def reference_line(example):
 
 def reference_cut_line(task, page_url, prefix_runs, context_runs, target):
     """The JSON line of unsplit prefix material and context, the material cut
-    at PREFIX_BUDGET slots and its overflow put before the context."""
+    at DEFAULT_PREFIX slots and its overflow put before the context."""
     material = slots_of(prefix_runs)
-    return reference_json(task, page_url, material[:PREFIX_BUDGET],
-                          material[PREFIX_BUDGET:] + slots_of(context_runs), target)
+    return reference_json(task, page_url, material[:DEFAULT_PREFIX],
+                          material[DEFAULT_PREFIX:] + slots_of(context_runs), target)
 
 
 def two_section_page():
@@ -178,7 +178,7 @@ class TestPageDescription:
         page = Page(url="https://e.org/wiki/Long", title="Long", raw_description="Long page.", sections=tuple(sections))
         runs = PageRuns(page)
         ex = build_page_description_input(runs)
-        assert ex.prefix_len == PREFIX_BUDGET
+        assert ex.prefix_len == DEFAULT_PREFIX
         # nothing dropped: every prefix-material token either global or context
         first_sent_tokens = sum(len(sec.first_sentence.values) for sec in runs.content.values())
         assert len(ex.slots) > first_sent_tokens
@@ -426,11 +426,11 @@ class TestTaskExample:
             run = TokenRun(Origin.SECTION_BODY, ("x",) * n_prefix)
             return TaskExample(Task.PAGE_DESCRIPTION, (run,), (text_run("y"),), "", "https://e.org/wiki/X")
 
-        assert example(PREFIX_BUDGET).prefix_len == PREFIX_BUDGET
+        assert example(DEFAULT_PREFIX).prefix_len == DEFAULT_PREFIX
         with pytest.raises(ValueError):
-            example(PREFIX_BUDGET + 1)
+            example(DEFAULT_PREFIX + 1)
         # the budget bounds the prefix, not the runs: two runs over it are refused too
-        half = TokenRun(Origin.SECTION_BODY, ("x",) * (PREFIX_BUDGET // 2 + 1))
+        half = TokenRun(Origin.SECTION_BODY, ("x",) * (DEFAULT_PREFIX // 2 + 1))
         with pytest.raises(ValueError):
             TaskExample(Task.PAGE_DESCRIPTION, (half, half), (), "", "https://e.org/wiki/X")
 
@@ -526,7 +526,7 @@ class TestTokenRuns:
         own = runs.content[1]
         for ex, cut in ((build_section_summarization_input(runs, 1), own.rest),
                         (build_image_caption_input(runs, 1, 0), own.body)):
-            assert ex.prefix_len == PREFIX_BUDGET
+            assert ex.prefix_len == DEFAULT_PREFIX
             # the cap falls inside a run: its two parts end the prefix and start the context
             head, tail = ex.prefix[-1], ex.context[0]
             assert head and tail and head is not cut and tail is not cut
@@ -555,9 +555,9 @@ class TestTokenRuns:
         n_slots = sum(map(len, runs))
         for cut in range(n_slots + 1):
             # a pad run puts the cap at slot `cut` of the four runs
-            pad = TokenRun(Origin.PAGE_TITLE, ("p",) * (PREFIX_BUDGET - cut))
+            pad = TokenRun(Origin.PAGE_TITLE, ("p",) * (DEFAULT_PREFIX - cut))
             ex = _assemble(Task.IMAGE_CAPTIONING, page, [pad, *runs], context, "t\n")
-            assert ex.prefix_len == PREFIX_BUDGET
+            assert ex.prefix_len == DEFAULT_PREFIX
             assert ex.to_json_line() == reference_cut_line(ex.task, page.url, [pad, *runs], context, "t\n")
             assert ex.to_json_line() == reference_line(ex)
             # only the run the cap falls inside is replaced by its parts
