@@ -20,12 +20,9 @@ operand once, with one max and one min, and hands the kernel their peaks
 max|q|, max|k| and max|v|, which the overflow bound and the v guard read.
 tglobal_attention checks its token rows there and its side rows itself, folds
 the side rows' peaks into the token rows' and runs the plan, so no operand is
-scanned twice. No score block is wider than a window band, whatever l is. The
-exception is full, which has no sparsity to exploit: its plan is one band
-with one tile, one l x l block, and that instrumented size is the baseline the
-sparse patterns are measured against. The executor runs that block in
-ROW_BLOCK-row slices, each scoring into its own rows of one l x l grid that
-the call's workers share.
+scanned twice. Full is prefix-global at k = l: every row is global, so its
+plan is l / ROW_BLOCK bands (rounded up), each one tile over all l keys. No
+score block has more than ROW_BLOCK rows, whatever the pattern and l are.
 
 A band is an online softmax over its tiles (Milakov & Gimelshein 2018;
 FlashAttention, Dao et al. 2022): each tile is scored, scaled in place by
@@ -38,11 +35,11 @@ row sums once, at the end of the band, which costs rows x d_v divisions
 instead of rows x width. Before that
 division a row holds up to (keys) x max|v|, since no weight exceeds 1. Where
 that bound, over the call's keys and its max|v|, could pass the largest
-float64 (the v guard), each slice takes its own bound from its own key
-ranges, its tiles and its bank: their count and their max|v|. A slice whose
+float64 (the v guard), each band takes its own bound from its own key
+ranges, its tiles and its bank: their count and their max|v|. A band whose
 own bound could pass it runs on a copy of those rows of v scaled down by a
 power of two and scales its output rows back up, both exact; every other
-slice runs on v as it is. No ordinary input is scaled, so no ordinary output
+band runs on v as it is. No ordinary input is scaled, so no ordinary output
 changes by a bit.
 
 Every window tile's outside-mask is a view of one mask per call, of
@@ -57,9 +54,9 @@ reaches exp, which is slow on it in float64, and an allowed entry sees the
 same max, subtraction and exp as it would with the masked entries at -inf,
 so a key outside a query's allowed set cannot change that query's output
 even at the bit level, even where its exp overflowed before it was zeroed.
-A huge value in v shifts only the slices whose own key ranges hold it, and
-only where their own bound needs it, so it moves no bit of any other slice;
-in a slice that does scale, subnormal outputs can round, in its rows that do
+A huge value in v shifts only the bands whose own key ranges hold it, and
+only where their own bound needs it, so it moves no bit of any other band;
+in a band that does scale, subnormal outputs can round, in its rows that do
 not see the value as in those that do.
 
 A call is refused with ValueError, without a RuntimeWarning, exactly when a
@@ -77,17 +74,15 @@ d max|q| max|k|, tglobal's side keys included. A call whose bound is below
 skip the finiteness scan; any other call scans every tile as above. The scan
 only decides refusal, so neither path changes an output bit.
 
-A call plans in the calling thread, then runs its bands in ROW_BLOCK-row
-slices on up to the usable cores. A sparse band is one slice, and full's one
-band is l / ROW_BLOCK of them (rounded up), so full uses every core too.
-min(cores, slices) workers, the calling thread one of them, pull slices from
-one shared iterator, and the extra threads are started and joined inside the
-call, so calls share no state and no thread outlives one. Numpy releases the
-GIL in the matmuls and ufunc loops that are nearly all of a band's time. Each
-slice writes only its own output rows, with a fixed reduction order per row,
-and slice boundaries are fixed every ROW_BLOCK rows, so outputs are
+A call plans in the calling thread, then runs its bands on up to the usable
+cores. min(cores, bands) workers, the calling thread one of them, pull bands
+from one shared iterator, and the extra threads are started and joined inside
+the call, so calls share no state and no thread outlives one. Numpy releases
+the GIL in the matmuls and ufunc loops that are nearly all of a band's time.
+Each band writes only its own output rows, with a fixed reduction order per
+row, and band boundaries are fixed every ROW_BLOCK rows, so outputs are
 deterministic and do not depend on the worker count. A refused call raises
-the error of its lowest-index failing slice, the one a serial run would have
+the error of its lowest-index failing band, the one a serial run would have
 stopped at.
 Worker threads multiply with BLAS threads, so pin BLAS to one thread where
 cores are few.
@@ -106,18 +101,16 @@ import numpy as np
 from .numcore import ShapeError, as_matrix, attention_operands, max_abs
 from .patterns import AttentionPattern, PatternError, PatternKind
 
-ROW_BLOCK = 128  # band height; bounds every sparse score buffer at 128 rows
+ROW_BLOCK = 128  # band height; bounds every score buffer at 128 rows
 
 
 @dataclass
 class KernelStats:
     """Score-buffer instrumentation, recorded from a call's plan in band order
     before any band runs, so a refused call counts every block of its plan.
-    peak_score_elements is the element count of the widest score block. In a
-    sparse plan each worker holds one buffer that size, so up to `workers`
-    such blocks are live at once; full's plan is one l x l block, and the
-    call's workers share one grid that size, each scoring its ROW_BLOCK-row
-    slices into their own rows of it."""
+    peak_score_elements is the element count of the widest score block. Each
+    worker holds one buffer that size, so up to `workers` such blocks are live
+    at once."""
 
     peak_score_elements: int = 0
     score_blocks: int = 0
@@ -152,11 +145,9 @@ def _bands(pattern: AttentionPattern) -> list:
     global rows (AttentionPattern.global_rows), then window bands banked on
     the side keys' range [l, n_keys), or else on [0, g). Each window tile
     carries its outside-mask and its complement, views of the call's one
-    window mask and one complement. Full is one band over the grid."""
-    l = pattern.l
-    if pattern.kind is PatternKind.FULL:
-        return [_Band(0, l, ((0, l, None, None),))]
-    g, r = pattern.global_rows, pattern.r
+    window mask and one complement. Full's rows are all global, so its
+    radius is never read."""
+    l, g, r = pattern.l, pattern.global_rows, pattern.r or 0
     # global rows see every key, in tiles as wide as the widest window band
     tiles = tuple((lo, hi, None, None) for lo, hi in _blocks(0, l, ROW_BLOCK + 2 * r + g))
     bands = [_Band(b0, b1, tiles) for b0, b1 in _blocks(0, g)]
@@ -186,65 +177,54 @@ def _usable_cores() -> int:
 
 
 def _attend(q, k, v, peaks, bands, scale_by_sqrt_d: bool, stats: KernelStats | None) -> np.ndarray:
-    """Record the plan in the calling thread, then run it in ROW_BLOCK-row
-    slices on up to the usable cores. The plan's walk records every score
-    block in band order and sizes the scratch to the widest block; the call's
-    score bound, from the operand peaks (max|q|, max|k|, max|v|), decides
-    whether its tiles scan for non-finite scores, and where the call's
-    weighted sum of v could overflow, each slice scales by its own shift
-    (_slice_values).
-    A sparse band is one slice, scored in its worker's own buffer; full's one
-    band is cut into slices that score into their own rows of one shared
-    grid. Workers pull slices from one shared iterator, and each slice writes
-    only its own rows of the output, so the worker count changes no output
-    bit."""
+    """Record the plan in the calling thread, then run its bands on up to the
+    usable cores. The plan's walk records every score block in band order and
+    sizes each worker's scratch to the widest block; the call's score bound,
+    from the operand peaks (max|q|, max|k|, max|v|), decides whether its tiles
+    scan for non-finite scores, and where the call's weighted sum of v could
+    overflow, each band scales by its own shift (_band_values). Workers pull
+    bands from one shared iterator, and each band writes only its own rows of
+    the output, so the worker count changes no output bit."""
     q_peak, k_peak, v_peak = peaks
     inv_scale = 1.0 / math.sqrt(q.shape[1]) if scale_by_sqrt_d else 1.0
     widest = cols = 0
-    slices = []  # (a band's rows [s0, s1), the offset of its scores in the band's block)
-    for band in bands:
-        b0, b1, tiles, (bank_lo, bank_hi) = band
+    for b0, b1, tiles, (bank_lo, bank_hi) in bands:
         for t, (lo, hi, *_) in enumerate(tiles):
             n_cols = hi - lo + (0 if t else bank_hi - bank_lo)
             if stats is not None:
                 stats.record((b1 - b0) * n_cols)
             widest, cols = max(widest, (b1 - b0) * n_cols), max(cols, n_cols)
-        first = tiles[0][1] - tiles[0][0] + bank_hi - bank_lo
-        slices += ((band._replace(b0=s0, b1=s1), (s0 - b0) * first) for s0, s1 in _blocks(b0, b1))
     # |q_i . k_j| <= d max|q| max|k|: below 2^1000 no score, rounded or scaled, can be non-finite;
     # in Python floats an overflowing bound is inf, with no numpy warning
     checked = q.shape[1] * q_peak * k_peak >= 2.0**1000
-    # the v guard: only where the call's keys could sum past DBL_MAX does each slice take its own
-    # shift. A slice's shift is 0 whenever the call's is, so this gate changes no bit; it saves the
-    # per-slice scans, which cost page-attend's 103 seed-13 calls 1.15x their time on a 2-vCPU Xeon
+    # the v guard: only where the call's keys could sum past DBL_MAX does each band take its own
+    # shift. A band's shift is 0 whenever the call's is, so this gate changes no bit; it saves the
+    # per-band scans, which cost page-attend's 103 seed-13 calls 1.15x their time on a 2-vCPU Xeon
     # with numpy 2.4 (slower in 12 of 12 alternated passes), and attend-sweep's 10 within noise
     guarded = _v_shift(v_peak, k.shape[0]) > 0
     out = np.empty((q.shape[0], v.shape[1]), dtype=np.float64)
-    jobs = iter(enumerate(slices))  # next() on a list iterator is atomic under the GIL
-    errors = {}  # slice index -> the exception that slice raised
+    jobs = iter(enumerate(bands))  # next() on a list iterator is atomic under the GIL
+    errors = {}  # band index -> the exception that band raised
 
     def work(scratch, ones):  # every tile's scores are a view of scratch
         # overflow is refused with ValueError in _run_band, so numpy need not warn first;
         # errstate is per thread, so each worker sets its own
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, (band, offset) in jobs:
+            for i, band in jobs:
                 if errors:
                     return
                 try:
-                    shift, v_slice = _slice_values(v, band) if guarded else (0, v)
-                    _run_band(q, k, v_slice, band, inv_scale, checked, scratch[offset:], ones, out)
-                    if shift:  # exact: the slice's output rows back to v's own scale
+                    shift, v_band = _band_values(v, band) if guarded else (0, v)
+                    _run_band(q, k, v_band, band, inv_scale, checked, scratch, ones, out)
+                    if shift:  # exact: the band's output rows back to v's own scale
                         np.ldexp(out[band.b0 : band.b1], shift, out=out[band.b0 : band.b1])
                 except BaseException as exc:  # re-raised by the calling thread
                     errors[i] = exc
                     return
 
     # the caller allocates every worker's buffers, so they return to the malloc
-    # arena its own next allocations come from (measured: lower page-attend peak RSS);
-    # a plan of one band, full's, has one block, which its workers share
-    shared = np.empty(widest) if len(bands) == 1 else None
-    buffers = [(np.empty(widest) if shared is None else shared, np.ones(cols))
-               for _ in range(min(_usable_cores(), len(slices)))]
+    # arena its own next allocations come from (measured: lower page-attend peak RSS)
+    buffers = [(np.empty(widest), np.ones(cols)) for _ in range(min(_usable_cores(), len(bands)))]
     threads = []
     try:
         for scratch_and_ones in buffers[1:]:
@@ -258,8 +238,8 @@ def _attend(q, k, v, peaks, bands, scale_by_sqrt_d: bool, stats: KernelStats | N
     finally:
         for thread in threads:
             thread.join()
-    # every slice before the lowest failing one was handed out first and ran to
-    # its end, so this is the slice a serial run would have refused on
+    # every band before the lowest failing one was handed out first and ran to
+    # its end, so this is the band a serial run would have refused on
     if errors:
         raise errors[min(errors)]
     return out
@@ -272,11 +252,11 @@ def _v_shift(peak: float, n_keys: int) -> int:
     return max(0, math.frexp(peak)[1] + n_keys.bit_length() - 1023)
 
 
-def _slice_values(v, band) -> tuple:
-    """The shift a slice takes once its call's v guard has fired, from the
+def _band_values(v, band) -> tuple:
+    """The shift a band takes once its call's v guard has fired, from the
     count and max|v| of its own key ranges, its tiles and its bank, and the
     v it runs on: v itself where the shift is 0, else a copy whose rows in
-    those ranges, the only ones the slice reads, are scaled down by it."""
+    those ranges, the only ones the band reads, are scaled down by it."""
     ranges = [(lo, hi) for lo, hi, *_ in band.tiles] + [band.bank]
     shift = _v_shift(max(max_abs(v[lo:hi]) for lo, hi in ranges), sum(hi - lo for lo, hi in ranges))
     if not shift:

@@ -42,7 +42,8 @@ ROW_ORACLE = "tests/test_kernel.py::TestRowOracleAtPaperGeometry"
 LAYOUT_ORACLE = "tests/test_layout_oracle.py::test_examples_and_report_match_the_reference"
 DENSE_TESTS = "tests/test_numcore.py"
 OVERFLOWED_MASKED_KEY = "tests/test_kernel.py::TestLocality::test_out_of_window_key_whose_exp_overflows_is_invisible_bitwise"
-HUGE_VALUE_LOCALITY = "tests/test_kernel.py::TestLocality::test_a_huge_value_moves_no_bit_of_a_slice_that_does_not_hold_it"
+HUGE_VALUE_LOCALITY = "tests/test_kernel.py::TestLocality::test_a_huge_value_moves_no_bit_of_a_band_that_does_not_hold_it"
+K_IDENTITIES = "tests/test_kernel.py::test_prefix_global_at_k_l_is_full_and_at_k_0_is_local"
 TOKENIZER_TESTS = "tests/test_page.py::TestTokenize"
 SUMMARIZATION_TARGET = "tests/test_sequence.py::TestSectionSummarization::test_first_sentence_removed_and_targeted"
 READER_LOCATION = "tests/test_page.py::TestOneFieldRule::test_the_reader_gives_the_model_message_where_it_was_refused"
@@ -99,18 +100,22 @@ MUTANTS = (
     Mutant("kernel-v-shift-one-too-many", "kernel.py",
            "n_keys.bit_length() - 1023)", "n_keys.bit_length() - 1022)",
            (HUGE_VALUE_LOCALITY,)),
-    # once the call's v guard fires, each slice's shift comes from its own keys
-    Mutant("slice-shift-taken-from-the-calls-peak", "kernel.py",
+    # once the call's v guard fires, each band's shift comes from its own keys
+    Mutant("band-shift-taken-from-the-calls-peak", "kernel.py",
            "_v_shift(max(max_abs(v[lo:hi]) for lo, hi in ranges),", "_v_shift(max_abs(v),",
            (HUGE_VALUE_LOCALITY,)),
-    # full's one grid runs in ROW_BLOCK-row slices that every worker pulls
-    Mutant("full-grid-run-by-one-worker", "kernel.py",
-           "for s0, s1 in _blocks(b0, b1))", "for s0, s1 in ((b0, b1),))",
-           ("tests/test_kernel.py::TestWorkers::test_threads_per_call",)),
-    Mutant("full-slices-wider-than-row-block", "kernel.py",
-           "for s0, s1 in _blocks(b0, b1))", "for s0, s1 in _blocks(b0, b1, 2 * ROW_BLOCK))",
+    # global rows, full's among them, run in ROW_BLOCK-row bands that every worker pulls
+    Mutant("global-bands-taller-than-row-block", "kernel.py",
+           "_blocks(0, g)]", "_blocks(0, g, 2 * ROW_BLOCK)]",
            ("tests/test_kernel.py::TestWorkers::test_threads_per_call",
-            "tests/test_kernel.py::TestWorkers::test_every_band_runs_once_under_thread_switching")),
+            "tests/test_kernel.py::TestWorkers::test_every_band_runs_once_under_thread_switching",
+            "tests/test_kernel.py::TestWorkers::test_refusal_names_the_lowest_failing_band")),
+    # full is prefix-global at k = l in the plan as in the mask, not one l x l block
+    Mutant("full-planned-as-one-block", "kernel.py",
+           "    l, g, r = pattern.l, pattern.global_rows, pattern.r or 0\n",
+           "    l, g, r = pattern.l, pattern.global_rows, pattern.r or 0\n"
+           "    if pattern.kind is PatternKind.FULL:\n        return [_Band(0, l, ((0, l, None, None),))]\n",
+           (K_IDENTITIES, "tests/test_acceptance.py::test_c6_score_buffer_ceiling")),
     # tglobal's side keys: the ragged last block is the mean of its own rows
     Mutant("block-average-tail-divided-by-block", "kernel.py",
            "emb[whole:].sum(axis=0) / (l - whole)", "emb[whole:].sum(axis=0) / block",

@@ -19,7 +19,7 @@ from click.testing import CliRunner
 from prefix_global.cli import main as cli_main
 from prefix_global.cost import accounted_pairs, mask_nnz
 from prefix_global.demo import demo_corpus_path
-from prefix_global.kernel import KernelStats, sparse_attention, tglobal_attention
+from prefix_global.kernel import ROW_BLOCK, KernelStats, sparse_attention, tglobal_attention
 from prefix_global.page import assign_split, iter_corpus
 from prefix_global.patterns import build_mask, full, local, prefix_global, tglobal
 from prefix_global.pipeline import build_dataset
@@ -203,21 +203,24 @@ def test_c5_locality_and_sensitivity(capfd):
 
 def test_c6_score_buffer_ceiling(capfd):
     """The banded long-sequence forward pass never materializes a score
-    buffer as large as dense attention needs at half the length."""
+    buffer as large as dense attention needs at half the length: the
+    (2048, 2048) score matrix that numcore.dense_attention builds. The
+    kernel's full runs in ROW_BLOCK-row bands, so it holds less than that."""
     with criterion(capfd, 6, "score buffer ceiling"):
         rng = np.random.default_rng(6)
         d = 8
+        dense_elements = 2048 * 2048  # 4,194,304
         stats_full = KernelStats()
         q = rng.standard_normal((2048, d))
         sparse_attention(q, rng.standard_normal((2048, d)), rng.standard_normal((2048, d)),
                          full(2048), stats=stats_full)
-        assert stats_full.peak_score_elements == 4_194_304
+        assert stats_full.peak_score_elements == ROW_BLOCK * 2048
 
         stats_pg = KernelStats()
         q = rng.standard_normal((4096, d))
         sparse_attention(q, rng.standard_normal((4096, d)), rng.standard_normal((4096, d)),
                          prefix_global(4096, k=512, r=127), stats=stats_pg)
-        assert stats_pg.peak_score_elements < stats_full.peak_score_elements
+        assert stats_pg.peak_score_elements < dense_elements
         assert stats_pg.score_blocks > 1
 
 

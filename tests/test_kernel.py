@@ -268,12 +268,12 @@ class TestLocality:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 299), st.integers(0, 5), st.integers(1014, 1023))
     @example(200, 2, 1014)  # the guard once scaled all of v: 287 of the 295 rows that do not see key 200 moved
-    @example(200, 2, 1020)  # a slice that spans key 200 scales, and no other slice may
-    def test_a_huge_value_moves_no_bit_of_a_slice_that_does_not_hold_it(self, j, r, e):
+    @example(200, 2, 1020)  # a band that spans key 200 scales, and no other band may
+    def test_a_huge_value_moves_no_bit_of_a_band_that_does_not_hold_it(self, j, r, e):
         # every value is 3 x the smallest subnormal but v[j] = 1.5 x 2^e, so the
         # call's v guard fires: 300 keys x 2^(e + 1) could pass DBL_MAX. A band's
         # keys are its own ROW_BLOCK rows' windows, at most 138 here, so each
-        # slice bounds its own sum: at e = 1014 none scales and no row that does
+        # band bounds its own sum: at e = 1014 none scales and no row that does
         # not see key j moves a bit; at any e, no row of a band whose keys do not
         # hold key j does
         l = 300
@@ -311,6 +311,7 @@ class TestLocality:
 
 class TestBufferContract:
     def test_full_materializes_one_grid(self):
+        # at l <= ROW_BLOCK full's one band scores its l x l grid in one block
         g = rng(30)
         q, k, v = make_qkv(g, 64, 4)
         stats = KernelStats()
@@ -318,10 +319,10 @@ class TestBufferContract:
         assert stats.peak_score_elements == 64 * 64
         assert stats.score_blocks == 1
 
-    def test_full_workers_share_one_grid(self):
-        # full's one block runs in row slices on every worker, each slice into
-        # its own rows of one l x l grid: three workers allocate it once
-        l = 640
+    def test_full_workers_hold_no_l_by_l_grid(self):
+        # full runs in ROW_BLOCK-row bands, each worker scoring into its own
+        # ROW_BLOCK x l buffer: three workers hold far less than one l x l grid
+        l = 2048
         q, k, v = make_qkv(rng(34), l, 4)
         stats = KernelStats()
         with with_workers(3):
@@ -331,8 +332,8 @@ class TestBufferContract:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert stats.peak_score_elements == l * l and stats.score_blocks == 1
-        assert 8 * l * l <= peak < 2 * 8 * l * l
+        assert stats.peak_score_elements == kernel.ROW_BLOCK * l and stats.score_blocks == l // kernel.ROW_BLOCK
+        assert peak < 8 * l * l / 4
 
     def test_prefix_global_peak_below_full_baseline(self):
         g = rng(31)
@@ -342,7 +343,7 @@ class TestBufferContract:
         q2, k2, v2 = make_qkv(g, 2048, 4)
         full_stats = KernelStats()
         sparse_attention(q2, k2, v2, full(2048), stats=full_stats)
-        assert full_stats.peak_score_elements == 4_194_304
+        assert full_stats.peak_score_elements == kernel.ROW_BLOCK * 2048
         assert pg_stats.peak_score_elements < full_stats.peak_score_elements
         # prefix rows are tiled over keys, so the widest buffer is one window
         # band, ROW_BLOCK * (ROW_BLOCK + 2r + k), whatever l is
@@ -810,10 +811,9 @@ class TestBandGeometry:
         assert got.shape == (l, d_v)
         assert np.abs(got - want).max() < 1e-9
         assert stats.elements == geometry_pairs(pattern)
-        if kind == "full":
-            assert stats.peak_score_elements == l * l
-        elif kind == "prefix-global":
-            assert stats.peak_score_elements <= kernel.ROW_BLOCK * (kernel.ROW_BLOCK + 2 * r + k_len)
+        if kind in ("full", "prefix-global"):  # full is prefix-global at k = l, with no window
+            g, radius = pattern.global_rows, pattern.r or 0
+            assert stats.peak_score_elements <= kernel.ROW_BLOCK * (kernel.ROW_BLOCK + 2 * radius + g)
         assert cost.mask_nnz(pattern) == build_mask(pattern).nnz()
 
     @settings(max_examples=200, deadline=None)
@@ -879,7 +879,7 @@ class TestWorkers:
     @example(("prefix-global", 1, 0, 1, 1, 2, 2), 7)
     @example(("full", 129, 0, 0, 1, 3, 5), 8)
     @example(("prefix-global", 400, 0, 129, 1, 3, 5), 9)
-    @example(("full", 300, 0, 0, 1, 4, 3), 10)  # three slices of one grid, the last one ragged
+    @example(("full", 300, 0, 0, 1, 4, 3), 10)  # three bands, the last one ragged
     # every kind at l = 300 and 2049 with k = 40 and the other parameters at their defaults, d = 16
     @example(("full", 300, 127, 40, 16, 16, 16), 11)
     @example(("local", 300, 127, 40, 16, 16, 16), 12)
@@ -946,9 +946,8 @@ class TestWorkers:
 
     @pytest.mark.parametrize("pattern", [local(4096, r=3), full(1024)], ids=lambda p: p.kind.value)
     def test_every_band_runs_once_under_thread_switching(self, pattern, monkeypatch):
-        # more workers than cores and a switch every microsecond: a band, or a
-        # slice of full's shared grid, handed out twice or never shows in the
-        # log, or as unwritten rows
+        # more workers than cores and a switch every microsecond: a band handed
+        # out twice or never shows in the log, or as unwritten rows
         q, k, v = make_qkv(rng(64), pattern.l, 4)
         with with_workers(1):
             want = sparse_attention(q, k, v, pattern).tobytes()
@@ -982,7 +981,7 @@ class TestWorkers:
         with with_workers(4):
             sparse_attention(q[:100], k[:100], v[:100], prefix_global(100, k=0, r=3))  # one band: run inline
             assert started == []
-            # three bands, and full's one grid in three slices: the caller and two threads each
+            # three bands each, local's and full's: the caller and two threads each
             for pattern in (local(300, r=3), full(300)):
                 sparse_attention(q, k, v, pattern)
         assert len(started) == 4 and not any(t.is_alive() for t in started)
@@ -1006,6 +1005,30 @@ class TestWorkers:
         q, k, v = make_qkv(rng(64), 300, 4)
         pattern = local(300, r=3)
         assert np.abs(sparse_attention(q, k, v, pattern) - dense_oracle(q, k, v, pattern)).max() < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 400).flatmap(lambda l: st.tuples(
+    st.just(l), st.one_of(st.integers(0, 16), st.integers(0, 2 * l)), st.integers(1, 8), st.integers(1, 8))),
+    st.integers(0, 2**32 - 1))
+@example((1, 0, 2, 3), 0)
+@example((1, 5, 3, 1), 1)
+@example((300, 7, 4, 3), 2)  # three bands, the last one ragged
+@example((257, 300, 3, 6), 3)
+@example((129, 129, 5, 2), 4)
+def test_prefix_global_at_k_l_is_full_and_at_k_0_is_local(geometry, seed):
+    # the plan, not only the mask: equal output bytes and equal KernelStats
+    # at every worker count, for any l and r, with r >= l and d_v != d among them
+    l, r, d, d_v = geometry
+    q, k, v = make_qkv(rng(seed), l, d, d_v=d_v)
+    for n in (1, 2, 3):
+        with with_workers(n):
+            for pg, same in ((prefix_global(l, k=l, r=r), full(l)), (prefix_global(l, k=0, r=r), local(l, r=r))):
+                runs = []
+                for pattern in (pg, same):
+                    stats = KernelStats()
+                    runs.append((sparse_attention(q, k, v, pattern, stats=stats).tobytes(), stats))
+                assert runs[0] == runs[1], (pg, same, n)
 
 
 class TestRowOracleAtPaperGeometry:
