@@ -143,7 +143,7 @@ def flops(lengths, kinds, radius, prefix_k, block, as_json):
             "cells": [c.to_dict() for c in reports],
         })
     else:
-        click.echo(render_table(reports))
+        click.echo(render_table(reports), nl=False)
 
 
 @main.command()

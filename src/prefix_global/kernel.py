@@ -2,45 +2,46 @@
 
 Every pattern compiles to a list of bands, and one executor runs them all.
 The plan is built from the pattern alone, so it can be counted without
-running attention; only the executor reads k and v. A band is a run of
-query rows [b0, b1) that scores its keys in one or more key tiles, each the
+running attention; only the executor reads k and v. A band is a run of query
+rows [b0, b1) that scores its keys in one or more key tiles, each the
 contiguous key rows [lo, hi) with the tile's radius-r window outside-mask,
-or with none where the band sees every key of the tile. Its first tile also
-scores the band's bank, a key range [lo, hi) that every row of the band
-sees unmasked. Every pattern follows the one key-set rule that
-AttentionPattern.global_rows states, with g global rows. So the plan is
-ROW_BLOCK-row bands over rows [0, g), each tiling every key in tiles of
-ROW_BLOCK + 2r + g keys, then ROW_BLOCK-row window bands over rows [g, l),
-each one tile spanning its clipped window, banked on the key range [0, g),
-which is empty for local, or on tglobal's block-averaged side keys
-[l, n_keys). k and v carry the side keys and values as their last side_keys
-rows, the column order of the pattern's mask and of the dense oracle, and
-one operand check, numcore.attention_operands, serves both. It scans each
-operand once, with one max and one min, and hands the kernel their peaks
-max|q|, max|k| and max|v|, which the overflow bound and the v guard read.
-tglobal_attention checks its token rows there and its side rows itself, folds
-the side rows' peaks into the token rows' and runs the plan, so no operand is
-scanned twice. Full is prefix-global at k = l: every row is global, so its
-plan is l / ROW_BLOCK bands (rounded up), each one tile over all l keys. No
-score block has more than ROW_BLOCK rows, whatever the pattern and l are.
+or with none where the band sees every key of the tile, and with the tile's
+bank, a key range that every row of the band sees unmasked: a window band's
+one tile holds the band's bank, and a prefix tile an empty one. Every
+pattern follows the one key-set rule that AttentionPattern.global_rows
+states, with g global rows. So the plan is ROW_BLOCK-row bands over rows
+[0, g), each tiling every key in tiles of ROW_BLOCK + 2r + g keys, then
+ROW_BLOCK-row window bands over rows [g, l), each one tile spanning its
+clipped window and banked on the key range [0, g), which is empty for local,
+or on tglobal's block-averaged side keys [l, n_keys). k and v carry the side
+keys and values as their last side_keys rows, the column order of the
+pattern's mask and of the dense oracle, and one operand check,
+numcore.attention_operands, serves both. It scans each operand once, with
+one max and one min, and hands the kernel their peaks max|q|, max|k| and
+max|v|, which the overflow bound and the v guard read. tglobal_attention
+checks its token rows there and its side rows itself, folds the side rows'
+peaks into the token rows' and runs the plan, so no operand is scanned
+twice. Full is prefix-global at k = l: every row is global, so its plan is
+l / ROW_BLOCK bands (rounded up), each one tile over all l keys. No score
+block has more than ROW_BLOCK rows, whatever the pattern and l are.
 
 A band is an online softmax over its tiles (Milakov & Gimelshein 2018;
-FlashAttention, Dao et al. 2022): each tile is scored, scaled in place by
-1/sqrt(d), masked, and exponentiated against the running row max; the
-running row sum and output are rescaled by exp(old max - new max) when a tile
-raises the max. The running output is the band's own rows of the call's
-output, which the first tile assigns and later tiles add to, so no tile
+FlashAttention, Dao et al. 2022). It starts from the empty softmax, row max
+-inf, row sum 0 and output 0, and every tile takes the same step: the tile
+and its bank are scored, scaled in place by 1/sqrt(d), masked, and
+exponentiated against the running row max, after the running row sum and
+output are rescaled by exp(old max - new max). The running output is the
+band's own rows of the call's output, which every tile adds to, so no tile
 allocates a temporary the size of its scores. The output is divided by the
 row sums once, at the end of the band, which costs rows x d_v divisions
-instead of rows x width. Before that
-division a row holds up to (keys) x max|v|, since no weight exceeds 1. Where
-that bound, over the call's keys and its max|v|, could pass the largest
-float64 (the v guard), each band takes its own bound from its own key
-ranges, its tiles and its bank: their count and their max|v|. A band whose
-own bound could pass it runs on a copy of those rows of v scaled down by a
-power of two and scales its output rows back up, both exact; every other
-band runs on v as it is. No ordinary input is scaled, so no ordinary output
-changes by a bit.
+instead of rows x width. Before that division a row holds up to (keys) x
+max|v|, since no weight exceeds 1. Where that bound, over the call's keys
+and its max|v|, could pass the largest float64 (the v guard), each band
+takes its own bound from its own key ranges, its tiles and its bank: their
+count and their max|v|. A band whose own bound could pass it runs on a copy
+of those rows of v scaled down by a power of two and scales its output rows
+back up, both exact; every other band runs on v as it is. No ordinary input
+is scaled, so no ordinary output changes by a bit.
 
 Every window tile's outside-mask is a view of one mask per call, of
 ROW_BLOCK rows and ROW_BLOCK + 2 min(r, l) keys, taken at column offset
@@ -50,7 +51,8 @@ pattern's complement. So a plan holds two masks whatever r is, though once
 r >= l every band's tile has a geometry of its own. A window tile's row max is
 taken over its allowed entries only, every entry is exponentiated against
 it, and then the masked entries' weights are set to exactly 0.0. No -inf
-reaches exp, which is slow on it in float64, and an allowed entry sees the
+reaches the scores' exp, which is slow on it in float64; it reaches exp once
+per band, in the first tile's per-row rescale. An allowed entry sees the
 same max, subtraction and exp as it would with the masked entries at -inf,
 so a key outside a query's allowed set cannot change that query's output
 even at the bit level, even where its exp overflowed before it was zeroed.
@@ -122,17 +124,16 @@ class KernelStats:
 
 
 class _Band(NamedTuple):
-    """Rows [b0, b1) against each key tile (lo, hi, outside, inside) of
-    `tiles` in turn: rows [lo, hi) of k and v, with the scores where the
+    """Rows [b0, b1) against each key tile (lo, hi, outside, inside, bank)
+    of `tiles` in turn: rows [lo, hi) of k and v, with the scores where the
     boolean (rows, hi - lo) array `outside` is True masked out, or none
     masked where it is None; `inside` is its complement, or None with it.
-    The first tile also scores the bank, rows [bank[0], bank[1]) of k and v,
-    which every row of the band sees unmasked."""
+    The tile also scores its bank, rows [bank[0], bank[1]) of k and v, which
+    every row of the band sees unmasked; a prefix tile's bank is (0, 0)."""
 
     b0: int
     b1: int
     tiles: tuple
-    bank: tuple = (0, 0)
 
 
 def _blocks(start: int, stop: int, size: int = ROW_BLOCK):
@@ -149,7 +150,7 @@ def _bands(pattern: AttentionPattern) -> list:
     radius is never read."""
     l, g, r = pattern.l, pattern.global_rows, pattern.r or 0
     # global rows see every key, in tiles as wide as the widest window band
-    tiles = tuple((lo, hi, None, None) for lo, hi in _blocks(0, l, ROW_BLOCK + 2 * r + g))
+    tiles = tuple((lo, hi, None, None, (0, 0)) for lo, hi in _blocks(0, l, ROW_BLOCK + 2 * r + g))
     bands = [_Band(b0, b1, tiles) for b0, b1 in _blocks(0, g)]
     bank = (l, pattern.n_keys) if pattern.side_keys else (0, g)
     # row i, column c of the window mask is outside when |i + w - c| > r, so key
@@ -164,7 +165,7 @@ def _bands(pattern: AttentionPattern) -> list:
     for b0, b1 in _blocks(g, l):
         lo, hi = max(g, b0 - r), min(l, b1 + r)
         cols = slice(w + lo - b0, w + hi - b0)
-        bands.append(_Band(b0, b1, ((lo, hi, outside[: b1 - b0, cols], inside[: b1 - b0, cols]),), bank))
+        bands.append(_Band(b0, b1, ((lo, hi, outside[: b1 - b0, cols], inside[: b1 - b0, cols], bank),)))
     return bands
 
 
@@ -176,21 +177,28 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _attend(q, k, v, peaks, bands, scale_by_sqrt_d: bool, stats: KernelStats | None) -> np.ndarray:
-    """Record the plan in the calling thread, then run its bands on up to the
-    usable cores. The plan's walk records every score block in band order and
-    sizes each worker's scratch to the widest block; the call's score bound,
-    from the operand peaks (max|q|, max|k|, max|v|), decides whether its tiles
-    scan for non-finite scores, and where the call's weighted sum of v could
-    overflow, each band scales by its own shift (_band_values). Workers pull
-    bands from one shared iterator, and each band writes only its own rows of
-    the output, so the worker count changes no output bit."""
+def _attend(q, k, v, peaks, pattern, scale_by_sqrt_d: bool, stats: KernelStats | None) -> np.ndarray:
+    """The kernel's one entry, for checked operands: check their row counts
+    against the pattern, plan, record the plan in the calling thread, then
+    run its bands on up to the usable cores. The plan's walk records every
+    score block in band order and sizes each worker's scratch to the widest
+    block; the call's score bound, from the operand peaks (max|q|, max|k|,
+    max|v|), decides whether its tiles scan for non-finite scores, and
+    where the call's weighted sum of v could overflow, each band scales by
+    its own shift (_band_values). Workers pull bands from one shared
+    iterator, and each band writes only its own rows of the output, so the
+    worker count changes no output bit."""
+    l, n_keys = pattern.l, pattern.n_keys
+    if (q.shape[0], k.shape[0]) != (l, n_keys):
+        raise ShapeError(f"{pattern.kind.value} attention needs {l} query rows and {n_keys} key rows, "
+                         f"got {q.shape[0]} and {k.shape[0]}")
+    bands = _bands(pattern)
     q_peak, k_peak, v_peak = peaks
     inv_scale = 1.0 / math.sqrt(q.shape[1]) if scale_by_sqrt_d else 1.0
     widest = cols = 0
-    for b0, b1, tiles, (bank_lo, bank_hi) in bands:
-        for t, (lo, hi, *_) in enumerate(tiles):
-            n_cols = hi - lo + (0 if t else bank_hi - bank_lo)
+    for b0, b1, tiles in bands:
+        for lo, hi, _, _, (bank_lo, bank_hi) in tiles:
+            n_cols = hi - lo + bank_hi - bank_lo
             if stats is not None:
                 stats.record((b1 - b0) * n_cols)
             widest, cols = max(widest, (b1 - b0) * n_cols), max(cols, n_cols)
@@ -202,7 +210,7 @@ def _attend(q, k, v, peaks, bands, scale_by_sqrt_d: bool, stats: KernelStats | N
     # per-band scans, which cost page-attend's 103 seed-13 calls 1.15x their time on a 2-vCPU Xeon
     # with numpy 2.4 (slower in 12 of 12 alternated passes), and attend-sweep's 10 within noise
     guarded = _v_shift(v_peak, k.shape[0]) > 0
-    out = np.empty((q.shape[0], v.shape[1]), dtype=np.float64)
+    out = np.zeros((q.shape[0], v.shape[1]))  # every band's output rows start at the empty softmax's 0
     jobs = iter(enumerate(bands))  # next() on a list iterator is atomic under the GIL
     errors = {}  # band index -> the exception that band raised
 
@@ -254,10 +262,10 @@ def _v_shift(peak: float, n_keys: int) -> int:
 
 def _band_values(v, band) -> tuple:
     """The shift a band takes once its call's v guard has fired, from the
-    count and max|v| of its own key ranges, its tiles and its bank, and the
-    v it runs on: v itself where the shift is 0, else a copy whose rows in
-    those ranges, the only ones the band reads, are scaled down by it."""
-    ranges = [(lo, hi) for lo, hi, *_ in band.tiles] + [band.bank]
+    count and max|v| of its own key ranges, its tiles and their banks, and
+    the v it runs on: v itself where the shift is 0, else a copy whose rows
+    in those ranges, the only ones the band reads, are scaled down by it."""
+    ranges = [key_range for lo, hi, _, _, bank in band.tiles for key_range in ((lo, hi), bank)]
     shift = _v_shift(max(max_abs(v[lo:hi]) for lo, hi in ranges), sum(hi - lo for lo, hi in ranges))
     if not shift:
         return 0, v
@@ -268,22 +276,23 @@ def _band_values(v, band) -> tuple:
 
 
 def _run_band(q, k, v, band, inv_scale, checked, scratch, ones, out) -> None:
-    """One band as an online softmax over its key tiles: score the tile (and
-    the bank, on the first tile) in one block, check it for non-finite
-    scores if the call's bound is `checked`, take its row max over the
-    allowed entries, exponentiate it whole and zero the weights outside the
-    window, and fold them into a running row max, row sum and the band's
-    output rows, which the first tile assigns. The output rows are divided
+    """One band as an online softmax over its key tiles, from the empty
+    softmax: for each tile, score it and its bank in one block, check it for
+    non-finite scores if the call's bound is `checked`, take its row max over
+    the allowed entries, rescale the running row sum and the band's output
+    rows to the new running max, exponentiate the block whole, zero the
+    weights outside the window, and add them in. The output rows are divided
     by their row sums once, at the end."""
-    b0, b1, tiles, (bank_lo, bank_hi) = band
+    b0, b1, tiles = band
     rows = b1 - b0
+    row_max, row_sum = np.full(rows, -np.inf), np.zeros(rows)
     acc = out[b0:b1]
-    for t, (lo, hi, outside, inside) in enumerate(tiles):
+    for lo, hi, outside, inside, (bank_lo, bank_hi) in tiles:
         width = hi - lo
-        n_bank = 0 if t else bank_hi - bank_lo
-        scores = scratch[: rows * (width + n_bank)].reshape(rows, width + n_bank)
+        n_cols = width + bank_hi - bank_lo
+        scores = scratch[: rows * n_cols].reshape(rows, n_cols)
         np.matmul(q[b0:b1], k[lo:hi].T, out=scores[:, :width])
-        if n_bank:
+        if n_cols > width:
             np.matmul(q[b0:b1], k[bank_lo:bank_hi].T, out=scores[:, width:])
         scores *= inv_scale
         if checked and not np.isfinite(scores).all():
@@ -297,26 +306,21 @@ def _run_band(q, k, v, band, inv_scale, checked, scratch, ones, out) -> None:
             new_max = scores.max(axis=1)
         else:  # over the allowed entries alone, so no masked entry moves it
             new_max = scores[:, :width].max(axis=1, where=inside, initial=-np.inf)
-            if n_bank:
+            if n_cols > width:
                 np.maximum(new_max, scores[:, width:].max(axis=1), out=new_max)
-        if t:
-            np.maximum(new_max, row_max, out=new_max)
-            rescale = np.exp(row_max - new_max)  # <= 1: the weights so far, moved to the new max
-            row_sum *= rescale
-            acc *= rescale[:, None]
+        np.maximum(new_max, row_max, out=new_max)
+        rescale = np.exp(row_max - new_max)  # <= 1: the weights so far, moved to the new max; 0 on the first tile
+        row_sum *= rescale
+        acc *= rescale[:, None]
         row_max = new_max
         scores -= row_max[:, None]
         np.exp(scores, out=scores)
         if outside is not None:  # a masked entry's weight is exactly 0.0, whatever its score was
             np.copyto(scores[:, :width], 0.0, where=outside)
-        if t:  # a later tile has no bank
-            row_sum += scores @ ones[:width]
-            acc += scores @ v[lo:hi]
-        else:
-            row_sum = scores @ ones[: scores.shape[1]]  # faster than .sum(axis=1)
-            np.matmul(scores[:, :width], v[lo:hi], out=acc)
-            if n_bank:
-                acc += scores[:, width:] @ v[bank_lo:bank_hi]
+        row_sum += scores @ ones[:n_cols]  # faster than .sum(axis=1)
+        acc += scores[:, :width] @ v[lo:hi]
+        if n_cols > width:
+            acc += scores[:, width:] @ v[bank_lo:bank_hi]
     acc /= row_sum[:, None]
 
 
@@ -337,16 +341,7 @@ def sparse_attention(
     observe buffer sizes.
     """
     q, k, v, peaks = attention_operands(q, k, v)
-    return _run_pattern(q, k, v, peaks, pattern, scale_by_sqrt_d, stats)
-
-
-def _run_pattern(q, k, v, peaks, pattern, scale_by_sqrt_d, stats) -> np.ndarray:
-    """Checked operands run under the pattern's plan, once their row counts fit it."""
-    l, n_keys = pattern.l, pattern.n_keys
-    if (q.shape[0], k.shape[0]) != (l, n_keys):
-        raise ShapeError(f"{pattern.kind.value} attention needs {l} query rows and {n_keys} key rows, "
-                         f"got {q.shape[0]} and {k.shape[0]}")
-    return _attend(q, k, v, peaks, _bands(pattern), scale_by_sqrt_d, stats)
+    return _attend(q, k, v, peaks, pattern, scale_by_sqrt_d, stats)
 
 
 def block_average(token_embeddings, block: int) -> np.ndarray:
@@ -412,4 +407,4 @@ def tglobal_attention(
         if not math.isfinite(side_peak):
             raise ValueError(f"side {name} overflowed to non-finite values")
         peaks.append(max(peak, side_peak))
-    return _run_pattern(q, np.vstack([k, side_k]), np.vstack([v, side_v]), peaks, pattern, scale_by_sqrt_d, stats)
+    return _attend(q, np.vstack([k, side_k]), np.vstack([v, side_v]), peaks, pattern, scale_by_sqrt_d, stats)

@@ -216,10 +216,16 @@ class TaskExample:
 
     @property
     def slots(self) -> list:
+        """Every slot, prefix then context, as to_json_line writes them.
+        Nothing in the package calls it; kept because the benchmark harness
+        reads it, until ROADMAP item 1 deletes it."""
         line = self.to_dict()
         return line["prefix"] + line["context"]
 
     def to_dict(self) -> dict:
+        """to_json_line parsed back. Nothing in the package calls it but
+        slots; kept because the benchmark harness calls it, until ROADMAP
+        item 1 deletes it."""
         return json.loads(self.to_json_line())
 
     def to_json_line(self) -> str:

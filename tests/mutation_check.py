@@ -62,16 +62,19 @@ class Mutant(NamedTuple):
 MUTANTS = (
     # the kernel against every row of a softmax over the mask's columns at the paper's geometry
     Mutant("kernel-row-sum-not-rescaled", "kernel.py",
-           "            row_sum *= rescale\n", "",
+           "        row_sum *= rescale\n", "",
+           (ROW_ORACLE, CLI_ORACLE)),
+    Mutant("kernel-output-not-rescaled", "kernel.py",
+           "        acc *= rescale[:, None]\n", "",
            (ROW_ORACLE, CLI_ORACLE)),
     Mutant("kernel-last-prefix-tile-one-key-short", "kernel.py",
-           "tiles = tuple((lo, hi, None, None) for lo, hi in",
-           "tiles = tuple((lo, hi - (hi == l), None, None) for lo, hi in",
+           "tiles = tuple((lo, hi, None, None, (0, 0)) for lo, hi in",
+           "tiles = tuple((lo, hi - (hi == l), None, None, (0, 0)) for lo, hi in",
            (ROW_ORACLE, CLI_ORACLE)),
     Mutant("kernel-bank-one-key-short-past-4096", "kernel.py",
-           "bands.append(_Band(b0, b1, ((lo, hi, outside[: b1 - b0, cols], inside[: b1 - b0, cols]),), bank))",
-           "bands.append(_Band(b0, b1, ((lo, hi, outside[: b1 - b0, cols], inside[: b1 - b0, cols]),),"
-           " bank if b0 < 4096 else (bank[0], max(bank[0], bank[1] - 1))))",
+           "bands.append(_Band(b0, b1, ((lo, hi, outside[: b1 - b0, cols], inside[: b1 - b0, cols], bank),)))",
+           "bands.append(_Band(b0, b1, ((lo, hi, outside[: b1 - b0, cols], inside[: b1 - b0, cols],"
+           " bank if b0 < 4096 else (bank[0], max(bank[0], bank[1] - 1))),)))",
            (ROW_ORACLE,)),
     # a masked entry's weight is zeroed after exp, and the row max reads only allowed entries
     Mutant("kernel-masked-weights-not-zeroed", "kernel.py",
@@ -114,7 +117,7 @@ MUTANTS = (
     Mutant("full-planned-as-one-block", "kernel.py",
            "    l, g, r = pattern.l, pattern.global_rows, pattern.r or 0\n",
            "    l, g, r = pattern.l, pattern.global_rows, pattern.r or 0\n"
-           "    if pattern.kind is PatternKind.FULL:\n        return [_Band(0, l, ((0, l, None, None),))]\n",
+           "    if pattern.kind is PatternKind.FULL:\n        return [_Band(0, l, ((0, l, None, None, (0, 0)),))]\n",
            (K_IDENTITIES, "tests/test_acceptance.py::test_c6_score_buffer_ceiling")),
     # tglobal's side keys: the ragged last block is the mean of its own rows
     Mutant("block-average-tail-divided-by-block", "kernel.py",

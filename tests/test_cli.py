@@ -718,3 +718,19 @@ def test_every_json_report_is_written_with_sorted_keys(runner, tmp_path):
     texts["report.json"] = (out / "report.json").read_text(encoding="utf-8")
     for name, text in texts.items():
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", name
+
+
+@pytest.mark.parametrize("args", [
+    ("mask", "-l", "40", "-k", "8", "-r", "3"),
+    ("mask", "-l", "40", "-k", "8", "-r", "3", "--fmt", "csv"),
+    ("mask", "-l", "40", "-k", "8", "-r", "3", "--fmt", "pgm"),
+    ("flops", "--lengths", "1,300"),
+    ("flops", "--lengths", "1,300", "--json"),
+    ("attend", "-l", "64", "-d", "8", "-r", "3", "-k", "8"),
+    ("build", CORPUS, "--task", "page_description", "--out-dir", "{out}"),
+    ("stats", CORPUS),
+], ids=["mask-summary", "mask-csv", "mask-pgm", "flops-table", "flops-json", "attend", "build", "stats"])
+def test_every_report_ends_in_one_newline(runner, tmp_path, args):
+    res = invoke(runner, *(arg.format(out=tmp_path / "out") for arg in args))
+    assert res.exit_code == 0, res.output
+    assert res.stdout.endswith("\n") and not res.stdout.endswith("\n\n"), repr(res.stdout[-40:])

@@ -732,7 +732,7 @@ class TestOverflowBound:
         assert flags == [False] * n_bands + [True] * n_bands
         sees = np.array([200 in row for row in build_mask(pattern).rows])
         assert not sees[140] and sees[198:203].all()
-        assert any(b0 <= 140 < b1 and tiles[0][0] <= 200 < tiles[0][1] for b0, b1, tiles, _ in kernel._bands(pattern))
+        assert any(b0 <= 140 < b1 and tiles[0][0] <= 200 < tiles[0][1] for b0, b1, tiles in kernel._bands(pattern))
         assert got[~sees].tobytes() == base[~sees].tobytes()
         assert np.abs(got - dense_oracle(q, hot, v, pattern)).max() < 1e-9
 
@@ -834,10 +834,9 @@ class TestBandGeometry:
         bands = kernel._bands(pattern)
         assert sorted(i for band in bands for i in range(band.b0, band.b1)) == list(range(l))
         allowed = 0
-        for b0, b1, tiles, (bank_lo, bank_hi) in bands:
-            allowed += (b1 - b0) * (bank_hi - bank_lo)
-            for lo, hi, outside, inside in tiles:
-                allowed += (b1 - b0) * (hi - lo)
+        for b0, b1, tiles in bands:
+            for lo, hi, outside, inside, (bank_lo, bank_hi) in tiles:
+                allowed += (b1 - b0) * (hi - lo + bank_hi - bank_lo)
                 assert (outside is None) == (inside is None)
                 if outside is not None:
                     assert outside.shape == (b1 - b0, hi - lo)
